@@ -1,25 +1,28 @@
 """Posterior marginals of a homogeneous hidden Markov chain, two ways.
 
 Both algorithms compute ``p(label at t | whole observation sequence)`` for
-every position:
+every position with one forward-backward kernel that differs only in the
+per-step factor applied for the observed symbol ``y``:
 
-* :func:`forward_backward` is the classic recursion on joint weights.  The
-  forward pass accumulates prior, transition, and emission probabilities;
-  the backward pass accumulates the future emissions.
+* :func:`forward_backward` is the classic recursion on joint weights; its
+  factor is the emission column ``B[:, y]``.
 * :func:`entropic_forward_backward` reaches the same marginals without the
-  emission law.  Its recursions consume only the prior, the transitions,
-  and the per-symbol posterior columns ``L[y][i] = p(label i | symbol y)``,
-  replacing every emission factor by the ratio ``L / prior``.
+  emission law.  It consumes only the prior, the transitions, and the
+  per-symbol posterior columns ``L[y][i] = p(label i | symbol y)``; its
+  factor is the ratio ``L[:, y] / prior``.
 
 When the posterior columns are derived from the same prior and emissions
-(:func:`derive_hmm_posteriors` does exactly that), the per-step symbol
-marginals cancel out of the ratio and the two algorithms agree.  For an
-arbitrary ``(prior, transitions, L)`` triple there is no such guarantee;
-both algorithms still run and return what their recursions define.
+(:func:`derive_hmm_posteriors` does exactly that), the ratio equals
+``B[:, y] / p(y)``.  The symbol marginal ``p(y)`` is a per-step constant
+that normalization cancels, so the two algorithms agree.  For an arbitrary
+``(prior, transitions, L)`` triple there is no such guarantee; both
+algorithms still run and return what their recursions define.
 
-Everything runs in log space.  The backward weights are additionally
-renormalized at each step; the shift cancels in the final ratio, and that
-invariance is itself covered by the test suite.
+The kernel scales every forward and backward step to sum to one (Rabiner,
+"A tutorial on hidden Markov models", Proc. IEEE 1989, section V.A), so
+long sequences neither underflow nor accumulate rounding.  Factors come
+from a label-by-symbol log table shifted by each column's maximum, which
+keeps them in ``[0, 1]`` with at least one entry equal to one.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from .core import (
     ZeroEvidence,
     ZeroMarginal,
     ZeroPrior,
-    logsumexp,
-    normalize_log,
     safe_log,
     stochastic_matrix,
 )
@@ -126,17 +127,6 @@ class PosteriorMarginals:
         return self.gamma.shape[0]
 
 
-def _log_matvec(log_vec: np.ndarray, log_mat: np.ndarray) -> np.ndarray:
-    """out[i] = logsumexp_j(log_vec[j] + log_mat[j, i]), tolerating -inf."""
-    combined = log_vec[:, None] + log_mat
-    peak = combined.max(axis=0)
-    out = np.full(combined.shape[1], -np.inf)
-    ok = np.isfinite(peak)
-    if np.any(ok):
-        out[ok] = peak[ok] + np.log(np.exp(combined[:, ok] - peak[ok]).sum(axis=0))
-    return out
-
-
 def _observation_indices(model: HmmModel, observations) -> list[int]:
     indices = [model.alphabet.index(symbol) for symbol in observations]
     if not indices:
@@ -144,94 +134,71 @@ def _observation_indices(model: HmmModel, observations) -> list[int]:
     return indices
 
 
-def _marginals_from(log_forward, log_backward) -> PosteriorMarginals:
-    rows = []
-    for la, lb in zip(log_forward, log_backward):
-        weights = la + lb
-        if not np.any(np.isfinite(weights)):
-            raise ZeroEvidence(
-                "zero evidence: the observation sequence has probability zero under the model"
-            )
-        rows.append(normalize_log(weights).entries)
-    return PosteriorMarginals(np.array(rows))
-
-
-def forward_backward(model: HmmModel, observations, *, rescale_backward: bool = True) -> PosteriorMarginals:
-    """Classic posterior-marginal recursion on joint weights.
-
-    Forward: start from prior times emission, then fold transitions and
-    the next emission at every step.  Backward: start from ones and fold
-    transition times next emission.  Marginal at ``t`` is the normalized
-    product of the two.  ``rescale_backward`` renormalizes the backward
-    weights per step; it never changes the result and exists so the
-    invariance can be tested.
-    """
-    if model.emissions is None:
-        raise ValueError("forward_backward needs the emission matrix")
-    obs = _observation_indices(model, observations)
-    t_len = len(obs)
-    log_a = safe_log(model.transitions)
-    log_b = safe_log(model.emissions)
-
-    log_forward = np.empty((t_len, model.labels.n))
-    log_forward[0] = safe_log(model.prior.entries) + log_b[:, obs[0]]
-    for t in range(1, t_len):
-        log_forward[t] = log_b[:, obs[t]] + _log_matvec(log_forward[t - 1], log_a)
-    if not np.isfinite(logsumexp(log_forward[-1])):
+def _normalize(weights: np.ndarray) -> None:
+    total = weights.sum()
+    if not total > 0.0:
         raise ZeroEvidence(
             "zero evidence: the observation sequence has probability zero under the model"
         )
-
-    log_backward = np.zeros((t_len, model.labels.n))
-    for t in range(t_len - 2, -1, -1):
-        future = log_backward[t + 1] + log_b[:, obs[t + 1]]
-        log_backward[t] = _log_matvec(future, log_a.T)
-        if rescale_backward:
-            shift = logsumexp(log_backward[t])
-            if np.isfinite(shift):
-                log_backward[t] -= shift
-    return _marginals_from(log_forward, log_backward)
+    weights /= total
 
 
-def entropic_forward_backward(model: HmmModel, observations, *, rescale_backward: bool = True) -> PosteriorMarginals:
+def _smooth(model: HmmModel, log_table: np.ndarray, observations) -> PosteriorMarginals:
+    """Scaled forward-backward with per-symbol factors ``exp(log_table[:, y])``.
+
+    Each factor column is shifted by its own maximum, a per-symbol constant
+    that the per-step normalization cancels.  Forward rows are stored
+    normalized in ``gamma``; the backward pass keeps one normalized vector
+    and folds it into ``gamma`` row by row.
+    """
+    obs = _observation_indices(model, observations)
+    peak = log_table.max(axis=0)
+    peak[~np.isfinite(peak)] = 0.0  # a symbol no label allows keeps all-zero factors
+    factors = np.exp(log_table - peak).T  # factors[y] is the column for symbol y
+    transitions = model.transitions
+
+    gamma = np.empty((len(obs), model.labels.n))
+    alpha = model.prior.entries * factors[obs[0]]
+    for t, y in enumerate(obs):
+        if t:
+            alpha = alpha.dot(transitions) * factors[y]
+        _normalize(alpha)
+        gamma[t] = alpha
+
+    beta = np.ones(model.labels.n)
+    for t in range(len(obs) - 2, -1, -1):
+        beta = transitions.dot(factors[obs[t + 1]] * beta)
+        _normalize(beta)
+        gamma[t] *= beta
+        _normalize(gamma[t])
+    return PosteriorMarginals(gamma)
+
+
+def forward_backward(model: HmmModel, observations) -> PosteriorMarginals:
+    """Classic posterior marginals from prior, transitions and emissions.
+
+    The per-step factor of symbol ``y`` is the emission column ``B[:, y]``.
+    Raises :class:`ZeroEvidence` when the sequence has probability zero.
+    """
+    if model.emissions is None:
+        raise ValueError("forward_backward needs the emission matrix")
+    return _smooth(model, safe_log(model.emissions), observations)
+
+
+def entropic_forward_backward(model: HmmModel, observations) -> PosteriorMarginals:
     """Posterior marginals from posterior columns alone.
 
     Uses only the prior, the transitions, and the stored per-symbol
-    posterior columns; neither the emission matrix nor any symbol marginal
-    enters the recursion.
+    posterior columns: the per-step factor of symbol ``y`` is the ratio
+    ``L[:, y] / prior``.  Neither the emission matrix nor any symbol
+    marginal enters the recursion.
     """
-    return _entropic_recursion(model, observations, ratio_sign=1.0,
-                               rescale_backward=rescale_backward)
-
-
-def _entropic_recursion(model: HmmModel, observations, ratio_sign: float,
-                        rescale_backward: bool = True) -> PosteriorMarginals:
-    # ratio_sign multiplies the log posterior-to-prior ratio; the
-    # verification suite flips it to prove its equality check can fail.
     if model.posteriors is None:
         raise MissingPosteriors("model has no posterior columns; derive or supply them")
     if np.any(model.prior.entries == 0.0):
         raise ZeroPrior("the entropic recursion needs a strictly positive prior")
-    obs = _observation_indices(model, observations)
-    t_len = len(obs)
-    log_a = safe_log(model.transitions)
-    log_l = safe_log(model.posteriors)
-    log_ratio = ratio_sign * (log_l - np.log(model.prior.entries)[:, None])
-
-    log_forward = np.empty((t_len, model.labels.n))
-    log_forward[0] = log_l[:, obs[0]]
-    for t in range(1, t_len):
-        log_forward[t] = log_ratio[:, obs[t]] + _log_matvec(log_forward[t - 1], log_a)
-
-    log_backward = np.zeros((t_len, model.labels.n))
-    for t in range(t_len - 2, -1, -1):
-        future = log_ratio[:, obs[t + 1]] + log_backward[t + 1]
-        log_backward[t] = _log_matvec(future, log_a.T)
-        if rescale_backward:
-            shift = logsumexp(log_backward[t])
-            if np.isfinite(shift):
-                log_backward[t] -= shift
-    return _marginals_from(log_forward, log_backward)
+    log_ratio = safe_log(model.posteriors) - np.log(model.prior.entries)[:, None]
+    return _smooth(model, log_ratio, observations)
 
 
 def derive_hmm_posteriors(model: HmmModel) -> HmmModel:

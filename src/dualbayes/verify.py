@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EQUALITY_TOL, LabelSpace, ObservationAlphabet, ProbabilityVector
-from .hmm import HmmModel, derive_hmm_posteriors, forward_backward, _entropic_recursion
+from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
 from .logreg import (
     LogisticRegressionModel,
     lr_log_posterior_batch,
@@ -181,20 +181,15 @@ def logreg_equivalence_suite(rng, cases: int = 500, observations: int = 100) -> 
     return SuiteResult("logreg-equivalence", cases, worst)
 
 
-def fb_efb_suite(rng, cases: int = 500, max_steps: int = 8, ratio_sign: float = 1.0) -> SuiteResult:
-    """Classic vs entropic recursions on consistently derived posteriors.
-
-    ``ratio_sign`` is forwarded to the entropic recursion; anything other
-    than 1.0 deliberately breaks it, which the self-test of this suite
-    uses to confirm the comparison can fail.
-    """
+def fb_efb_suite(rng, cases: int = 500, max_steps: int = 8) -> SuiteResult:
+    """Classic vs entropic forward-backward on consistently derived posteriors."""
     worst = 0.0
     for _ in range(cases):
         model = random_hmm(rng, derive=True)
         t_len = int(rng.integers(1, max_steps + 1))
         observation = random_hmm_observation(rng, model, t_len)
         classic = forward_backward(model, observation).gamma
-        entropic = _entropic_recursion(model, observation, ratio_sign=ratio_sign).gamma
+        entropic = entropic_forward_backward(model, observation).gamma
         worst = max(worst, float(np.abs(classic - entropic).max()))
     return SuiteResult("fb-vs-efb", cases, worst)
 
@@ -214,8 +209,7 @@ def fb_enumeration_suite(rng, cases: int = 60) -> SuiteResult:
     return SuiteResult("fb-vs-enumeration", cases, worst)
 
 
-def run_all_suites(seed: int = 0, cases: int | None = None,
-                   efb_ratio_sign: float = 1.0) -> list[SuiteResult]:
+def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]:
     """Run the four suites on deterministic per-suite substreams.
 
     ``cases=None`` uses each suite's full default; a number overrides all
@@ -223,12 +217,12 @@ def run_all_suites(seed: int = 0, cases: int | None = None,
     """
     results = []
     plan = [
-        (0, nb_agreement_suite, 1000, {}),
-        (1, logreg_equivalence_suite, 500, {}),
-        (2, fb_efb_suite, 500, {"ratio_sign": efb_ratio_sign}),
-        (3, fb_enumeration_suite, 60, {}),
+        (0, nb_agreement_suite, 1000),
+        (1, logreg_equivalence_suite, 500),
+        (2, fb_efb_suite, 500),
+        (3, fb_enumeration_suite, 60),
     ]
-    for stream, suite, default_cases, extra in plan:
+    for stream, suite, default_cases in plan:
         rng = np.random.default_rng([seed, stream])
-        results.append(suite(rng, cases=cases if cases is not None else default_cases, **extra))
+        results.append(suite(rng, cases=cases if cases is not None else default_cases))
     return results

@@ -10,7 +10,12 @@ import numpy as np
 from dualbayes.cli import main
 from dualbayes.model_io import load_model, save_model
 from dualbayes.naive_bayes import nb_generative_posterior
-from dualbayes.verify import random_discriminative_nb, random_hmm, random_logreg
+from dualbayes.verify import (
+    random_discriminative_nb,
+    random_hmm,
+    random_hmm_observation,
+    random_logreg,
+)
 
 
 def _write(path, text):
@@ -270,6 +275,18 @@ class TestHmmPosterior:
         assert "max_discrepancy=" in out
         gap = float(out.strip().splitlines()[-1].split("=")[1])
         assert gap <= 1e-10
+
+    def test_long_sequence_both_algorithms(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        model = random_hmm(rng, 8, 20)
+        path = tmp_path / "hmm.json"
+        save_model(model, path)
+        symbols = ",".join(random_hmm_observation(rng, model, 10_000))
+        assert main(["hmm-posterior", str(path), "--algorithm", "both", "--obs", symbols]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("fb t=") for line in lines) == 10_000
+        assert sum(line.startswith("efb t=") for line in lines) == 10_000
+        assert float(lines[-1].split("=")[1]) <= 1e-10
 
     def test_posteriors_derived_when_missing(self, tmp_path, capsys):
         rng = np.random.default_rng(13)

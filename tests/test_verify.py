@@ -3,6 +3,8 @@ ability to fail when an algorithm is deliberately broken."""
 
 import numpy as np
 
+import dualbayes.verify
+from dualbayes.hmm import PosteriorMarginals, entropic_forward_backward
 from dualbayes.verify import (
     SuiteResult,
     fb_efb_suite,
@@ -32,11 +34,17 @@ class TestSuites:
             or not np.array_equal(one.prior.entries, other.prior.entries)
         )
 
-    def test_sign_fault_breaks_the_entropic_comparison(self):
+    def test_sign_fault_breaks_the_entropic_comparison(self, monkeypatch):
+        # a faulty entropic route: the true marginals under reversed labels
+        def broken(model, observations):
+            gamma = entropic_forward_backward(model, observations).gamma
+            return PosteriorMarginals(gamma[:, ::-1])
+
+        monkeypatch.setattr(dualbayes.verify, "entropic_forward_backward", broken)
         rng = np.random.default_rng(0)
-        broken = fb_efb_suite(rng, cases=30, ratio_sign=-1.0)
-        assert not broken.passed
-        results = run_all_suites(seed=0, cases=10, efb_ratio_sign=-1.0)
+        broken_suite = fb_efb_suite(rng, cases=30)
+        assert not broken_suite.passed
+        results = run_all_suites(seed=0, cases=10)
         by_name = {r.name: r for r in results}
         assert not by_name["fb-vs-efb"].passed
         assert by_name["nb-generative-vs-discriminative"].passed
