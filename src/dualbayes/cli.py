@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -32,18 +33,20 @@ from .core import (
     ZeroEvidence,
     ZeroMarginal,
     ZeroPrior,
+    check_simplex_rows,
 )
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
-from .logreg import LogisticRegressionModel, lr_log_posterior_batch, lr_posterior, lr_to_nb, nb_to_lr
+from .logreg import LogisticRegressionModel, lr_log_posterior_batch, lr_to_nb, nb_to_lr
 from .model_io import load_model, save_model
 from .naive_bayes import (
     DiscriminativeNBModel,
     NaiveBayesModel,
+    _infer_spaces,
+    _model_from_statistics,
     disc_nb_log_posterior_batch,
-    disc_nb_posterior,
-    nb_discriminative_posterior,
-    nb_fit_mle,
-    nb_generative_posterior,
+    nb_discriminative_log_posterior_batch,
+    nb_encode,
+    nb_generative_log_posterior_batch,
     nb_sufficient_statistics,
     nb_to_discriminative,
 )
@@ -59,6 +62,10 @@ EXIT_NUMERIC = 3
 # `convert` output is reproducible by itself.
 _PROBE_SEED = 181101
 _PROBE_COUNT = 100
+
+# Rows per batch-kernel call in `predict`; bounds the (rows, T, N)
+# temporaries of the disc_nb kernel whatever the file size.
+PREDICT_BLOCK = 1024
 
 _INPUT_ERRORS = (
     ValueError,
@@ -138,9 +145,10 @@ def _read_observations(path, real_mode: bool, expected: int):
 def _cmd_fit(args) -> int:
     if args.generative:
         _, data = _read_dataset(args.dataset, real_mode=False)
-        model = nb_fit_mle(data, smoothing_alpha=args.alpha)
+        labels, alphabets = _infer_spaces(data)
+        stats = nb_sufficient_statistics(data, labels, alphabets)
+        model = _model_from_statistics(stats, labels, alphabets, args.alpha)
         save_model(model, args.output)
-        stats = nb_sufficient_statistics(data, model.labels, model.alphabets)
         print(f"samples={stats.sample_count}")
         for name, count in zip(model.labels.names, stats.label_counts):
             print(f"label={name} count={int(count)}")
@@ -166,44 +174,43 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _posterior_fn(model, route: str):
-    if isinstance(model, NaiveBayesModel):
-        if route == "discriminative":
-            tables = nb_to_discriminative(model)
-
-            def posterior(observation):
-                columns = [
-                    tables[t][model.alphabets[t].index(symbol)]
-                    for t, symbol in enumerate(observation)
-                ]
-                return nb_discriminative_posterior(model.prior, columns)
-
-            return posterior, False
-        return (lambda observation: nb_generative_posterior(model, observation)), False
-    if isinstance(model, DiscriminativeNBModel):
-        return (lambda observation: disc_nb_posterior(model, observation)), True
-    if isinstance(model, LogisticRegressionModel):
-        return (lambda observation: lr_posterior(model, observation)), True
-    raise ValueError("predict supports naive_bayes, disc_nb, and logreg models; "
-                     "use hmm-posterior for hmm models")
-
-
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    posterior, real_mode = _posterior_fn(model, args.route)
+    real_mode = not isinstance(model, NaiveBayesModel)
+    if isinstance(model, NaiveBayesModel) and args.route == "discriminative":
+        kernel = partial(nb_discriminative_log_posterior_batch,
+                         model.prior, nb_to_discriminative(model))
+    elif isinstance(model, NaiveBayesModel):
+        kernel = partial(nb_generative_log_posterior_batch, model)
+    elif isinstance(model, DiscriminativeNBModel):
+        kernel = partial(disc_nb_log_posterior_batch, model)
+    elif isinstance(model, LogisticRegressionModel):
+        kernel = partial(lr_log_posterior_batch, model)
+    else:
+        raise ValueError("predict supports naive_bayes, disc_nb, and logreg models; "
+                         "use hmm-posterior for hmm models")
     observations = _read_observations(args.data, real_mode, model.n_positions)
+    rows = np.array(observations) if real_mode else nb_encode(model, observations)
+
+    # every row is evaluated and checked before anything is written
+    probs = np.concatenate([
+        np.exp(kernel(rows[start:start + PREDICT_BLOCK]))
+        for start in range(0, len(rows), PREDICT_BLOCK)
+    ])
+    check_simplex_rows(probs)
+    best = probs.argmax(axis=1)
+    ties = (probs == probs[np.arange(len(probs)), best][:, None]).sum(axis=1) > 1
 
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow([f"p_{name}" for name in model.labels.names] + ["argmax", "tie"])
-        for observation in observations:
-            entries = posterior(observation).entries
-            best = int(np.argmax(entries))
-            tie = int(np.count_nonzero(entries == entries[best]) > 1)
-            writer.writerow(
-                [_fmt(p) for p in entries] + [model.labels.names[best], str(tie)]
-            )
+        names = model.labels.names
+        for start in range(0, len(probs), PREDICT_BLOCK):
+            block = slice(start, start + PREDICT_BLOCK)
+            for entries, k, tie in zip(probs[block].tolist(), best[block].tolist(),
+                                       ties[block].tolist()):
+                writer.writerow([_fmt(p) for p in entries] + [names[k], str(int(tie))])
     finally:
         if args.output:
             out.close()

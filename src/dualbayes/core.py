@@ -94,16 +94,52 @@ def stochastic_matrix(values, what: str = "matrix") -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"{what} must be a nonempty 2-D array")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} has a non-finite entry")
-    if np.any(arr < 0.0):
-        raise ValueError(f"{what} has a negative entry")
-    deviation = np.abs(arr.sum(axis=1) - 1.0)
-    if float(deviation.max()) > SIMPLEX_TOL:
-        row = int(deviation.argmax())
-        raise ValueError(f"{what} row {row} sums to {arr[row].sum()!r}, not 1")
+    check_simplex_rows(arr, what=f"{what} row")
     arr.flags.writeable = False
     return arr
+
+
+def check_simplex_rows(rows: np.ndarray, what: str = "row") -> None:
+    """Check in one vectorized pass that every row of a 2-D array is a
+    probability vector: finite, nonnegative, summing to 1 within
+    ``SIMPLEX_TOL``.
+
+    The error names the first failing row (``"{what} {index}: ..."``) with
+    the reason :class:`ProbabilityVector` gives for it; no vector is built
+    for a valid row.
+    """
+    valid = (np.isfinite(rows).all(axis=1) & (rows >= 0.0).all(axis=1)
+             & (np.abs(rows.sum(axis=1) - 1.0) <= SIMPLEX_TOL))
+    if not valid.all():
+        row = int(valid.argmin())
+        try:
+            ProbabilityVector(rows[row])
+        except ValueError as exc:
+            raise ValueError(f"{what} {row}: {exc}") from None
+
+
+def real_observation(observation, t_len: int) -> np.ndarray:
+    """One real-valued observation as a finite float vector of length ``t_len``."""
+    y = np.asarray(observation, dtype=float)
+    if y.ndim != 1 or y.size != t_len:
+        raise DimensionMismatch(
+            f"observation must have {t_len} coordinates, got shape {y.shape}"
+        )
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observation coordinates must be finite")
+    return y
+
+
+def real_observations(observations, t_len: int) -> np.ndarray:
+    """A batch of real-valued observations as a finite ``(S, t_len)`` float array."""
+    obs = np.asarray(observations, dtype=float)
+    if obs.ndim != 2 or obs.shape[1] != t_len:
+        raise DimensionMismatch(
+            f"observations must have shape (S, {t_len}), got {obs.shape}"
+        )
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observation coordinates must be finite")
+    return obs
 
 
 @dataclass(frozen=True)
@@ -133,7 +169,11 @@ class LabelSpace:
 
 @dataclass(frozen=True)
 class ObservationAlphabet:
-    """Ordered, finite set of observation symbols for one position."""
+    """Ordered, finite set of observation symbols for one position.
+
+    ``code_of`` maps each symbol to its index; it is built once here, so
+    encoding a symbol is one dict lookup rather than a scan.
+    """
 
     symbols: tuple[str, ...]
 
@@ -141,9 +181,11 @@ class ObservationAlphabet:
         symbols = tuple(self.symbols)
         if not symbols:
             raise ValueError("an alphabet needs at least one symbol")
-        if len(set(symbols)) != len(symbols):
+        code_of = {symbol: k for k, symbol in enumerate(symbols)}
+        if len(code_of) != len(symbols):
             raise ValueError("alphabet symbols must be distinct")
         object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "code_of", code_of)
 
     @property
     def m(self) -> int:
@@ -151,8 +193,8 @@ class ObservationAlphabet:
 
     def index(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self.code_of[symbol]
+        except (KeyError, TypeError):
             raise UnknownSymbol(f"unknown symbol {symbol!r}") from None
 
 

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DimensionMismatch,
     LabelSpace,
     ProbabilityVector,
     ZeroPrior,
-    logsumexp_last,
-    normalize_log,
+    real_observation,
+    real_observations,
 )
 from .naive_bayes import DiscriminativeNBModel
 
@@ -54,32 +53,48 @@ class LogisticRegressionModel:
 
 
 def lr_posterior(model: LogisticRegressionModel, observation) -> ProbabilityVector:
-    """Softmax posterior at one observation.
+    """Softmax posterior at one observation; a batch of one through
+    :func:`lr_log_posterior_batch`'s kernel.
 
     Every entry is strictly positive as long as the logit spread stays
     within double-precision exponent range.
     """
-    y = np.asarray(observation, dtype=float)
-    if y.ndim != 1 or y.size != model.n_positions:
-        raise DimensionMismatch(
-            f"observation must have {model.n_positions} coordinates, got shape {y.shape}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation coordinates must be finite")
-    return normalize_log(model.weights @ y + model.biases)
+    y = real_observation(observation, model.n_positions)
+    log_post = _log_softmax_linear(y[None, :], model.weights, model.biases)
+    return ProbabilityVector(np.exp(log_post[0]))
 
 
 def lr_log_posterior_batch(model: LogisticRegressionModel, observations) -> np.ndarray:
     """Log posterior matrix for a batch of observations, shape ``(S, N)``."""
-    obs = np.asarray(observations, dtype=float)
-    if obs.ndim != 2 or obs.shape[1] != model.n_positions:
-        raise DimensionMismatch(
-            f"observations must have shape (S, {model.n_positions}), got {obs.shape}"
-        )
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observation coordinates must be finite")
-    logits = obs @ model.weights.T + model.biases[None, :]
-    return logits - logsumexp_last(logits)
+    obs = real_observations(observations, model.n_positions)
+    return _log_softmax_linear(obs, model.weights, model.biases)
+
+
+def _log_softmax_linear(obs, weights, biases) -> np.ndarray:
+    # Row-wise log softmax of obs @ weights.T + biases, returned as an (S, N)
+    # view of a label-major (N, S) array, so that every step below is one
+    # elementwise operation over all rows.  Positions and labels are added
+    # one at a time in a fixed order, never by a matrix product or a sum
+    # reduction, whose summation order may change with the batch size: a
+    # row's value does not depend on the other rows.
+    columns = np.ascontiguousarray(obs.T)
+    logits = weights[:, 0, None] * columns[0]
+    logits += biases[:, None]
+    term = np.empty_like(logits)
+    for t in range(1, len(columns)):
+        logits += np.multiply(weights[:, t, None], columns[t], out=term)
+    logits -= logits.max(axis=0)
+    exp_logits = np.exp(logits, out=term)
+    total = exp_logits[0].copy()
+    for row in exp_logits[1:]:
+        total += row
+    logits -= np.log(total)
+    return logits.T
+
+
+def _collapsed_biases(log_prior, intercepts) -> np.ndarray:
+    # bias of the logistic regression that a discriminative model collapses to
+    return (1.0 - intercepts.shape[1]) * log_prior + intercepts.sum(axis=1)
 
 
 def nb_to_lr(model: DiscriminativeNBModel) -> LogisticRegressionModel:
@@ -89,8 +104,7 @@ def nb_to_lr(model: DiscriminativeNBModel) -> LogisticRegressionModel:
     ``biases[i] = (1 - T) * log(prior[i]) + sum_t intercepts[i, t]``;
     posteriors are preserved pointwise.
     """
-    t_len = model.n_positions
-    biases = (1.0 - t_len) * np.log(model.prior.entries) + model.intercepts.sum(axis=1)
+    biases = _collapsed_biases(np.log(model.prior.entries), model.intercepts)
     return LogisticRegressionModel(model.labels, model.slopes, biases)
 
 

@@ -21,23 +21,27 @@ logistic-regression conversion possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .core import (
-    DimensionMismatch,
+    AllZeroWeights,
     EmptyDataset,
     LabelSpace,
     LengthMismatch,
     LogWeightVector,
     ObservationAlphabet,
     ProbabilityVector,
+    UnknownSymbol,
     ZeroEvidence,
     ZeroMarginal,
     ZeroPrior,
     logsumexp_last,
     normalize_log,
     readonly_array,
+    real_observation,
+    real_observations,
     safe_log,
     stochastic_matrix,
 )
@@ -158,19 +162,23 @@ def nb_sufficient_statistics(dataset, labels: LabelSpace, alphabets) -> Sufficie
     if len(dataset) == 0:
         raise EmptyDataset("empty dataset")
     alphabets = tuple(alphabets)
-    t_len = len(alphabets)
-    label_counts = np.zeros(labels.n, dtype=np.int64)
-    emission_counts = [np.zeros((labels.n, ab.m), dtype=np.int64) for ab in alphabets]
-    for label, observation in dataset:
-        i = labels.index(label)
-        if len(observation) != t_len:
-            raise LengthMismatch(
-                f"observation has {len(observation)} positions, expected {t_len}"
-            )
-        label_counts[i] += 1
-        for t, symbol in enumerate(observation):
-            emission_counts[t][i, alphabets[t].index(symbol)] += 1
-    return SufficientStatistics(len(dataset), label_counts, tuple(emission_counts))
+    label_codes = []
+
+    def observations():
+        # one sample at a time, so the first bad sample raises first
+        for label, observation in dataset:
+            label_codes.append(labels.index(label))
+            yield observation
+
+    codes = _encode([alphabet.code_of for alphabet in alphabets], observations())
+    label_codes = np.array(label_codes, dtype=np.intp)
+    emission_counts = tuple(
+        np.bincount(label_codes * alphabet.m + codes[:, t], minlength=labels.n * alphabet.m)
+        .reshape(labels.n, alphabet.m)
+        for t, alphabet in enumerate(alphabets)
+    )
+    label_counts = np.bincount(label_codes, minlength=labels.n)
+    return SufficientStatistics(len(dataset), label_counts, emission_counts)
 
 
 def _infer_spaces(dataset):
@@ -205,15 +213,20 @@ def nb_fit_mle(dataset, smoothing_alpha: float = 0.0, *, labels=None, alphabets=
     """
     if len(dataset) == 0:
         raise EmptyDataset("empty dataset")
-    if smoothing_alpha < 0:
-        raise ValueError("smoothing_alpha must be nonnegative")
     if labels is None or alphabets is None:
         inferred_labels, inferred_alphabets = _infer_spaces(dataset)
         labels = labels if labels is not None else inferred_labels
         alphabets = alphabets if alphabets is not None else inferred_alphabets
     alphabets = tuple(alphabets)
     stats = nb_sufficient_statistics(dataset, labels, alphabets)
+    return _model_from_statistics(stats, labels, alphabets, smoothing_alpha)
 
+
+def _model_from_statistics(stats: SufficientStatistics, labels: LabelSpace, alphabets,
+                           smoothing_alpha: float) -> NaiveBayesModel:
+    """The (smoothed) count-ratio model of :func:`nb_fit_mle` from its counts."""
+    if smoothing_alpha < 0:
+        raise ValueError("smoothing_alpha must be nonnegative")
     alpha = float(smoothing_alpha)
     counts = stats.label_counts.astype(float)
     prior = ProbabilityVector((counts + alpha) / (stats.sample_count + alpha * labels.n))
@@ -231,29 +244,81 @@ def nb_fit_mle(dataset, smoothing_alpha: float = 0.0, *, labels=None, alphabets=
     return NaiveBayesModel(labels, alphabets, prior, tuple(emissions))
 
 
-def _symbol_indices(model: NaiveBayesModel, observation) -> list[int]:
-    if len(observation) != model.n_positions:
+def _symbol_codes(lookups, observation) -> list[int]:
+    if len(observation) != len(lookups):
         raise LengthMismatch(
-            f"observation has {len(observation)} positions, expected {model.n_positions}"
+            f"observation has {len(observation)} positions, expected {len(lookups)}"
         )
-    return [model.alphabets[t].index(symbol) for t, symbol in enumerate(observation)]
+    try:
+        return [lookup[symbol] for lookup, symbol in zip(lookups, observation)]
+    except KeyError as exc:
+        raise UnknownSymbol(f"unknown symbol {exc.args[0]!r}") from None
+
+
+def _encode(lookups, observations) -> np.ndarray:
+    # streamed into one array, without a Python list per observation
+    codes = chain.from_iterable(_symbol_codes(lookups, observation) for observation in observations)
+    return np.fromiter(codes, dtype=np.intp).reshape(-1, len(lookups))
+
+
+def nb_encode(model: NaiveBayesModel, observations) -> np.ndarray:
+    """Symbol codes of a batch of observations, shape ``(S, T)``.
+
+    Row ``s`` holds the index of each observed symbol in its position's
+    alphabet; raises :class:`LengthMismatch` or :class:`UnknownSymbol` at
+    the first bad observation.  This is the input of the batch kernels
+    :func:`nb_generative_log_posterior_batch` and
+    :func:`nb_discriminative_log_posterior_batch`.
+    """
+    return _encode([alphabet.code_of for alphabet in model.alphabets], observations)
+
+
+def _gathered_log_weights(log_prior_term, log_tables, codes) -> np.ndarray:
+    # log_prior_term + sum_t log_tables[t][codes[:, t]], one row per
+    # observation; positions are added one at a time in a fixed order, so a
+    # row's value does not depend on the other rows of the batch
+    log_weights = np.repeat(log_prior_term[None, :], codes.shape[0], axis=0)
+    for t, table in enumerate(log_tables):
+        log_weights += table[codes[:, t]]
+    return log_weights
+
+
+def _check_codes(codes, t_len: int) -> np.ndarray:
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != t_len:
+        raise LengthMismatch(f"codes must have shape (S, {t_len}), got {codes.shape}")
+    return codes
+
+
+def nb_generative_log_posterior_batch(model: NaiveBayesModel, codes) -> np.ndarray:
+    """Log posterior matrix of the generative route, shape ``(S, N)``.
+
+    ``codes`` comes from :func:`nb_encode`.  Each row is the normalized
+    ``log prior + sum_t log emissions[t][:, y_t]``; an impossible label
+    gets ``-inf``.  Raises :class:`ZeroEvidence` if some row is impossible
+    under every label.
+    """
+    codes = _check_codes(codes, model.n_positions)
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(model.prior.entries)
+        log_tables = [np.log(table).T for table in model.emissions]
+    log_weights = _gathered_log_weights(log_prior, log_tables, codes)
+    if not np.isfinite(log_weights).any(axis=1).all():
+        raise ZeroEvidence(
+            "zero evidence: the observation has probability zero under every label"
+        )
+    return log_weights - logsumexp_last(log_weights)
 
 
 def nb_generative_posterior(model: NaiveBayesModel, observation) -> ProbabilityVector:
     """Posterior over labels from the joint law.
 
     Weighs each label by prior times the product of its emission
-    probabilities for the observed symbols, in log space, then normalizes.
+    probabilities for the observed symbols, in log space, then normalizes;
+    a batch of one through :func:`nb_generative_log_posterior_batch`.
     """
-    indices = _symbol_indices(model, observation)
-    log_weights = safe_log(model.prior.entries).copy()
-    for t, y in enumerate(indices):
-        log_weights += safe_log(model.emissions[t][:, y])
-    if not np.any(np.isfinite(log_weights)):
-        raise ZeroEvidence(
-            "zero evidence: the observation has probability zero under every label"
-        )
-    return normalize_log(log_weights)
+    codes = nb_encode(model, [observation])
+    return ProbabilityVector(np.exp(nb_generative_log_posterior_batch(model, codes)[0]))
 
 
 def nb_to_discriminative(model: NaiveBayesModel, marginals=None) -> tuple[np.ndarray, ...]:
@@ -304,6 +369,35 @@ def _column_weights(column, n_labels: int) -> np.ndarray:
     return arr
 
 
+def _positive_prior(prior) -> ProbabilityVector:
+    if not isinstance(prior, ProbabilityVector):
+        prior = ProbabilityVector(prior)
+    if np.any(prior.entries == 0.0):
+        raise ZeroPrior("the discriminative combination needs a strictly positive prior")
+    return prior
+
+
+def nb_discriminative_log_posterior_batch(prior, tables, codes) -> np.ndarray:
+    """Log posterior matrix of the posterior-column route, shape ``(S, N)``.
+
+    ``tables`` are per-position posterior tables as returned by
+    :func:`nb_to_discriminative` (shape ``(M_t, N)``) and ``codes`` comes
+    from :func:`nb_encode`.  Each row is the normalized
+    ``(1 - T) * log prior + sum_t log tables[t][y_t]``.  Raises
+    :class:`AllZeroWeights` if every label of some row scores zero.
+    """
+    prior = _positive_prior(prior)
+    codes = _check_codes(codes, len(tables))
+    with np.errstate(divide="ignore"):
+        log_tables = [np.log(table) for table in tables]
+    log_weights = _gathered_log_weights(
+        (1.0 - len(tables)) * np.log(prior.entries), log_tables, codes
+    )
+    if not np.isfinite(log_weights).any(axis=1).all():
+        raise AllZeroWeights("every weight is zero")
+    return log_weights - logsumexp_last(log_weights)
+
+
 def nb_discriminative_scores(prior, l_columns) -> LogWeightVector:
     """Log score per label: ``(1 - T) * log(prior) + sum_t log(L[t])``.
 
@@ -311,10 +405,7 @@ def nb_discriminative_scores(prior, l_columns) -> LogWeightVector:
     scaling a column by a positive constant only shifts every score by the
     same amount, which normalization cancels.
     """
-    if not isinstance(prior, ProbabilityVector):
-        prior = ProbabilityVector(prior)
-    if np.any(prior.entries == 0.0):
-        raise ZeroPrior("the discriminative combination needs a strictly positive prior")
+    prior = _positive_prior(prior)
     columns = list(l_columns)
     if not columns:
         raise ValueError("need at least one posterior column")
@@ -336,13 +427,7 @@ def nb_discriminative_posterior(prior, l_columns) -> ProbabilityVector:
 
 def disc_nb_columns(model: DiscriminativeNBModel, observation) -> tuple[ProbabilityVector, ...]:
     """Evaluate the softmax posterior column of every position at ``observation``."""
-    y = np.asarray(observation, dtype=float)
-    if y.ndim != 1 or y.size != model.n_positions:
-        raise DimensionMismatch(
-            f"observation must have {model.n_positions} coordinates, got shape {y.shape}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation coordinates must be finite")
+    y = real_observation(observation, model.n_positions)
     columns = []
     for t in range(model.n_positions):
         logits = model.slopes[:, t] * y[t] + model.intercepts[:, t]
@@ -351,8 +436,12 @@ def disc_nb_columns(model: DiscriminativeNBModel, observation) -> tuple[Probabil
 
 
 def disc_nb_posterior(model: DiscriminativeNBModel, observation) -> ProbabilityVector:
-    """Posterior of a softmax-parameterized model at one real observation."""
-    return nb_discriminative_posterior(model.prior, disc_nb_columns(model, observation))
+    """Posterior of a softmax-parameterized model at one real observation;
+    a batch of one through :func:`disc_nb_log_posterior_batch`'s kernel."""
+    y = real_observation(observation, model.n_positions)
+    log_prior = np.log(model.prior.entries)
+    log_post = _log_posterior_matrix(model.slopes, model.intercepts, log_prior, y[None, :])
+    return ProbabilityVector(np.exp(log_post[0]))
 
 
 def disc_nb_log_posterior_batch(model: DiscriminativeNBModel, observations) -> np.ndarray:
@@ -360,15 +449,12 @@ def disc_nb_log_posterior_batch(model: DiscriminativeNBModel, observations) -> n
 
     ``observations`` has shape ``(S, T)``; the result has shape ``(S, N)``
     and each row is the log of :func:`disc_nb_posterior` for that
-    observation.  Used by the trainer and the verification sweeps.
+    observation.  Every position's softmax column is evaluated and
+    combined as ``prior^(1-T) * prod_t L[t]``, independently of the
+    logistic-regression collapse, which is what lets the conversion
+    checks compare two computations.
     """
-    obs = np.asarray(observations, dtype=float)
-    if obs.ndim != 2 or obs.shape[1] != model.n_positions:
-        raise DimensionMismatch(
-            f"observations must have shape (S, {model.n_positions}), got {obs.shape}"
-        )
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observation coordinates must be finite")
+    obs = real_observations(observations, model.n_positions)
     log_prior = np.log(model.prior.entries)
     return _log_posterior_matrix(model.slopes, model.intercepts, log_prior, obs)
 

@@ -6,6 +6,12 @@ plain gradient descent off the simplex boundary without projections.
 Gradients are closed form rather than autodiff, and the test suite checks
 every coordinate against central finite differences.
 
+Training evaluates the posterior through the model's exact collapse to a
+multinomial logistic regression (one softmax per sample instead of one per
+position).  The loss functions keep the per-column definition, so the
+finite-difference checks compare the collapsed gradients with the model's
+defining formula.
+
 Training is deterministic for a fixed config: mini-batch order comes only
 from the seeded generator, and all per-sample contributions are reduced by
 fixed-order array sums.
@@ -18,12 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DimensionMismatch,
     DivergedLoss,
     EmptyDataset,
     LabelSpace,
     normalize_log,
+    real_observation,
 )
+from .logreg import _collapsed_biases, _log_softmax_linear
 from .naive_bayes import DiscriminativeNBModel, _log_posterior_matrix
 
 #: Central finite-difference step used by the gradient checks.
@@ -69,19 +76,31 @@ class Gradients:
 def _prepare(dataset, labels: LabelSpace, t_len: int):
     if len(dataset) == 0:
         raise EmptyDataset("empty dataset")
-    rows = []
-    indices = []
-    for label, observation in dataset:
-        indices.append(labels.index(label))
-        y = np.asarray(observation, dtype=float)
-        if y.ndim != 1 or y.size != t_len:
-            raise DimensionMismatch(
-                f"observation must have {t_len} coordinates, got shape {y.shape}"
-            )
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observation coordinates must be finite")
-        rows.append(y)
-    return np.array(rows), np.array(indices, dtype=np.intp)
+    indices = np.array([labels.index(label) for label, _ in dataset], dtype=np.intp)
+    try:
+        obs = np.array([observation for _, observation in dataset], dtype=float)
+    except ValueError:  # ragged rows, or a field that is not a number
+        obs = None
+    if obs is None or obs.ndim != 2 or obs.shape[1] != t_len:
+        for _, observation in dataset:
+            real_observation(observation, t_len)  # raises for the first bad row
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observation coordinates must be finite")
+    return obs, indices
+
+
+def _log_posterior(slopes, intercepts, log_prior, obs) -> np.ndarray:
+    """The model's log posterior through its exact logistic-regression collapse.
+
+    ``sum_t log softmax(z_t)`` differs from ``sum_t z_t`` by a term that is
+    the same for every label, so the per-column normalizers cancel and the
+    posterior is the log softmax of ``obs @ slopes.T + biases`` with
+    :func:`~dualbayes.logreg.nb_to_lr`'s biases.  Extreme parameters can
+    overflow the logits; the resulting non-finite loss raises
+    :class:`DivergedLoss`, so the warnings are silenced here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _log_softmax_linear(obs, slopes, _collapsed_biases(log_prior, intercepts))
 
 
 def parameter_loss(slopes, intercepts, log_prior, dataset, labels: LabelSpace) -> float:
@@ -114,7 +133,7 @@ def loss_cross_entropy(model: DiscriminativeNBModel, dataset) -> float:
 
 
 def _loss_and_gradients(slopes, intercepts, log_prior, obs, idx):
-    log_post = _log_posterior_matrix(slopes, intercepts, log_prior, obs)
+    log_post = _log_posterior(slopes, intercepts, log_prior, obs)
     n_samples = idx.size
     loss = float(-log_post[np.arange(n_samples), idx].mean())
     # residual g = posterior - onehot sums to zero over labels, which
@@ -194,6 +213,6 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
         raise DivergedLoss("parameters became non-finite")
     prior = normalize_log(prior_logits)
     model = DiscriminativeNBModel(labels, prior, slopes, intercepts)
-    log_post = _log_posterior_matrix(slopes, intercepts, np.log(prior.entries), obs)
+    log_post = _log_posterior(slopes, intercepts, np.log(prior.entries), obs)
     accuracy = float((log_post.argmax(axis=1) == idx).mean())
     return model, TrainReport(tuple(curve), accuracy)

@@ -6,15 +6,20 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
-from dualbayes.cli import main
+from dualbayes.cli import PREDICT_BLOCK, main
+from dualbayes.core import ProbabilityVector
+from dualbayes.logreg import lr_posterior, nb_to_lr
 from dualbayes.model_io import load_model, save_model
-from dualbayes.naive_bayes import nb_generative_posterior
+from dualbayes.naive_bayes import disc_nb_posterior, nb_generative_posterior
 from dualbayes.verify import (
     random_discriminative_nb,
     random_hmm,
     random_hmm_observation,
     random_logreg,
+    random_naive_bayes,
+    random_nb_observation,
 )
 
 
@@ -136,6 +141,33 @@ class TestPredict:
             parsed = np.array([float(row[0]), float(row[1])])
             assert np.array_equal(parsed, expected)
 
+        # every model kind, on files that span more than one predict block
+        n_rows = PREDICT_BLOCK + 37
+        rng = np.random.default_rng(29)
+        symbolic = random_naive_bayes(rng, n_labels=8, t_len=4)
+        symbols = [random_nb_observation(rng, symbolic) for _ in range(n_rows)]
+        disc = random_discriminative_nb(rng, n_labels=8, t_len=5)
+        reals = rng.normal(0.0, 2.0, size=(n_rows, 5))
+        real_fields = [[repr(v) for v in row] for row in reals.tolist()]
+        cases = [
+            (symbolic, nb_generative_posterior, symbols, symbols),
+            (disc, disc_nb_posterior, reals, real_fields),
+            (nb_to_lr(disc), lr_posterior, reals, real_fields),
+        ]
+        for kind, (model, posterior, observations, fields) in enumerate(cases):
+            model_path, out = tmp_path / f"m{kind}.json", tmp_path / f"pred{kind}.csv"
+            save_model(model, model_path)
+            header = ",".join(f"f{t}" for t in range(model.n_positions))
+            obs = _write(tmp_path / f"obs{kind}.csv",
+                         header + "\n" + "\n".join(",".join(row) for row in fields) + "\n")
+            assert main(["predict", str(model_path), obs, "-o", str(out)]) == 0
+            rows = list(csv.reader(out.open()))[1:]
+            assert len(rows) == n_rows
+            n = model.labels.n
+            for row, observation in zip(rows, observations):
+                expected = posterior(model, observation).entries
+                assert np.array_equal(np.array([float(p) for p in row[:n]]), expected)
+
     def test_discriminative_route_agrees_with_generative(self, tmp_path):
         dataset = _write(
             tmp_path / "d.csv",
@@ -174,6 +206,62 @@ class TestPredict:
         code = main(["predict", str(model_path), obs])
         assert code == 2
         assert "zero evidence" in capsys.readouterr().err
+
+    def test_bad_third_row_exits_2_before_any_output(self, tmp_path, capsys):
+        dataset = _write(tmp_path / "d.csv", "label,f0,f1\na,x,u\nb,y,v\n")
+        model_path = tmp_path / "m.json"
+        assert main(["fit", "--generative", "--alpha", "0", dataset, "-o", str(model_path)]) == 0
+        capsys.readouterr()
+        cases = [
+            ([], "x,u\ny,v\nq,u\n", "error: unknown symbol 'q'"),
+            ([], "x,u\ny,v\nx,v\n",
+             "error: zero evidence: the observation has probability zero under every label"),
+            (["--route", "discriminative"], "x,u\ny,v\nx,v\n", "error: every weight is zero"),
+        ]
+        for route, rows, message in cases:
+            obs = _write(tmp_path / "obs.csv", "f0,f1\n" + rows)
+            out = tmp_path / "pred.csv"
+            assert main(["predict", *route, str(model_path), obs]) == 2
+            assert main(["predict", *route, str(model_path), obs, "-o", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == 2 * (message + "\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["generative", "columns", "disc_nb", "logreg"])
+    def test_no_per_row_probability_vectors(self, tmp_path, monkeypatch, kind):
+        # structural guard against a per-row path: the number of validated
+        # vectors built by predict must not grow with the number of rows
+        rng = np.random.default_rng(31)
+        argv = ["predict"]
+        if kind in ("generative", "columns"):
+            model = random_naive_bayes(rng, n_labels=3, t_len=3)
+            draw = lambda: random_nb_observation(rng, model)
+            argv += ["--route", "discriminative"] if kind == "columns" else []
+        else:
+            model = random_discriminative_nb(rng, n_labels=3, t_len=3)
+            model = nb_to_lr(model) if kind == "logreg" else model
+            draw = lambda: [repr(v) for v in rng.normal(size=3).tolist()]
+        model_path = tmp_path / "m.json"
+        save_model(model, model_path)
+
+        constructed = 0
+        original = ProbabilityVector.__post_init__
+
+        def counting(self):
+            nonlocal constructed
+            constructed += 1
+            original(self)
+
+        monkeypatch.setattr(ProbabilityVector, "__post_init__", counting)
+        counts = []
+        for n_rows in (50, 200):
+            obs = _write(tmp_path / "obs.csv", "f0,f1,f2\n"
+                         + "".join(",".join(draw()) + "\n" for _ in range(n_rows)))
+            constructed = 0
+            assert main([*argv, str(model_path), obs, "-o", str(tmp_path / "p.csv")]) == 0
+            counts.append(constructed)
+        assert counts[0] == counts[1]
 
     def test_hmm_model_rejected(self, tmp_path, capsys):
         model_path = tmp_path / "h.json"

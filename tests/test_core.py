@@ -16,6 +16,7 @@ from dualbayes.core import (
     ProbabilityVector,
     SIMPLEX_TOL,
     UnknownSymbol,
+    check_simplex_rows,
     logsumexp,
     normalize_log,
 )
@@ -133,6 +134,20 @@ class TestProbabilityVector:
             vec.entries[0] = 1.0
 
 
+class TestCheckSimplexRows:
+    def test_accepts_valid_rows(self):
+        check_simplex_rows(np.array([[0.25, 0.75], [1.0, 0.0], [0.5, 0.5]]))
+
+    def test_names_the_first_bad_row_and_the_reason(self):
+        rows = np.array([[0.5, 0.5], [0.5, 0.5 + 5e-12], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match=r"^row 1: entries sum to"):
+            check_simplex_rows(rows)
+        with pytest.raises(ValueError, match=r"^row 2: entries must be finite"):
+            check_simplex_rows(rows[[0, 2]].repeat([2, 1], axis=0))
+        with pytest.raises(ValueError, match=r"^row 0: entries must be nonnegative"):
+            check_simplex_rows(np.array([[1.0 + 1e-15, -1e-15]]))
+
+
 class TestLogWeightVector:
     def test_accepts_partial_minus_inf(self):
         vec = LogWeightVector([-np.inf, 0.0, -3.0])
@@ -170,3 +185,8 @@ class TestSpaces:
             ObservationAlphabet(("x", "x"))
         with pytest.raises(UnknownSymbol):
             alphabet.index("other")
+
+    def test_alphabet_codes_follow_symbol_order(self):
+        alphabet = ObservationAlphabet(("z", "a", "m"))
+        assert alphabet.code_of == {"z": 0, "a": 1, "m": 2}
+        assert [alphabet.index(s) for s in ("m", "z")] == [2, 0]

@@ -103,6 +103,12 @@ class TestFitMle:
         assert int(stats.label_counts.sum()) == 100
         for table in stats.emission_counts:
             np.testing.assert_array_equal(table.sum(axis=1), stats.label_counts)
+        # the vectorized counts equal a plain per-sample tally
+        for t, alphabet in enumerate(alphabets):
+            tally = np.zeros((labels.n, alphabet.m), dtype=np.int64)
+            for label, observation in dataset:
+                tally[labels.index(label), alphabet.index(observation[t])] += 1
+            np.testing.assert_array_equal(stats.emission_counts[t], tally)
 
     def test_zero_alpha_is_a_likelihood_maximum(self):
         # moving any fitted parameter along the simplex must not improve

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dualbayes.core import (
+    EQUALITY_TOL,
     DimensionMismatch,
     DivergedLoss,
     EmptyDataset,
@@ -14,11 +15,16 @@ from dualbayes.core import (
     ProbabilityVector,
 )
 from dualbayes.logreg import lr_posterior, nb_to_lr
-from dualbayes.naive_bayes import DiscriminativeNBModel, disc_nb_posterior
+from dualbayes.naive_bayes import (
+    DiscriminativeNBModel,
+    disc_nb_log_posterior_batch,
+    disc_nb_posterior,
+)
 from dualbayes.train import (
     FD_STEP,
     TrainConfig,
     TrainReport,
+    _log_posterior,
     fit_discriminative,
     gradient,
     loss_cross_entropy,
@@ -83,6 +89,16 @@ class TestLoss:
         with pytest.raises(DimensionMismatch):
             loss_cross_entropy(_flat_model(t_len=2), [("l0", [1.0])])
 
+    def test_ragged_rows_name_the_bad_row(self):
+        dataset = [("l0", [1.0, 2.0]), ("l1", [1.0]), ("l0", [3.0, 4.0])]
+        with pytest.raises(DimensionMismatch, match=r"got shape \(1,\)"):
+            loss_cross_entropy(_flat_model(t_len=2), dataset)
+
+    def test_non_finite_coordinates(self):
+        dataset = [("l0", [1.0, 2.0]), ("l1", [np.nan, 0.0])]
+        with pytest.raises(ValueError, match="must be finite"):
+            loss_cross_entropy(_flat_model(t_len=2), dataset)
+
 
 class TestGradient:
     def test_symmetric_stationary_point(self):
@@ -123,6 +139,22 @@ class TestGradient:
             dataset = _random_dataset(rng, model.labels, t_len, int(rng.integers(1, 7)))
             worst = finite_difference_max_rel_error(model, dataset)
             assert worst <= 1e-5, f"max relative gradient error {worst:.3e}"
+
+
+class TestCollapsedPosterior:
+    def test_trainer_log_posterior_equals_the_per_column_batch(self):
+        # the trainer evaluates the logistic-regression collapse; it must be
+        # the same function as the per-column softmax combination
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            model = random_discriminative_nb(rng)
+            obs = rng.normal(0.0, 2.0, size=(25, model.n_positions))
+            trainer = _log_posterior(
+                model.slopes, model.intercepts, np.log(model.prior.entries), obs
+            )
+            np.testing.assert_allclose(
+                trainer, disc_nb_log_posterior_batch(model, obs), rtol=0.0, atol=EQUALITY_TOL
+            )
 
 
 class TestFit:
