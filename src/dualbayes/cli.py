@@ -67,6 +67,10 @@ _PROBE_COUNT = 100
 # temporaries of the disc_nb kernel whatever the file size.
 PREDICT_BLOCK = 1024
 
+# Rows per write in `hmm-posterior`; bounds the Python floats and strings
+# alive at once, which a whole-table `tolist()` would make grow with T.
+HMM_OUTPUT_BLOCK = 256
+
 _INPUT_ERRORS = (
     ValueError,
     OSError,
@@ -85,6 +89,19 @@ _INPUT_ERRORS = (
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _write_gamma(name: str, gamma: np.ndarray) -> None:
+    """Print ``gamma`` as ``<name> t=<t> p_0 ... p_N-1`` lines, a block per write.
+
+    ``"%.17g" % p`` is the same string as :func:`_fmt`; one template per row
+    formats all of its values at once.
+    """
+    template = f"{name} t=%d " + " ".join(["%.17g"] * gamma.shape[1]) + "\n"
+    write = sys.stdout.write
+    for start in range(0, gamma.shape[0], HMM_OUTPUT_BLOCK):
+        rows = gamma[start:start + HMM_OUTPUT_BLOCK].tolist()
+        write("".join([template % (t, *row) for t, row in enumerate(rows, start)]))
 
 
 def _read_rows(path):
@@ -286,8 +303,7 @@ def _cmd_hmm_posterior(args) -> int:
     if needs_posteriors:
         tables["efb"] = entropic_forward_backward(model, observation).gamma
     for name, gamma in tables.items():
-        for t, row in enumerate(gamma):
-            print(f"{name} t={t} " + " ".join(_fmt(p) for p in row))
+        _write_gamma(name, gamma)
     if args.algorithm == "both":
         gap = float(np.abs(tables["fb"] - tables["efb"]).max())
         print(f"max_discrepancy={gap:.3e}")

@@ -18,11 +18,22 @@ that normalization cancels, so the two algorithms agree.  For an arbitrary
 ``(prior, transitions, L)`` triple there is no such guarantee; both
 algorithms still run and return what their recursions define.
 
-The kernel scales every forward and backward step to sum to one (Rabiner,
+The kernel divides every forward and backward vector by its total (Rabiner,
 "A tutorial on hidden Markov models", Proc. IEEE 1989, section V.A), so
-long sequences neither underflow nor accumulate rounding.  Factors come
-from a label-by-symbol log table shifted by each column's maximum, which
-keeps them in ``[0, 1]`` with at least one entry equal to one.
+long sequences neither underflow nor accumulate rounding; the totals are
+taken as ``v.dot(ones)`` and any total that is not > 0 is zero evidence.
+Factors come from a label-by-symbol log table shifted by each column's
+maximum, which keeps them in ``[0, 1]`` with at least one entry equal to
+one.  The forward vectors are stored as the rows of ``gamma``, the backward
+pass multiplies its vector into each row, and the rows are normalized once,
+together, at the end.
+
+The forward totals ``c_t`` also give the log-evidence for free:
+``log_evidence = sum_t log c_t + sum_t peak[y_t]``, where ``peak[y]`` is the
+shift applied to symbol ``y``'s factors.  For :func:`forward_backward` it is
+``log p(y_1..y_T)``.  The entropic factors carry an extra ``1 / p(y)`` per
+step, so on derived columns the two routes' log-evidences differ by exactly
+``sum_t log p(y_t)``.
 """
 
 from __future__ import annotations
@@ -114,9 +125,14 @@ class HmmModel:
 
 @dataclass(frozen=True, eq=False)
 class PosteriorMarginals:
-    """Per-position posterior over labels, conditioned on the whole sequence."""
+    """Per-position posterior over labels, conditioned on the whole sequence.
+
+    ``log_evidence`` is the log of the sequence's total weight under the
+    law whose factors produced ``gamma``, when the producer knows it.
+    """
 
     gamma: np.ndarray
+    log_evidence: float | None = None
 
     def __post_init__(self):
         gamma = stochastic_matrix(self.gamma, what="posterior marginals")
@@ -134,51 +150,69 @@ def _observation_indices(model: HmmModel, observations) -> list[int]:
     return indices
 
 
-def _normalize(weights: np.ndarray) -> None:
-    total = weights.sum()
-    if not total > 0.0:
-        raise ZeroEvidence(
-            "zero evidence: the observation sequence has probability zero under the model"
-        )
-    weights /= total
+_ZERO_EVIDENCE = "zero evidence: the observation sequence has probability zero under the model"
 
 
 def _smooth(model: HmmModel, log_table: np.ndarray, observations) -> PosteriorMarginals:
     """Scaled forward-backward with per-symbol factors ``exp(log_table[:, y])``.
 
-    Each factor column is shifted by its own maximum, a per-symbol constant
-    that the per-step normalization cancels.  Forward rows are stored
-    normalized in ``gamma``; the backward pass keeps one normalized vector
-    and folds it into ``gamma`` row by row.
+    Each factor column is shifted by its own maximum ``peak[y]``, a
+    per-symbol constant that normalization cancels.  Forward step ``t``
+    divides ``alpha`` by its total ``c_t = alpha.dot(ones)`` and stores it as
+    ``gamma[t]``; the backward pass divides its single vector ``beta`` by its
+    total and multiplies it into ``gamma[t]`` without renormalizing.  The
+    rows are normalized once, vectorized, at the end.  Every total, the
+    rows' included, must be > 0, or :class:`ZeroEvidence` is raised.
+
+    The result carries ``log_evidence = sum_t log c_t + sum_t peak[y_t]``,
+    the log of the sequence's total weight under the unshifted factors,
+    from the forward totals kept in one length-T array that then holds the
+    row totals.
     """
     obs = _observation_indices(model, observations)
     peak = log_table.max(axis=0)
     peak[~np.isfinite(peak)] = 0.0  # a symbol no label allows keeps all-zero factors
-    factors = np.exp(log_table - peak).T  # factors[y] is the column for symbol y
+    factors = list(np.exp(log_table - peak).T)  # factors[y] is the column for symbol y
     transitions = model.transitions
+    ones = np.ones(model.labels.n)
 
     gamma = np.empty((len(obs), model.labels.n))
+    scales = np.empty(len(obs))
     alpha = model.prior.entries * factors[obs[0]]
     for t, y in enumerate(obs):
         if t:
             alpha = alpha.dot(transitions) * factors[y]
-        _normalize(alpha)
+        total = alpha.dot(ones)
+        if not total > 0.0:
+            raise ZeroEvidence(_ZERO_EVIDENCE)
+        alpha /= total
         gamma[t] = alpha
+        scales[t] = total
 
-    beta = np.ones(model.labels.n)
+    beta = ones
     for t in range(len(obs) - 2, -1, -1):
         beta = transitions.dot(factors[obs[t + 1]] * beta)
-        _normalize(beta)
-        gamma[t] *= beta
-        _normalize(gamma[t])
-    return PosteriorMarginals(gamma)
+        total = beta.dot(ones)
+        if not total > 0.0:
+            raise ZeroEvidence(_ZERO_EVIDENCE)
+        beta /= total
+        row = gamma[t]  # a view: multiplying it in place skips the write-back
+        row *= beta
+
+    log_evidence = float(np.log(scales).sum() + peak[obs].sum())
+    totals = gamma.dot(ones, out=scales)  # the scales are spent; reuse their buffer
+    if not np.all(totals > 0.0):
+        raise ZeroEvidence(_ZERO_EVIDENCE)
+    gamma /= totals[:, None]
+    return PosteriorMarginals(gamma, log_evidence)
 
 
 def forward_backward(model: HmmModel, observations) -> PosteriorMarginals:
     """Classic posterior marginals from prior, transitions and emissions.
 
-    The per-step factor of symbol ``y`` is the emission column ``B[:, y]``.
-    Raises :class:`ZeroEvidence` when the sequence has probability zero.
+    The per-step factor of symbol ``y`` is the emission column ``B[:, y]``,
+    and ``log_evidence`` is ``log p(y_1..y_T)``.  Raises
+    :class:`ZeroEvidence` when the sequence has probability zero.
     """
     if model.emissions is None:
         raise ValueError("forward_backward needs the emission matrix")
@@ -191,7 +225,9 @@ def entropic_forward_backward(model: HmmModel, observations) -> PosteriorMargina
     Uses only the prior, the transitions, and the stored per-symbol
     posterior columns: the per-step factor of symbol ``y`` is the ratio
     ``L[:, y] / prior``.  Neither the emission matrix nor any symbol
-    marginal enters the recursion.
+    marginal enters the recursion.  ``log_evidence`` is the log of the
+    total path weight under these ratios; on derived columns it is
+    ``log p(y_1..y_T) - sum_t log p(y_t)``.
     """
     if model.posteriors is None:
         raise MissingPosteriors("model has no posterior columns; derive or supply them")

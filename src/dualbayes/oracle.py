@@ -12,6 +12,7 @@ from zero).
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -50,7 +51,11 @@ def joint_enumeration_nb(model: NaiveBayesModel, observation) -> ProbabilityVect
 
 
 def joint_enumeration_hmm(model: HmmModel, observations) -> PosteriorMarginals:
-    """Posterior marginals by summing the joint weight of every label path."""
+    """Posterior marginals by summing the joint weight of every label path.
+
+    ``log_evidence`` is the log of the summed weight of all paths, the
+    probability of the observation sequence.
+    """
     if model.emissions is None:
         raise ValueError("enumeration needs the emission matrix")
     indices = [model.alphabet.index(symbol) for symbol in observations]
@@ -80,4 +85,4 @@ def joint_enumeration_hmm(model: HmmModel, observations) -> PosteriorMarginals:
         if total == 0.0:
             raise ZeroEvidence("zero evidence: every label path has weight zero")
         rows.append([v / total for v in marginals[t]])
-    return PosteriorMarginals(np.array(rows))
+    return PosteriorMarginals(np.array(rows), math.log(sum(marginals[0])))

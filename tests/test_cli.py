@@ -8,8 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from dualbayes.cli import PREDICT_BLOCK, main
+from dualbayes.cli import HMM_OUTPUT_BLOCK, PREDICT_BLOCK, main
 from dualbayes.core import ProbabilityVector
+from dualbayes.hmm import entropic_forward_backward, forward_backward
 from dualbayes.logreg import lr_posterior, nb_to_lr
 from dualbayes.model_io import load_model, save_model
 from dualbayes.naive_bayes import disc_nb_posterior, nb_generative_posterior
@@ -375,6 +376,27 @@ class TestHmmPosterior:
         assert sum(line.startswith("fb t=") for line in lines) == 10_000
         assert sum(line.startswith("efb t=") for line in lines) == 10_000
         assert float(lines[-1].split("=")[1]) <= 1e-10
+
+    def test_rows_are_the_library_gamma_in_17_digits(self, tmp_path, capsys):
+        # N=32 over several output blocks and a remainder
+        rng = np.random.default_rng(23)
+        path = tmp_path / "hmm.json"
+        save_model(random_hmm(rng, 32, 6, derive=True), path)
+        model = load_model(path)
+        obs = random_hmm_observation(rng, model, 3 * HMM_OUTPUT_BLOCK + 17)
+        assert main(["hmm-posterior", str(path), "--algorithm", "both",
+                     "--obs", ",".join(obs)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        tables = {"fb": forward_backward(model, obs).gamma,
+                  "efb": entropic_forward_backward(model, obs).gamma}
+        expected = [f"{name} t={t} " + " ".join(format(p, ".17g") for p in row)
+                    for name, gamma in tables.items() for t, row in enumerate(gamma)]
+        assert lines[:-1] == expected
+        assert lines[-1].startswith("max_discrepancy=")
+        for name, gamma in tables.items():
+            printed = np.array([line.split()[2:] for line in lines
+                                if line.startswith(name + " t=")], dtype=float)
+            assert np.array_equal(printed.view(np.int64), gamma.view(np.int64))
 
     def test_posteriors_derived_when_missing(self, tmp_path, capsys):
         rng = np.random.default_rng(13)

@@ -1,6 +1,9 @@
 """HMM posterior marginals: classic and entropic recursions, their
-agreement on consistent and long sequences, zero evidence, and the
-enumeration cross-check."""
+agreement on consistent and long sequences, zero evidence, log-evidence,
+the enumeration cross-check, and the kernel against a plain per-step loop
+on adversarial models."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from dualbayes.core import (
     ZeroEvidence,
     ZeroMarginal,
     ZeroPrior,
+    safe_log,
 )
 from dualbayes.hmm import (
     HmmModel,
@@ -35,6 +39,116 @@ def _doubly_stochastic(rng, n):
         perm = rng.permutation(n)
         out[np.arange(n), perm] += w
     return out
+
+
+def _plain_smooth(model, log_table, observations):
+    """Reference: the per-step ``.sum()`` Rabiner loop, every forward and
+    backward vector and every gamma row normalized on its own.
+
+    Returns ``(gamma, log_evidence)``.
+    """
+    obs = [model.alphabet.index(symbol) for symbol in observations]
+    peak = log_table.max(axis=0)
+    peak[~np.isfinite(peak)] = 0.0
+    factors = np.exp(log_table - peak).T
+    transitions = model.transitions
+    log_totals = []
+
+    def normalize(weights):
+        total = weights.sum()
+        if not total > 0.0:
+            raise ZeroEvidence("zero evidence")
+        weights /= total
+        return total
+
+    gamma = np.empty((len(obs), model.labels.n))
+    alpha = model.prior.entries * factors[obs[0]]
+    for t, y in enumerate(obs):
+        if t:
+            alpha = alpha.dot(transitions) * factors[y]
+        log_totals.append(math.log(normalize(alpha)) + peak[y])
+        gamma[t] = alpha
+
+    beta = np.ones(model.labels.n)
+    for t in range(len(obs) - 2, -1, -1):
+        beta = transitions.dot(factors[obs[t + 1]] * beta)
+        normalize(beta)
+        gamma[t] *= beta
+        normalize(gamma[t])
+    return gamma, math.fsum(log_totals)
+
+
+def _log_tables(model):
+    """Each route with the per-symbol log factors it hands the kernel."""
+    routes = [(forward_backward, safe_log(model.emissions))]
+    if model.posteriors is not None:
+        log_ratio = safe_log(model.posteriors) - np.log(model.prior.entries)[:, None]
+        routes.append((entropic_forward_backward, log_ratio))
+    return routes
+
+
+def _adversarial_rows(rng, rows, cols, zeros=True):
+    # a third each of ordinary entries, entries down to 1e-300 and exact
+    # zeros; one ordinary entry per row keeps the rows normalizable
+    kind = rng.integers(0, 3 if zeros else 2, size=(rows, cols))
+    out = np.where(kind == 0, rng.uniform(0.0, 1.0, (rows, cols)),
+                   10.0 ** -rng.uniform(0.0, 300.0, (rows, cols)))
+    out[kind == 2] = 0.0
+    out[np.arange(rows), rng.integers(0, cols, size=rows)] = rng.uniform(0.1, 1.0, size=rows)
+    return out / out.sum(axis=1, keepdims=True)
+
+
+def _adversarial_hmm(rng, n, m):
+    emissions = _adversarial_rows(rng, n, m)
+    # every symbol reachable, so the posterior columns can be derived
+    emissions[rng.integers(0, n, size=m), np.arange(m)] += 0.5
+    emissions /= emissions.sum(axis=1, keepdims=True)
+    return derive_hmm_posteriors(HmmModel(
+        LabelSpace(tuple(f"l{i}" for i in range(n))),
+        ObservationAlphabet(tuple(f"s{k}" for k in range(m))),
+        ProbabilityVector(_adversarial_rows(rng, 1, n, zeros=False)[0]),
+        _adversarial_rows(rng, n, n),
+        emissions=emissions,
+    ))
+
+
+def _sample(rng, model, t_len):
+    """A label path drawn from the chain and one symbol per step drawn from it."""
+    def draw(weights):
+        cdf = np.cumsum(weights)
+        return int(np.searchsorted(cdf, rng.uniform() * cdf[-1], side="right"))
+
+    state = draw(model.prior.entries)
+    out = []
+    for _ in range(t_len):
+        out.append(model.alphabet.symbols[draw(model.emissions[state])])
+        state = draw(model.transitions[state])
+    return out
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ZeroEvidence:
+        return None
+
+
+def _compare_with_plain_loop(model, obs):
+    """Assert that each route raises ``ZeroEvidence`` exactly when
+    :func:`_plain_smooth` does and agrees with it otherwise.  Returns, per
+    route, whether they raised."""
+    raised = []
+    for route, log_table in _log_tables(model):
+        fast = _outcome(lambda: route(model, obs))
+        reference = _outcome(lambda: _plain_smooth(model, log_table, obs))
+        assert (fast is None) == (reference is None), route.__name__
+        raised.append(fast is None)
+        if fast is not None:
+            gamma, log_evidence = reference
+            assert float(np.abs(fast.gamma - gamma).max()) <= EQUALITY_TOL, route.__name__
+            assert math.isclose(fast.log_evidence, log_evidence,
+                                rel_tol=EQUALITY_TOL, abs_tol=EQUALITY_TOL), route.__name__
+    return raised
 
 
 class TestModelValidation:
@@ -194,6 +308,92 @@ class TestBothRoutes:
         for gamma in (classic, entropic):
             assert gamma.min() >= 0.0
             assert float(np.abs(gamma.sum(axis=1) - 1.0).max()) <= SIMPLEX_TOL
+
+
+class TestLogEvidence:
+    def test_classic_matches_enumeration(self):
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            model = random_hmm(rng)
+            obs = random_hmm_observation(rng, model, int(rng.integers(1, 7)))
+            fast = forward_backward(model, obs).log_evidence
+            reference = joint_enumeration_hmm(model, obs).log_evidence
+            assert abs(fast - reference) <= EQUALITY_TOL
+
+    @pytest.mark.parametrize("t_len", [8, 10_000])
+    def test_routes_differ_by_the_symbol_marginals(self, t_len):
+        # the entropic factor is B[:, y] / p(y), so its evidence drops one
+        # log p(y_t) per step
+        rng = np.random.default_rng(41)
+        model = random_hmm(rng, n_labels=8, m_symbols=20, derive=True)
+        obs = random_hmm_observation(rng, model, t_len)
+        marginal = (model.prior.entries[:, None] * model.emissions).sum(axis=0)
+        expected = math.fsum(math.log(marginal[model.alphabet.index(y)]) for y in obs)
+        gap = (forward_backward(model, obs).log_evidence
+               - entropic_forward_backward(model, obs).log_evidence)
+        assert math.isclose(gap, expected, rel_tol=EQUALITY_TOL, abs_tol=EQUALITY_TOL)
+
+
+class TestAdversarialKernel:
+    """Both routes against the plain per-step loop, on models with exact
+    zeros and entries down to 1e-300 in the transitions and emissions."""
+
+    @pytest.mark.parametrize("t_len", [1, 2, 8, 10_000])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_matches_the_plain_loop(self, n, t_len):
+        rng = np.random.default_rng(1000 * n + t_len)
+        alphabet_sizes = (1, 5) if t_len == 10_000 else (1, 2, 5) * 6
+        for k, m in enumerate(alphabet_sizes):
+            model = _adversarial_hmm(rng, n, m)
+            if k % 2:
+                obs = [model.alphabet.symbols[i] for i in rng.integers(0, m, size=t_len)]
+            else:
+                obs = _sample(rng, model, t_len)
+            _compare_with_plain_loop(model, obs)
+
+    # Each case below is built twice: with exact zeros the sequence is
+    # impossible, and with 1e-300 in their place it is possible, with a
+    # forward total near 1e-300 at the step named.
+
+    @staticmethod
+    def _cycle(n, eps):
+        # label i moves to i + 1 and emits symbol i, so each symbol must be
+        # followed by the next one; every other move and emission has eps
+        cycle = np.roll(np.eye(n), 1, axis=1)
+        return derive_hmm_posteriors(HmmModel(
+            LabelSpace(tuple(f"l{i}" for i in range(n))),
+            ObservationAlphabet(tuple(f"s{i}" for i in range(n))),
+            ProbabilityVector.uniform(n),
+            np.where(cycle == 1.0, 1.0, eps),
+            emissions=np.where(np.eye(n) == 1.0, 1.0, eps),
+        ))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-300])
+    def test_zero_evidence_at_the_first_step(self, eps):
+        # the label that emits "s1" has prior eps; with eps = 0 only the
+        # classic route applies, as the entropic one needs a positive prior
+        model = HmmModel(
+            LabelSpace(("l0", "l1")), ObservationAlphabet(("s0", "s1")),
+            ProbabilityVector([1.0, eps]), np.full((2, 2), 0.5),
+            emissions=np.where(np.eye(2) == 1.0, 1.0, eps),
+        )
+        if eps:
+            model = derive_hmm_posteriors(model)
+        for obs in (["s1"], ["s1"] + ["s0"] * 9):
+            assert _compare_with_plain_loop(model, obs) == [eps == 0.0] * (2 if eps else 1)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-300])
+    @pytest.mark.parametrize("t_len", [2, 8, 10_000])
+    def test_zero_evidence_at_the_last_step(self, t_len, eps):
+        obs = [f"s{t % 3}" for t in range(t_len - 1)] + [f"s{(t_len - 2) % 3}"]
+        assert _compare_with_plain_loop(self._cycle(3, eps), obs) == [eps == 0.0] * 2
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-300])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_zero_evidence_through_the_transitions(self, n, eps):
+        obs = [f"s{t % n}" for t in range(50)]
+        obs[20] = obs[21]
+        assert _compare_with_plain_loop(self._cycle(n, eps), obs) == [eps == 0.0] * 2
 
 
 class TestDerivePosteriors:

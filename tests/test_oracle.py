@@ -81,6 +81,7 @@ class TestHmmEnumeration:
         out = joint_enumeration_hmm(model, ["x"])
         weights = prior.entries * emissions[:, 0]
         np.testing.assert_allclose(out.gamma[0], weights / weights.sum(), atol=1e-15)
+        assert out.log_evidence == pytest.approx(np.log(weights.sum()), abs=1e-15)
 
     def test_degenerate_point_mass(self):
         # all prior mass on one label with an absorbing transition row:
@@ -93,6 +94,7 @@ class TestHmmEnumeration:
         )
         out = joint_enumeration_hmm(model, ["x", "y", "x"])
         np.testing.assert_allclose(out.gamma, [[1.0, 0.0]] * 3, atol=0)
+        assert out.log_evidence == pytest.approx(3.0 * np.log(0.5), abs=1e-15)
 
     def test_marginal_rows_each_sum_to_one(self):
         rng = np.random.default_rng(5)
