@@ -5,6 +5,8 @@ normalize".  This module owns the two conventions that make that safe:
 
 * weight accumulation happens in log space, with ``-inf`` as the canonical
   log of a zero weight (never NaN, never a signed zero sentinel);
+  :func:`normalize_log` turns one such vector into probabilities and
+  raises :class:`AllZeroWeights` when every weight is zero;
 * probabilities only appear at API boundaries, as validated
   :class:`ProbabilityVector` values.
 
@@ -232,32 +234,6 @@ class ProbabilityVector:
         return self.entries[index]
 
 
-@dataclass(frozen=True, eq=False)
-class LogWeightVector:
-    """Unnormalized weights carried in log space.
-
-    ``-inf`` marks a zero weight.  At least one entry must be finite,
-    otherwise normalization is undefined and construction raises
-    :class:`AllZeroWeights`.
-    """
-
-    log_entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.log_entries, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("log_entries must form a nonempty vector")
-        if np.any(np.isnan(arr)) or np.any(arr == np.inf):
-            raise ValueError("log_entries must lie in [-inf, +inf)")
-        if not np.any(np.isfinite(arr)):
-            raise AllZeroWeights("every weight is zero")
-        arr.flags.writeable = False
-        object.__setattr__(self, "log_entries", arr)
-
-    def __len__(self) -> int:
-        return self.log_entries.size
-
-
 def logsumexp(values) -> float:
     """log(sum(exp(values))), computed with a max shift.
 
@@ -287,12 +263,17 @@ def logsumexp_last(arr: np.ndarray) -> np.ndarray:
 def normalize_log(weights) -> ProbabilityVector:
     """Normalize log-domain weights into a probability vector.
 
-    Accepts a :class:`LogWeightVector` or anything coercible to one, so an
-    all-zero weight vector raises :class:`AllZeroWeights` either way.  The
-    output is ``exp(log_entries - logsumexp(log_entries))``, which is
-    invariant under adding a constant to every entry.
+    ``weights`` is a nonempty vector in ``[-inf, +inf)``, where ``-inf``
+    marks a zero weight; NaN or ``+inf`` raises ``ValueError`` and an
+    all-``-inf`` vector raises :class:`AllZeroWeights`.  The output is
+    ``exp(weights - logsumexp(weights))``, which is invariant under adding
+    a constant to every entry.
     """
-    if not isinstance(weights, LogWeightVector):
-        weights = LogWeightVector(weights)
-    shifted = weights.log_entries - logsumexp(weights.log_entries)
-    return ProbabilityVector(np.exp(shifted))
+    arr = np.asarray(weights, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("log weights must form a nonempty vector")
+    if np.any(np.isnan(arr)) or np.any(arr == np.inf):
+        raise ValueError("log weights must lie in [-inf, +inf)")
+    if not np.any(np.isfinite(arr)):
+        raise AllZeroWeights("every weight is zero")
+    return ProbabilityVector(np.exp(arr - logsumexp(arr)))

@@ -10,6 +10,11 @@ label.  The same model then supports two inference routes:
   and combines them with the prior as ``prior^(1-T) * prod_t L[t]`` before
   renormalizing.
 
+Both routes normalize ``c * log prior + sum_t log table_t[y_t]``, with
+``c = 1`` on the emission tables or ``c = 1 - T`` on the posterior-column
+tables, in one private gather kernel over symbol codes (:func:`nb_encode`);
+the per-row functions are a batch of one through it, bit for bit.
+
 The two routes agree exactly whenever the posterior columns are the Bayes
 inversion of the same prior and emissions, which :func:`nb_to_discriminative`
 produces.  :class:`DiscriminativeNBModel` extends the discriminative route
@@ -30,7 +35,6 @@ from .core import (
     EmptyDataset,
     LabelSpace,
     LengthMismatch,
-    LogWeightVector,
     ObservationAlphabet,
     ProbabilityVector,
     UnknownSymbol,
@@ -38,7 +42,6 @@ from .core import (
     ZeroMarginal,
     ZeroPrior,
     logsumexp_last,
-    normalize_log,
     readonly_array,
     real_observation,
     real_observations,
@@ -273,21 +276,27 @@ def nb_encode(model: NaiveBayesModel, observations) -> np.ndarray:
     return _encode([alphabet.code_of for alphabet in model.alphabets], observations)
 
 
-def _gathered_log_weights(log_prior_term, log_tables, codes) -> np.ndarray:
-    # log_prior_term + sum_t log_tables[t][codes[:, t]], one row per
-    # observation; positions are added one at a time in a fixed order, so a
-    # row's value does not depend on the other rows of the batch
-    log_weights = np.repeat(log_prior_term[None, :], codes.shape[0], axis=0)
-    for t, table in enumerate(log_tables):
-        log_weights += table[codes[:, t]]
-    return log_weights
-
-
-def _check_codes(codes, t_len: int) -> np.ndarray:
+def _nb_log_posterior(log_prior_term, tables, codes, error) -> np.ndarray:
+    # normalized log_prior_term + sum_t log tables[t][codes[:, t]] for codes
+    # of shape (S, T) and tables of shape (M_t, N); positions are added in a
+    # fixed order, so a row's value does not depend on the rest of the batch.
+    # ``error`` is raised when some row gives every label weight zero.
     codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] != t_len:
-        raise LengthMismatch(f"codes must have shape (S, {t_len}), got {codes.shape}")
-    return codes
+    if codes.ndim != 2 or codes.shape[1] != len(tables):
+        raise LengthMismatch(f"codes must have shape (S, {len(tables)}), got {codes.shape}")
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise UnknownSymbol(f"symbol codes must be integers, got dtype {codes.dtype}")
+    sizes = np.array([table.shape[0] for table in tables])
+    if ((codes < 0) | (codes >= sizes)).any():
+        raise UnknownSymbol(f"symbol codes must lie in [0, M_t) for M_t = {sizes.tolist()}")
+    with np.errstate(divide="ignore"):
+        log_tables = [np.log(table) for table in tables]
+    log_weights = log_prior_term
+    for log_table, column in zip(log_tables, codes.T):
+        log_weights = log_weights + log_table.take(column, axis=0)
+    if not np.isfinite(log_weights).any(axis=1).all():
+        raise error
+    return log_weights - logsumexp_last(log_weights)
 
 
 def nb_generative_log_posterior_batch(model: NaiveBayesModel, codes) -> np.ndarray:
@@ -296,18 +305,13 @@ def nb_generative_log_posterior_batch(model: NaiveBayesModel, codes) -> np.ndarr
     ``codes`` comes from :func:`nb_encode`.  Each row is the normalized
     ``log prior + sum_t log emissions[t][:, y_t]``; an impossible label
     gets ``-inf``.  Raises :class:`ZeroEvidence` if some row is impossible
-    under every label.
+    under every label and :class:`UnknownSymbol` for a non-integer code or
+    one outside its position's alphabet.
     """
-    codes = _check_codes(codes, model.n_positions)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(model.prior.entries)
-        log_tables = [np.log(table).T for table in model.emissions]
-    log_weights = _gathered_log_weights(log_prior, log_tables, codes)
-    if not np.isfinite(log_weights).any(axis=1).all():
-        raise ZeroEvidence(
-            "zero evidence: the observation has probability zero under every label"
-        )
-    return log_weights - logsumexp_last(log_weights)
+    return _nb_log_posterior(
+        safe_log(model.prior.entries), [table.T for table in model.emissions], codes,
+        ZeroEvidence("zero evidence: the observation has probability zero under every label"),
+    )
 
 
 def nb_generative_posterior(model: NaiveBayesModel, observation) -> ProbabilityVector:
@@ -321,16 +325,13 @@ def nb_generative_posterior(model: NaiveBayesModel, observation) -> ProbabilityV
     return ProbabilityVector(np.exp(nb_generative_log_posterior_batch(model, codes)[0]))
 
 
-def nb_to_discriminative(model: NaiveBayesModel, marginals=None) -> tuple[np.ndarray, ...]:
+def nb_to_discriminative(model: NaiveBayesModel) -> tuple[np.ndarray, ...]:
     """Bayes-invert prior and emissions into per-position posterior tables.
 
     Returns one table per position with shape ``(M_t, N)``; row ``y`` is
-    the posterior over labels given symbol ``y`` at that position alone.
-    When ``marginals`` is omitted, the symbol law is the model-implied
-    mixture ``sum_j prior[j] * emissions[t][j, y]`` and every returned row
-    lies on the simplex.  Supplied marginals (one positive vector per
-    position) are used verbatim; the rows are then posterior-like ratios
-    that need not normalize.
+    the posterior over labels given symbol ``y`` at that position alone,
+    under the model-implied symbol law ``sum_j prior[j] * emissions[t][j, y]``,
+    so every row lies on the simplex.
     """
     prior = model.prior.entries
     if np.any(prior == 0.0):
@@ -338,14 +339,7 @@ def nb_to_discriminative(model: NaiveBayesModel, marginals=None) -> tuple[np.nda
     tables = []
     for t, table in enumerate(model.emissions):
         joint = prior[:, None] * table
-        if marginals is None:
-            marginal = joint.sum(axis=0)
-        else:
-            marginal = np.asarray(marginals[t], dtype=float)
-            if marginal.shape != (model.alphabets[t].m,):
-                raise ValueError(
-                    f"marginals for position {t} must have one entry per symbol"
-                )
+        marginal = joint.sum(axis=0)
         bad = np.flatnonzero(marginal <= 0.0)
         if bad.size:
             symbol = model.alphabets[t].symbols[int(bad[0])]
@@ -356,83 +350,46 @@ def nb_to_discriminative(model: NaiveBayesModel, marginals=None) -> tuple[np.nda
     return tuple(tables)
 
 
-def _column_weights(column, n_labels: int) -> np.ndarray:
-    if isinstance(column, ProbabilityVector):
-        return column.entries
-    arr = np.asarray(column, dtype=float)
-    if arr.ndim != 1 or arr.size != n_labels:
-        raise ValueError(f"posterior column must have {n_labels} entries")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("posterior column entries must be finite")
-    if np.any(arr < 0.0):
-        raise ValueError("posterior column entries must be nonnegative")
-    return arr
+def nb_discriminative_log_posterior_batch(prior, tables, codes) -> np.ndarray:
+    """Log posterior matrix of the posterior-column route, shape ``(S, N)``.
 
-
-def _positive_prior(prior) -> ProbabilityVector:
+    ``tables`` hold nonnegative label weights, shape ``(M_t, N)``, normally
+    from :func:`nb_to_discriminative`; ``codes`` comes from :func:`nb_encode`.
+    Each row is the normalized ``(1 - T) * log prior + sum_t log
+    tables[t][y_t]``, so rescaling a table row changes nothing.  Raises
+    :class:`AllZeroWeights` if every label of some row scores zero and
+    :class:`UnknownSymbol` for a non-integer code or one outside its table.
+    """
     if not isinstance(prior, ProbabilityVector):
         prior = ProbabilityVector(prior)
     if np.any(prior.entries == 0.0):
         raise ZeroPrior("the discriminative combination needs a strictly positive prior")
-    return prior
-
-
-def nb_discriminative_log_posterior_batch(prior, tables, codes) -> np.ndarray:
-    """Log posterior matrix of the posterior-column route, shape ``(S, N)``.
-
-    ``tables`` are per-position posterior tables as returned by
-    :func:`nb_to_discriminative` (shape ``(M_t, N)``) and ``codes`` comes
-    from :func:`nb_encode`.  Each row is the normalized
-    ``(1 - T) * log prior + sum_t log tables[t][y_t]``.  Raises
-    :class:`AllZeroWeights` if every label of some row scores zero.
-    """
-    prior = _positive_prior(prior)
-    codes = _check_codes(codes, len(tables))
-    with np.errstate(divide="ignore"):
-        log_tables = [np.log(table) for table in tables]
-    log_weights = _gathered_log_weights(
-        (1.0 - len(tables)) * np.log(prior.entries), log_tables, codes
+    tables = [np.asarray(table, dtype=float) for table in tables]
+    if not tables:
+        raise ValueError("need at least one posterior table")
+    if any(table.ndim != 2 or table.shape[1] != len(prior) for table in tables):
+        raise ValueError(f"posterior tables must have shape (M_t, {len(prior)})")
+    weights = np.concatenate(tables)
+    if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
+        raise ValueError("posterior table entries must be finite and nonnegative")
+    return _nb_log_posterior(
+        (1.0 - len(tables)) * np.log(prior.entries), tables, codes,
+        AllZeroWeights("every weight is zero"),
     )
-    if not np.isfinite(log_weights).any(axis=1).all():
-        raise AllZeroWeights("every weight is zero")
-    return log_weights - logsumexp_last(log_weights)
-
-
-def nb_discriminative_scores(prior, l_columns) -> LogWeightVector:
-    """Log score per label: ``(1 - T) * log(prior) + sum_t log(L[t])``.
-
-    The columns are nonnegative label weights, normally posterior columns;
-    scaling a column by a positive constant only shifts every score by the
-    same amount, which normalization cancels.
-    """
-    prior = _positive_prior(prior)
-    columns = list(l_columns)
-    if not columns:
-        raise ValueError("need at least one posterior column")
-    t_len = len(columns)
-    log_delta = (1.0 - t_len) * np.log(prior.entries)
-    for column in columns:
-        log_delta = log_delta + safe_log(_column_weights(column, len(prior)))
-    return LogWeightVector(log_delta)
 
 
 def nb_discriminative_posterior(prior, l_columns) -> ProbabilityVector:
     """Combine the prior with one posterior column per position.
 
-    Normalizes the label scores ``prior^(1-T) * prod_t L[t]``; raises
-    :class:`AllZeroWeights` when every label gets score zero.
+    Normalizes the label scores ``prior^(1-T) * prod_t L[t]``; a batch of
+    one through :func:`nb_discriminative_log_posterior_batch`, with each
+    column as a one-row table.  Raises :class:`AllZeroWeights` when every
+    label gets score zero.
     """
-    return normalize_log(nb_discriminative_scores(prior, l_columns))
-
-
-def disc_nb_columns(model: DiscriminativeNBModel, observation) -> tuple[ProbabilityVector, ...]:
-    """Evaluate the softmax posterior column of every position at ``observation``."""
-    y = real_observation(observation, model.n_positions)
-    columns = []
-    for t in range(model.n_positions):
-        logits = model.slopes[:, t] * y[t] + model.intercepts[:, t]
-        columns.append(normalize_log(logits))
-    return tuple(columns)
+    columns = [c.entries if isinstance(c, ProbabilityVector) else c for c in l_columns]
+    tables = np.array(columns, dtype=float)[:, None]
+    codes = np.zeros((1, len(columns)), dtype=np.intp)
+    return ProbabilityVector(np.exp(nb_discriminative_log_posterior_batch(prior, tables, codes)[0]))
 
 
 def disc_nb_posterior(model: DiscriminativeNBModel, observation) -> ProbabilityVector:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dualbayes.core import (
     AllZeroWeights,
     LabelSpace,
-    LogWeightVector,
     ObservationAlphabet,
     ProbabilityVector,
     SIMPLEX_TOL,
@@ -149,19 +148,21 @@ class TestCheckSimplexRows:
 
 
 class TestLogWeightVector:
+    """The checks :func:`normalize_log` makes on a vector of log weights."""
+
     def test_accepts_partial_minus_inf(self):
-        vec = LogWeightVector([-np.inf, 0.0, -3.0])
-        assert len(vec) == 3
+        out = normalize_log([-np.inf, 0.0, -3.0])
+        assert len(out) == 3
 
     def test_rejects_plus_inf_and_nan(self):
         with pytest.raises(ValueError):
-            LogWeightVector([np.inf, 0.0])
+            normalize_log([np.inf, 0.0])
         with pytest.raises(ValueError):
-            LogWeightVector([np.nan])
+            normalize_log([np.nan])
 
     def test_all_minus_inf_raises_all_zero_weights(self):
         with pytest.raises(AllZeroWeights):
-            LogWeightVector([-np.inf, -np.inf])
+            normalize_log([-np.inf, -np.inf])
 
 
 class TestSpaces:

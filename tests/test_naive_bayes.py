@@ -19,11 +19,13 @@ from dualbayes.core import (
 from dualbayes.naive_bayes import (
     DiscriminativeNBModel,
     NaiveBayesModel,
-    disc_nb_columns,
     disc_nb_log_posterior_batch,
     disc_nb_posterior,
+    nb_discriminative_log_posterior_batch,
     nb_discriminative_posterior,
+    nb_encode,
     nb_fit_mle,
+    nb_generative_log_posterior_batch,
     nb_generative_posterior,
     nb_sufficient_statistics,
     nb_to_discriminative,
@@ -210,6 +212,7 @@ class TestDiscriminativeRoute:
 
     def test_tables_reproduce_generative_posterior(self):
         rng = np.random.default_rng(13)
+        other_rng = np.random.default_rng(14)
         for _ in range(100):
             model = random_naive_bayes(rng, n_labels=4, t_len=5)
             tables = nb_to_discriminative(model)
@@ -218,13 +221,13 @@ class TestDiscriminativeRoute:
             discriminative = nb_discriminative_posterior(model.prior, columns).entries
             generative = nb_generative_posterior(model, obs).entries
             np.testing.assert_allclose(discriminative, generative, atol=1e-10)
-
-    def test_supplied_marginals_are_used_verbatim(self):
-        model = _two_label_model(0.8)
-        marginals = [np.array([0.25, 0.75])]
-        tables = nb_to_discriminative(model, marginals=marginals)
-        expected = model.prior.entries[:, None] * model.emissions[0] / np.array([0.25, 0.75])
-        np.testing.assert_allclose(tables[0], expected.T, atol=1e-15)
+            # the per-row route is a batch of one: the same bits as its row
+            # of a batch, whatever the other rows are
+            others = [random_nb_observation(other_rng, model) for _ in range(2)]
+            batch = nb_discriminative_log_posterior_batch(
+                model.prior, tables, nb_encode(model, [others[0], obs, others[1]])
+            )
+            np.testing.assert_array_equal(discriminative, np.exp(batch[1]))
 
     def test_zero_prior_rejected(self):
         labels = LabelSpace(("a", "b"))
@@ -281,6 +284,32 @@ class TestDiscriminativeRoute:
             nb_discriminative_posterior(ProbabilityVector([0.5, 0.5]), [[-0.1, 1.1]])
 
 
+class TestBatchFunctions:
+    def test_posterior_column_batch_rejects_bad_tables(self):
+        prior = ProbabilityVector([0.5, 0.5])
+        for bad in ([[-0.1, 1.1]], [[np.nan, 1.0]]):
+            with pytest.raises(ValueError):
+                nb_discriminative_log_posterior_batch(prior, [np.array(bad)], [[0]])
+
+    @pytest.mark.parametrize("route", ["generative", "columns"])
+    @pytest.mark.parametrize("code", [-1, 2, 3, 1.0])
+    def test_out_of_range_codes_are_unknown_symbols(self, route, code):
+        # position 1 has two symbols; position 0 has three, so 2 is valid there;
+        # 1.0 is in range but makes the codes a float array
+        labels = LabelSpace(("a", "b"))
+        alphabets = (ObservationAlphabet(("x", "y", "z")), ObservationAlphabet(("u", "v")))
+        emissions = (np.full((2, 3), 1.0 / 3.0), np.full((2, 2), 0.5))
+        model = NaiveBayesModel(labels, alphabets, ProbabilityVector([0.5, 0.5]), emissions)
+        codes = np.array([[0, 1], [2, code]])
+        with pytest.raises(UnknownSymbol):
+            if route == "generative":
+                nb_generative_log_posterior_batch(model, codes)
+            else:
+                nb_discriminative_log_posterior_batch(
+                    model.prior, nb_to_discriminative(model), codes
+                )
+
+
 class TestSoftmaxParameterization:
     def test_flat_parameters_give_uniform(self):
         labels = LabelSpace(("a", "b", "c"))
@@ -296,9 +325,10 @@ class TestSoftmaxParameterization:
             labels, ProbabilityVector([0.9, 0.1]), [[1.0], [-1.0]], [[0.3], [0.0]]
         )
         y = [0.4]
-        column = disc_nb_columns(model, y)[0]
+        logits = model.slopes[:, 0] * y[0] + model.intercepts[:, 0]
+        column = np.exp(logits) / np.exp(logits).sum()
         out = disc_nb_posterior(model, y)
-        np.testing.assert_allclose(out.entries, column.entries, atol=1e-14)
+        np.testing.assert_allclose(out.entries, column, atol=1e-14)
 
     def test_agrees_with_collapsed_linear_form(self):
         rng = np.random.default_rng(17)
