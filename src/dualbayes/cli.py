@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
+from array import array
 from functools import partial
 
 import numpy as np
@@ -91,6 +93,13 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it between two other fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(["", text, ""])
+    return buffer.getvalue()[1:-3]
+
+
 def _write_gamma(name: str, gamma: np.ndarray) -> None:
     """Print ``gamma`` as ``<name> t=<t> p_0 ... p_N-1`` lines, a block per write.
 
@@ -104,58 +113,74 @@ def _write_gamma(name: str, gamma: np.ndarray) -> None:
         write("".join([template % (t, *row) for t, row in enumerate(rows, start)]))
 
 
-def _read_rows(path):
+def _records(path):
+    """Yield the nonempty ``csv`` records of ``path``, one at a time."""
     with open(path, newline="", encoding="utf-8") as handle:
-        return [row for row in csv.reader(handle) if row]
+        yield from (row for row in csv.reader(handle) if row)
 
 
 def _read_dataset(path, real_mode: bool):
-    """Parse a labelled CSV: header, then one label plus T feature fields per row."""
-    rows = _read_rows(path)
-    if not rows:
+    """Parse a labelled CSV: header, then one label plus T feature fields per row.
+
+    Records are read one at a time.  Real-valued features go straight into
+    one float64 buffer, so no row of field strings outlives its line, and
+    each row's observation is a view of that buffer.
+    """
+    records = _records(path)
+    header = next(records, None)
+    if header is None:
         raise EmptyDataset("empty dataset")
-    header = rows[0]
     if len(header) < 2:
         raise ValueError("line 1: header needs a label column and at least one feature column")
     width = len(header)
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    labels, features = [], array("d") if real_mode else []
+    for lineno, row in enumerate(records, start=2):
         if len(row) != width:
             raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
-        features = row[1:]
+        labels.append(row[0])
         if real_mode:
             try:
-                features = [float(field) for field in features]
+                features.extend(map(float, row[1:]))
             except ValueError:
                 raise ValueError(f"line {lineno}: feature fields must be numbers") from None
-        data.append((row[0], features))
-    if not data:
+        else:
+            features.append(row[1:])
+    if not labels:
         raise EmptyDataset("empty dataset")
-    return header, data
+    if real_mode:
+        features = np.frombuffer(features).reshape(len(labels), width - 1)
+    return header, list(zip(labels, features))
 
 
 def _read_observations(path, real_mode: bool, expected: int):
-    """Parse an unlabelled CSV of observations, one per row after the header."""
-    rows = _read_rows(path)
-    if not rows:
+    """Parse an unlabelled CSV of observations, one per row after the header.
+
+    Records are read one at a time; real-valued files come back as one
+    ``(S, expected)`` float64 array, filled as the records are read.
+    """
+    records = _records(path)
+    header = next(records, None)
+    if header is None:
         raise ValueError("empty observation file")
-    header = rows[0]
     if len(header) != expected:
         raise DimensionMismatch(
             f"line 1: header has {len(header)} columns, model expects {expected}"
         )
-    observations = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    observations = array("d") if real_mode else []
+    for lineno, row in enumerate(records, start=2):
         if len(row) != expected:
             raise ValueError(f"line {lineno}: expected {expected} fields, got {len(row)}")
         if real_mode:
             try:
-                row = [float(field) for field in row]
+                observations.extend(map(float, row))
             except ValueError:
                 raise ValueError(f"line {lineno}: fields must be numbers") from None
-        observations.append(row)
+        else:
+            observations.append(row)
     if not observations:
         raise ValueError("observation file has no rows")
+    if real_mode:
+        return np.frombuffer(observations).reshape(-1, expected)
     return observations
 
 
@@ -207,7 +232,7 @@ def _cmd_predict(args) -> int:
         raise ValueError("predict supports naive_bayes, disc_nb, and logreg models; "
                          "use hmm-posterior for hmm models")
     observations = _read_observations(args.data, real_mode, model.n_positions)
-    rows = np.array(observations) if real_mode else nb_encode(model, observations)
+    rows = observations if real_mode else nb_encode(model, observations)
 
     # every row is evaluated and checked before anything is written
     probs = np.concatenate([
@@ -218,16 +243,19 @@ def _cmd_predict(args) -> int:
     best = probs.argmax(axis=1)
     ties = (probs == probs[np.arange(len(probs)), best][:, None]).sum(axis=1) > 1
 
+    names = model.labels.names
+    template = ",".join(["%.17g"] * len(names)) + ",%s,%d\r\n"
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
-        writer = csv.writer(out)
-        writer.writerow([f"p_{name}" for name in model.labels.names] + ["argmax", "tie"])
-        names = model.labels.names
+        csv.writer(out).writerow([f"p_{name}" for name in names] + ["argmax", "tie"])
+        quoted = [_csv_field(name) for name in names]
         for start in range(0, len(probs), PREDICT_BLOCK):
             block = slice(start, start + PREDICT_BLOCK)
-            for entries, k, tie in zip(probs[block].tolist(), best[block].tolist(),
-                                       ties[block].tolist()):
-                writer.writerow([_fmt(p) for p in entries] + [names[k], str(int(tie))])
+            out.write("".join([
+                template % (*entries, quoted[k], tie)
+                for entries, k, tie in zip(probs[block].tolist(), best[block].tolist(),
+                                           ties[block].tolist())
+            ]))
     finally:
         if args.output:
             out.close()

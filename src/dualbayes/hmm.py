@@ -51,6 +51,7 @@ from .core import (
     ZeroEvidence,
     ZeroMarginal,
     ZeroPrior,
+    check_simplex_rows,
     safe_log,
     stochastic_matrix,
 )
@@ -138,6 +139,17 @@ class PosteriorMarginals:
         gamma = stochastic_matrix(self.gamma, what="posterior marginals")
         object.__setattr__(self, "gamma", gamma)
 
+    @classmethod
+    def _adopt(cls, gamma: np.ndarray, log_evidence: float) -> "PosteriorMarginals":
+        # For a gamma that only the kernel holds: validated and frozen in
+        # place, where the constructor would copy a caller's array first.
+        check_simplex_rows(gamma, what="posterior marginals row")
+        gamma.flags.writeable = False
+        marginals = cls.__new__(cls)
+        object.__setattr__(marginals, "gamma", gamma)
+        object.__setattr__(marginals, "log_evidence", log_evidence)
+        return marginals
+
     @property
     def n_steps(self) -> int:
         return self.gamma.shape[0]
@@ -204,7 +216,7 @@ def _smooth(model: HmmModel, log_table: np.ndarray, observations) -> PosteriorMa
     if not np.all(totals > 0.0):
         raise ZeroEvidence(_ZERO_EVIDENCE)
     gamma /= totals[:, None]
-    return PosteriorMarginals(gamma, log_evidence)
+    return PosteriorMarginals._adopt(gamma, log_evidence)
 
 
 def forward_backward(model: HmmModel, observations) -> PosteriorMarginals:

@@ -60,24 +60,24 @@ def lr_posterior(model: LogisticRegressionModel, observation) -> ProbabilityVect
     within double-precision exponent range.
     """
     y = real_observation(observation, model.n_positions)
-    log_post = _log_softmax_linear(y[None, :], model.weights, model.biases)
+    log_post = _log_softmax_linear(y[:, None], model.weights, model.biases)
     return ProbabilityVector(np.exp(log_post[0]))
 
 
 def lr_log_posterior_batch(model: LogisticRegressionModel, observations) -> np.ndarray:
     """Log posterior matrix for a batch of observations, shape ``(S, N)``."""
     obs = real_observations(observations, model.n_positions)
-    return _log_softmax_linear(obs, model.weights, model.biases)
+    return _log_softmax_linear(np.ascontiguousarray(obs.T), model.weights, model.biases)
 
 
-def _log_softmax_linear(obs, weights, biases) -> np.ndarray:
-    # Row-wise log softmax of obs @ weights.T + biases, returned as an (S, N)
-    # view of a label-major (N, S) array, so that every step below is one
-    # elementwise operation over all rows.  Positions and labels are added
-    # one at a time in a fixed order, never by a matrix product or a sum
-    # reduction, whose summation order may change with the batch size: a
-    # row's value does not depend on the other rows.
-    columns = np.ascontiguousarray(obs.T)
+def _log_softmax_linear(columns, weights, biases) -> np.ndarray:
+    # Row-wise log softmax of columns.T @ weights.T + biases, where columns
+    # is the (T, S) position-major transpose of the observations, returned
+    # as an (S, N) view of a label-major (N, S) array, so that every step
+    # below is one elementwise operation over all rows.  Positions and
+    # labels are added one at a time in a fixed order, never by a matrix
+    # product or a sum reduction, whose summation order may change with the
+    # batch size: a row's value does not depend on the other rows.
     logits = weights[:, 0, None] * columns[0]
     logits += biases[:, None]
     term = np.empty_like(logits)

@@ -89,8 +89,11 @@ def _prepare(dataset, labels: LabelSpace, t_len: int):
     return obs, indices
 
 
-def _log_posterior(slopes, intercepts, log_prior, obs) -> np.ndarray:
+def _log_posterior(slopes, intercepts, log_prior, columns) -> np.ndarray:
     """The model's log posterior through its exact logistic-regression collapse.
+
+    ``columns`` is the ``(T, S)`` transpose of the observations, so that a
+    caller looping over epochs transposes once, not once per evaluation.
 
     ``sum_t log softmax(z_t)`` differs from ``sum_t z_t`` by a term that is
     the same for every label, so the per-column normalizers cancel and the
@@ -100,7 +103,7 @@ def _log_posterior(slopes, intercepts, log_prior, obs) -> np.ndarray:
     :class:`DivergedLoss`, so the warnings are silenced here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _log_softmax_linear(obs, slopes, _collapsed_biases(log_prior, intercepts))
+        return _log_softmax_linear(columns, slopes, _collapsed_biases(log_prior, intercepts))
 
 
 def parameter_loss(slopes, intercepts, log_prior, dataset, labels: LabelSpace) -> float:
@@ -132,8 +135,8 @@ def loss_cross_entropy(model: DiscriminativeNBModel, dataset) -> float:
     )
 
 
-def _loss_and_gradients(slopes, intercepts, log_prior, obs, idx):
-    log_post = _log_posterior(slopes, intercepts, log_prior, obs)
+def _loss_and_gradients(slopes, intercepts, log_prior, columns, idx):
+    log_post = _log_posterior(slopes, intercepts, log_prior, columns)
     n_samples = idx.size
     loss = float(-log_post[np.arange(n_samples), idx].mean())
     # residual g = posterior - onehot sums to zero over labels, which
@@ -142,7 +145,7 @@ def _loss_and_gradients(slopes, intercepts, log_prior, obs, idx):
     residual[np.arange(n_samples), idx] -= 1.0
     residual /= n_samples
     t_len = slopes.shape[1]
-    grad_slopes = residual.T @ obs
+    grad_slopes = residual.T @ columns.T
     mean_residual = residual.sum(axis=0)
     grad_intercepts = np.repeat(mean_residual[:, None], t_len, axis=1)
     grad_log_prior = (1.0 - t_len) * mean_residual
@@ -159,7 +162,7 @@ def gradient(model: DiscriminativeNBModel, dataset) -> Gradients:
     """
     obs, idx = _prepare(dataset, model.labels, model.n_positions)
     _, grads = _loss_and_gradients(
-        model.slopes, model.intercepts, np.log(model.prior.entries), obs, idx
+        model.slopes, model.intercepts, np.log(model.prior.entries), obs.T, idx
     )
     return grads
 
@@ -174,6 +177,7 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
     any recorded loss stops being finite.
     """
     obs, idx = _prepare(dataset, labels, n_positions)
+    columns = np.ascontiguousarray(obs.T)
     n_samples = idx.size
     slopes = np.zeros((labels.n, n_positions))
     intercepts = np.zeros((labels.n, n_positions))
@@ -185,7 +189,7 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
     curve = []
     for _ in range(config.epochs):
         if batch >= n_samples:
-            loss, grads = _loss_and_gradients(slopes, intercepts, prior_logits, obs, idx)
+            loss, grads = _loss_and_gradients(slopes, intercepts, prior_logits, columns, idx)
             if not np.isfinite(loss):
                 raise DivergedLoss(f"loss became non-finite ({loss!r})")
             slopes -= lr * grads.slopes
@@ -198,7 +202,7 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
             for start in range(0, n_samples, batch):
                 chosen = order[start:start + batch]
                 loss, grads = _loss_and_gradients(
-                    slopes, intercepts, prior_logits, obs[chosen], idx[chosen]
+                    slopes, intercepts, prior_logits, columns[:, chosen], idx[chosen]
                 )
                 if not np.isfinite(loss):
                     raise DivergedLoss(f"loss became non-finite ({loss!r})")
@@ -213,6 +217,6 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
         raise DivergedLoss("parameters became non-finite")
     prior = normalize_log(prior_logits)
     model = DiscriminativeNBModel(labels, prior, slopes, intercepts)
-    log_post = _log_posterior(slopes, intercepts, np.log(prior.entries), obs)
+    log_post = _log_posterior(slopes, intercepts, np.log(prior.entries), columns)
     accuracy = float((log_post.argmax(axis=1) == idx).mean())
     return model, TrainReport(tuple(curve), accuracy)

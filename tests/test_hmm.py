@@ -4,6 +4,7 @@ the enumeration cross-check, and the kernel against a plain per-step loop
 on adversarial models."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dualbayes.core import (
 )
 from dualbayes.hmm import (
     HmmModel,
+    PosteriorMarginals,
     derive_hmm_posteriors,
     entropic_forward_backward,
     forward_backward,
@@ -308,6 +310,35 @@ class TestBothRoutes:
         for gamma in (classic, entropic):
             assert gamma.min() >= 0.0
             assert float(np.abs(gamma.sum(axis=1) - 1.0).max()) <= SIMPLEX_TOL
+
+
+class TestPosteriorMarginals:
+    @pytest.mark.parametrize("smooth", [forward_backward, entropic_forward_backward])
+    def test_kernel_gamma_is_frozen_in_place(self, smooth):
+        rng = np.random.default_rng(37)
+        model = random_hmm(rng, n_labels=32, m_symbols=20, derive=True)
+        obs = random_hmm_observation(rng, model, 2000)
+        tracemalloc.start()
+        try:
+            gamma = smooth(model, obs).gamma
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not gamma.flags.writeable
+        with pytest.raises(ValueError):
+            gamma[0, 0] = 0.5
+        # a second copy of gamma would double the peak
+        assert peak < 1.6 * gamma.nbytes
+
+    def test_caller_array_is_copied_and_validated(self):
+        caller = np.array([[0.25, 0.75], [1.0, 0.0]])
+        gamma = PosteriorMarginals(caller).gamma
+        assert caller.flags.writeable
+        assert not gamma.flags.writeable
+        assert not np.shares_memory(caller, gamma)
+        np.testing.assert_array_equal(gamma, caller)
+        with pytest.raises(ValueError, match="posterior marginals row 1"):
+            PosteriorMarginals(np.array([[0.5, 0.5], [0.6, 0.6]]))
 
 
 class TestLogEvidence:

@@ -150,7 +150,7 @@ class TestCollapsedPosterior:
             model = random_discriminative_nb(rng)
             obs = rng.normal(0.0, 2.0, size=(25, model.n_positions))
             trainer = _log_posterior(
-                model.slopes, model.intercepts, np.log(model.prior.entries), obs
+                model.slopes, model.intercepts, np.log(model.prior.entries), obs.T
             )
             np.testing.assert_allclose(
                 trainer, disc_nb_log_posterior_batch(model, obs), rtol=0.0, atol=EQUALITY_TOL
