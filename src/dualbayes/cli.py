@@ -21,19 +21,13 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    AllZeroWeights,
     DimensionMismatch,
     DivergedLoss,
+    DualBayesError,
     EmptyDataset,
     EQUALITY_TOL,
     LabelSpace,
-    LengthMismatch,
-    MissingPosteriors,
     ProbabilityVector,
-    StateSpaceTooLarge,
-    UnknownSymbol,
-    ZeroEvidence,
-    ZeroMarginal,
     ZeroPrior,
     check_simplex_rows,
 )
@@ -73,20 +67,9 @@ PREDICT_BLOCK = 1024
 # alive at once, which a whole-table `tolist()` would make grow with T.
 HMM_OUTPUT_BLOCK = 256
 
-_INPUT_ERRORS = (
-    ValueError,
-    OSError,
-    AllZeroWeights,
-    DimensionMismatch,
-    EmptyDataset,
-    LengthMismatch,
-    MissingPosteriors,
-    StateSpaceTooLarge,
-    UnknownSymbol,
-    ZeroEvidence,
-    ZeroMarginal,
-    ZeroPrior,
-)
+# The batch kernel of each real-valued model type, for `predict` and `convert`.
+_REAL_VALUED_BATCH = {DiscriminativeNBModel: disc_nb_log_posterior_batch,
+                      LogisticRegressionModel: lr_log_posterior_batch}
 
 
 def _fmt(value: float) -> str:
@@ -114,73 +97,74 @@ def _write_gamma(name: str, gamma: np.ndarray) -> None:
 
 
 def _records(path):
-    """Yield the nonempty ``csv`` records of ``path``, one at a time."""
+    """Yield ``(line, record)`` for the nonempty ``csv`` records of ``path``, where
+    ``line`` is the physical line the record ends on (blank lines count)."""
     with open(path, newline="", encoding="utf-8") as handle:
-        yield from (row for row in csv.reader(handle) if row)
+        reader = csv.reader(handle)
+        yield from ((reader.line_num, row) for row in reader if row)
+
+
+def _read_rows(records, width: int, real_mode: bool, labelled: bool):
+    """``(labels, rows)`` of the records after a header, each of ``width`` fields.
+
+    The first field is the label when ``labelled``.  Real-valued fields go
+    straight into one float64 buffer, returned as an ``(S, width - labelled)``
+    array, so no row of field strings outlives its line.
+    """
+    what = "feature fields" if labelled else "fields"
+    labels, values = [], array("d") if real_mode else []
+    for lineno, row in records:
+        if len(row) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        if labelled:
+            labels.append(row.pop(0))
+        if real_mode:
+            try:
+                values.extend(map(float, row))
+            except ValueError:
+                raise ValueError(f"line {lineno}: {what} must be numbers") from None
+        else:
+            values.append(row)
+    if real_mode:
+        values = np.frombuffer(values).reshape(-1, width - labelled)
+    return labels, values
 
 
 def _read_dataset(path, real_mode: bool):
     """Parse a labelled CSV: header, then one label plus T feature fields per row.
 
-    Records are read one at a time.  Real-valued features go straight into
-    one float64 buffer, so no row of field strings outlives its line, and
-    each row's observation is a view of that buffer.
+    Each real-valued row's observation is a view of one float64 array.
     """
     records = _records(path)
-    header = next(records, None)
+    lineno, header = next(records, (0, None))
     if header is None:
         raise EmptyDataset("empty dataset")
     if len(header) < 2:
-        raise ValueError("line 1: header needs a label column and at least one feature column")
-    width = len(header)
-    labels, features = [], array("d") if real_mode else []
-    for lineno, row in enumerate(records, start=2):
-        if len(row) != width:
-            raise ValueError(f"line {lineno}: expected {width} fields, got {len(row)}")
-        labels.append(row[0])
-        if real_mode:
-            try:
-                features.extend(map(float, row[1:]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: feature fields must be numbers") from None
-        else:
-            features.append(row[1:])
+        raise ValueError(
+            f"line {lineno}: header needs a label column and at least one feature column"
+        )
+    labels, features = _read_rows(records, len(header), real_mode, labelled=True)
     if not labels:
         raise EmptyDataset("empty dataset")
-    if real_mode:
-        features = np.frombuffer(features).reshape(len(labels), width - 1)
     return header, list(zip(labels, features))
 
 
 def _read_observations(path, real_mode: bool, expected: int):
     """Parse an unlabelled CSV of observations, one per row after the header.
 
-    Records are read one at a time; real-valued files come back as one
-    ``(S, expected)`` float64 array, filled as the records are read.
+    Real-valued files come back as one ``(S, expected)`` float64 array.
     """
     records = _records(path)
-    header = next(records, None)
+    lineno, header = next(records, (0, None))
     if header is None:
         raise ValueError("empty observation file")
     if len(header) != expected:
         raise DimensionMismatch(
-            f"line 1: header has {len(header)} columns, model expects {expected}"
+            f"line {lineno}: header has {len(header)} columns, model expects {expected}"
         )
-    observations = array("d") if real_mode else []
-    for lineno, row in enumerate(records, start=2):
-        if len(row) != expected:
-            raise ValueError(f"line {lineno}: expected {expected} fields, got {len(row)}")
-        if real_mode:
-            try:
-                observations.extend(map(float, row))
-            except ValueError:
-                raise ValueError(f"line {lineno}: fields must be numbers") from None
-        else:
-            observations.append(row)
-    if not observations:
+    _, observations = _read_rows(records, expected, real_mode, labelled=False)
+    if not len(observations):
         raise ValueError("observation file has no rows")
-    if real_mode:
-        return np.frombuffer(observations).reshape(-1, expected)
     return observations
 
 
@@ -224,10 +208,8 @@ def _cmd_predict(args) -> int:
                          model.prior, nb_to_discriminative(model))
     elif isinstance(model, NaiveBayesModel):
         kernel = partial(nb_generative_log_posterior_batch, model)
-    elif isinstance(model, DiscriminativeNBModel):
-        kernel = partial(disc_nb_log_posterior_batch, model)
-    elif isinstance(model, LogisticRegressionModel):
-        kernel = partial(lr_log_posterior_batch, model)
+    elif type(model) in _REAL_VALUED_BATCH:
+        kernel = partial(_REAL_VALUED_BATCH[type(model)], model)
     else:
         raise ValueError("predict supports naive_bayes, disc_nb, and logreg models; "
                          "use hmm-posterior for hmm models")
@@ -276,23 +258,19 @@ def _cmd_convert(args) -> int:
     model = load_model(args.model)
     if isinstance(model, DiscriminativeNBModel):
         converted = nb_to_lr(model)
-        source_batch = lambda probes: np.exp(disc_nb_log_posterior_batch(model, probes))
-        target_batch = lambda probes: np.exp(lr_log_posterior_batch(converted, probes))
     elif isinstance(model, LogisticRegressionModel):
-        prior = _parse_prior(args.prior) if args.prior else None
-        converted = lr_to_nb(model, prior)
-        source_batch = lambda probes: np.exp(lr_log_posterior_batch(model, probes))
-        target_batch = lambda probes: np.exp(disc_nb_log_posterior_batch(converted, probes))
+        converted = lr_to_nb(model, _parse_prior(args.prior) if args.prior else None)
     else:
         raise ValueError("convert needs a disc_nb or logreg model")
 
     probes = np.random.default_rng(_PROBE_SEED).normal(
         0.0, 2.0, size=(_PROBE_COUNT, model.n_positions)
     )
-    discrepancy = float(np.abs(source_batch(probes) - target_batch(probes)).max())
+    source, target = (np.exp(_REAL_VALUED_BATCH[type(m)](m, probes)) for m in (model, converted))
+    discrepancy = float(np.abs(source - target).max())
     save_model(converted, args.output)
     print(f"max_probe_discrepancy={discrepancy:.3e}")
-    if discrepancy > EQUALITY_TOL:
+    if not discrepancy <= EQUALITY_TOL:  # NaN fails too
         print(f"error: probe discrepancy exceeds {EQUALITY_TOL:.1e}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
@@ -399,12 +377,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except DivergedLoss as exc:
+    except (DualBayesError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return EXIT_NUMERIC if isinstance(exc, DivergedLoss) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -101,6 +101,23 @@ def stochastic_matrix(values, what: str = "matrix") -> np.ndarray:
     return arr
 
 
+def bayes_invert(prior: np.ndarray, emissions: np.ndarray, symbols, where: str = "") -> np.ndarray:
+    """Bayes inversion: columns ``prior * emissions[:, y] / p(y)`` on the simplex, shape ``(N, M)``.
+
+    Raises :class:`ZeroPrior`, or :class:`ZeroMarginal` naming ``symbols[y]`` and ``where``.
+    """
+    if np.any(prior == 0.0):
+        raise ZeroPrior("Bayes inversion needs a strictly positive prior")
+    joint = prior[:, None] * emissions
+    marginal = joint.sum(axis=0)
+    bad = np.flatnonzero(marginal <= 0.0)
+    if bad.size:
+        raise ZeroMarginal(
+            f"symbol {symbols[int(bad[0])]!r}{where} has zero probability under every label"
+        )
+    return joint / marginal
+
+
 def check_simplex_rows(rows: np.ndarray, what: str = "row") -> None:
     """Check in one vectorized pass that every row of a 2-D array is a
     probability vector: finite, nonnegative, summing to 1 within

@@ -49,8 +49,8 @@ from .core import (
     ObservationAlphabet,
     ProbabilityVector,
     ZeroEvidence,
-    ZeroMarginal,
     ZeroPrior,
+    bayes_invert,
     check_simplex_rows,
     safe_log,
     stochastic_matrix,
@@ -259,19 +259,11 @@ def derive_hmm_posteriors(model: HmmModel) -> HmmModel:
     """
     if model.emissions is None:
         raise ValueError("deriving posteriors needs the emission matrix")
-    if np.any(model.prior.entries == 0.0):
-        raise ZeroPrior("deriving posteriors needs a strictly positive prior")
-    joint = model.prior.entries[:, None] * model.emissions
-    marginal = joint.sum(axis=0)
-    bad = np.flatnonzero(marginal <= 0.0)
-    if bad.size:
-        symbol = model.alphabet.symbols[int(bad[0])]
-        raise ZeroMarginal(f"symbol {symbol!r} has zero probability under every label")
     return HmmModel(
         labels=model.labels,
         alphabet=model.alphabet,
         prior=model.prior,
         transitions=model.transitions,
         emissions=model.emissions,
-        posteriors=joint / marginal,
+        posteriors=bayes_invert(model.prior.entries, model.emissions, model.alphabet.symbols),
     )

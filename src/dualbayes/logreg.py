@@ -78,17 +78,20 @@ def _log_softmax_linear(columns, weights, biases) -> np.ndarray:
     # labels are added one at a time in a fixed order, never by a matrix
     # product or a sum reduction, whose summation order may change with the
     # batch size: a row's value does not depend on the other rows.
-    logits = weights[:, 0, None] * columns[0]
-    logits += biases[:, None]
-    term = np.empty_like(logits)
-    for t in range(1, len(columns)):
-        logits += np.multiply(weights[:, t, None], columns[t], out=term)
-    logits -= logits.max(axis=0)
-    exp_logits = np.exp(logits, out=term)
-    total = exp_logits[0].copy()
-    for row in exp_logits[1:]:
-        total += row
-    logits -= np.log(total)
+    # Overflowing logits give non-finite rows, which every caller detects
+    # (DivergedLoss, a failed probe or simplex check), so no warning is raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = weights[:, 0, None] * columns[0]
+        logits += biases[:, None]
+        term = np.empty_like(logits)
+        for t in range(1, len(columns)):
+            logits += np.multiply(weights[:, t, None], columns[t], out=term)
+        logits -= logits.max(axis=0)
+        exp_logits = np.exp(logits, out=term)
+        total = exp_logits[0].copy()
+        for row in exp_logits[1:]:
+            total += row
+        logits -= np.log(total)
     return logits.T
 
 

@@ -39,8 +39,8 @@ from .core import (
     ProbabilityVector,
     UnknownSymbol,
     ZeroEvidence,
-    ZeroMarginal,
     ZeroPrior,
+    bayes_invert,
     logsumexp_last,
     readonly_array,
     real_observation,
@@ -236,14 +236,10 @@ def _model_from_statistics(stats: SufficientStatistics, labels: LabelSpace, alph
 
     emissions = []
     for alphabet, table in zip(alphabets, stats.emission_counts):
-        denom = counts + alpha * alphabet.m
-        rows = np.empty((labels.n, alphabet.m))
-        for i in range(labels.n):
-            if denom[i] > 0.0:
-                rows[i] = (table[i] + alpha) / denom[i]
-            else:
-                rows[i] = 1.0 / alphabet.m
-        emissions.append(rows)
+        denom = (counts + alpha * alphabet.m)[:, None]
+        # a label with no samples and no smoothing divides 0 by 0 and gets a uniform row
+        with np.errstate(invalid="ignore"):
+            emissions.append(np.where(denom > 0.0, (table + alpha) / denom, 1.0 / alphabet.m))
     return NaiveBayesModel(labels, alphabets, prior, tuple(emissions))
 
 
@@ -333,21 +329,11 @@ def nb_to_discriminative(model: NaiveBayesModel) -> tuple[np.ndarray, ...]:
     under the model-implied symbol law ``sum_j prior[j] * emissions[t][j, y]``,
     so every row lies on the simplex.
     """
-    prior = model.prior.entries
-    if np.any(prior == 0.0):
-        raise ZeroPrior("the discriminative form needs a strictly positive prior")
-    tables = []
-    for t, table in enumerate(model.emissions):
-        joint = prior[:, None] * table
-        marginal = joint.sum(axis=0)
-        bad = np.flatnonzero(marginal <= 0.0)
-        if bad.size:
-            symbol = model.alphabets[t].symbols[int(bad[0])]
-            raise ZeroMarginal(
-                f"symbol {symbol!r} at position {t} has zero marginal probability"
-            )
-        tables.append(readonly_array((joint / marginal).T))
-    return tuple(tables)
+    return tuple(
+        readonly_array(bayes_invert(model.prior.entries, table, alphabet.symbols,
+                                    f" at position {t}").T)
+        for t, (table, alphabet) in enumerate(zip(model.emissions, model.alphabets))
+    )
 
 
 def nb_discriminative_log_posterior_batch(prior, tables, codes) -> np.ndarray:
@@ -394,11 +380,9 @@ def nb_discriminative_posterior(prior, l_columns) -> ProbabilityVector:
 
 def disc_nb_posterior(model: DiscriminativeNBModel, observation) -> ProbabilityVector:
     """Posterior of a softmax-parameterized model at one real observation;
-    a batch of one through :func:`disc_nb_log_posterior_batch`'s kernel."""
+    a batch of one through :func:`disc_nb_log_posterior_batch`."""
     y = real_observation(observation, model.n_positions)
-    log_prior = np.log(model.prior.entries)
-    log_post = _log_posterior_matrix(model.slopes, model.intercepts, log_prior, y[None, :])
-    return ProbabilityVector(np.exp(log_post[0]))
+    return ProbabilityVector(np.exp(disc_nb_log_posterior_batch(model, y[None, :])[0]))
 
 
 def disc_nb_log_posterior_batch(model: DiscriminativeNBModel, observations) -> np.ndarray:

@@ -100,10 +100,9 @@ def _log_posterior(slopes, intercepts, log_prior, columns) -> np.ndarray:
     posterior is the log softmax of ``obs @ slopes.T + biases`` with
     :func:`~dualbayes.logreg.nb_to_lr`'s biases.  Extreme parameters can
     overflow the logits; the resulting non-finite loss raises
-    :class:`DivergedLoss`, so the warnings are silenced here.
+    :class:`DivergedLoss`.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _log_softmax_linear(columns, slopes, _collapsed_biases(log_prior, intercepts))
+    return _log_softmax_linear(columns, slopes, _collapsed_biases(log_prior, intercepts))
 
 
 def parameter_loss(slopes, intercepts, log_prior, dataset, labels: LabelSpace) -> float:
@@ -189,28 +188,24 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
     curve = []
     for _ in range(config.epochs):
         if batch >= n_samples:
-            loss, grads = _loss_and_gradients(slopes, intercepts, prior_logits, columns, idx)
+            chunks = [slice(None)]  # the whole dataset as views: nothing is copied
+        else:
+            order = rng.permutation(n_samples)
+            chunks = [order[start:start + batch] for start in range(0, n_samples, batch)]
+        epoch_total = 0.0
+        for chosen in chunks:
+            chunk_idx = idx[chosen]
+            loss, grads = _loss_and_gradients(
+                slopes, intercepts, prior_logits, columns[:, chosen], chunk_idx
+            )
             if not np.isfinite(loss):
                 raise DivergedLoss(f"loss became non-finite ({loss!r})")
+            epoch_total += loss * chunk_idx.size
             slopes -= lr * grads.slopes
             intercepts -= lr * grads.intercepts
             prior_logits -= lr * grads.log_prior
-            curve.append(loss)
-        else:
-            order = rng.permutation(n_samples)
-            epoch_total = 0.0
-            for start in range(0, n_samples, batch):
-                chosen = order[start:start + batch]
-                loss, grads = _loss_and_gradients(
-                    slopes, intercepts, prior_logits, columns[:, chosen], idx[chosen]
-                )
-                if not np.isfinite(loss):
-                    raise DivergedLoss(f"loss became non-finite ({loss!r})")
-                epoch_total += loss * chosen.size
-                slopes -= lr * grads.slopes
-                intercepts -= lr * grads.intercepts
-                prior_logits -= lr * grads.log_prior
-            curve.append(epoch_total / n_samples)
+        # one chunk records its own loss, which is not always loss * n / n
+        curve.append(loss if len(chunks) == 1 else epoch_total / n_samples)
 
     if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(intercepts))
             and np.all(np.isfinite(prior_logits))):

@@ -3,7 +3,9 @@
 Each suite draws models from safe parameter ranges (probabilities bounded
 away from zero, short sequences), computes the same posterior along two or
 more independent routes, and records the worst absolute discrepancy.  The
-CLI ``verify`` command formats the results; the test suite reuses both the
+worst is kept with ``np.maximum``, so one NaN gap fails the suite, where the
+builtin ``max`` would drop it (``max(0.0, nan) == 0.0``).  The CLI
+``verify`` command formats the results; the test suite reuses both the
 suites and the model generators.
 """
 
@@ -31,6 +33,15 @@ from .naive_bayes import (
 )
 from .oracle import joint_enumeration_hmm, joint_enumeration_nb
 
+# Draw settings: probabilities come from uniform weights on [PROBABILITY_FLOOR, 1],
+# real parameters from [-PARAMETER_SCALE, PARAMETER_SCALE]; the rest are counts.
+PROBABILITY_FLOOR = 0.05
+PARAMETER_SCALE = 1.5
+MAX_SYMBOLS = 6
+OBSERVATIONS_PER_MODEL = 2
+PROBES_PER_CONVERSION = 100
+FB_EFB_MAX_STEPS = 8
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -44,13 +55,13 @@ class SuiteResult:
         return self.max_discrepancy <= self.tolerance
 
 
-def random_probability_vector(rng, n, floor=0.05) -> ProbabilityVector:
-    weights = rng.uniform(floor, 1.0, size=n)
+def random_probability_vector(rng, n) -> ProbabilityVector:
+    weights = rng.uniform(PROBABILITY_FLOOR, 1.0, size=n)
     return ProbabilityVector(weights / weights.sum())
 
 
-def random_stochastic_matrix(rng, n_rows, n_cols, floor=0.05) -> np.ndarray:
-    weights = rng.uniform(floor, 1.0, size=(n_rows, n_cols))
+def random_stochastic_matrix(rng, n_rows, n_cols) -> np.ndarray:
+    weights = rng.uniform(PROBABILITY_FLOOR, 1.0, size=(n_rows, n_cols))
     return weights / weights.sum(axis=1, keepdims=True)
 
 
@@ -62,13 +73,13 @@ def _alphabet(m: int) -> ObservationAlphabet:
     return ObservationAlphabet(tuple(f"s{k}" for k in range(m)))
 
 
-def random_naive_bayes(rng, n_labels=None, t_len=None, max_symbols=6) -> NaiveBayesModel:
+def random_naive_bayes(rng, n_labels=None, t_len=None) -> NaiveBayesModel:
     if n_labels is None:
         n_labels = int(rng.integers(2, 6))
     if t_len is None:
         t_len = int(rng.integers(1, 7))
     alphabets = tuple(
-        _alphabet(int(rng.integers(1, max_symbols + 1))) for _ in range(t_len)
+        _alphabet(int(rng.integers(1, MAX_SYMBOLS + 1))) for _ in range(t_len)
     )
     return NaiveBayesModel(
         labels=_label_space(n_labels),
@@ -82,7 +93,7 @@ def random_nb_observation(rng, model: NaiveBayesModel) -> list[str]:
     return [ab.symbols[int(rng.integers(0, ab.m))] for ab in model.alphabets]
 
 
-def random_discriminative_nb(rng, n_labels=None, t_len=None, scale=1.5) -> DiscriminativeNBModel:
+def random_discriminative_nb(rng, n_labels=None, t_len=None) -> DiscriminativeNBModel:
     if n_labels is None:
         n_labels = int(rng.integers(2, 6))
     if t_len is None:
@@ -90,20 +101,20 @@ def random_discriminative_nb(rng, n_labels=None, t_len=None, scale=1.5) -> Discr
     return DiscriminativeNBModel(
         labels=_label_space(n_labels),
         prior=random_probability_vector(rng, n_labels),
-        slopes=rng.uniform(-scale, scale, size=(n_labels, t_len)),
-        intercepts=rng.uniform(-scale, scale, size=(n_labels, t_len)),
+        slopes=rng.uniform(-PARAMETER_SCALE, PARAMETER_SCALE, size=(n_labels, t_len)),
+        intercepts=rng.uniform(-PARAMETER_SCALE, PARAMETER_SCALE, size=(n_labels, t_len)),
     )
 
 
-def random_logreg(rng, n_labels=None, t_len=None, scale=1.5) -> LogisticRegressionModel:
+def random_logreg(rng, n_labels=None, t_len=None) -> LogisticRegressionModel:
     if n_labels is None:
         n_labels = int(rng.integers(2, 6))
     if t_len is None:
         t_len = int(rng.integers(1, 7))
     return LogisticRegressionModel(
         labels=_label_space(n_labels),
-        weights=rng.uniform(-scale, scale, size=(n_labels, t_len)),
-        biases=rng.uniform(-scale, scale, size=n_labels),
+        weights=rng.uniform(-PARAMETER_SCALE, PARAMETER_SCALE, size=(n_labels, t_len)),
+        biases=rng.uniform(-PARAMETER_SCALE, PARAMETER_SCALE, size=n_labels),
     )
 
 
@@ -127,13 +138,13 @@ def random_hmm_observation(rng, model: HmmModel, t_len: int) -> list[str]:
             for _ in range(t_len)]
 
 
-def nb_agreement_suite(rng, cases: int = 1000, observations_per_model: int = 2) -> SuiteResult:
+def nb_agreement_suite(rng, cases: int = 1000) -> SuiteResult:
     """Generative route vs posterior-column route vs direct enumeration."""
     worst = 0.0
     for _ in range(cases):
         model = random_naive_bayes(rng)
         tables = nb_to_discriminative(model)
-        for _ in range(observations_per_model):
+        for _ in range(OBSERVATIONS_PER_MODEL):
             observation = random_nb_observation(rng, model)
             generative = nb_generative_posterior(model, observation).entries
             columns = [
@@ -142,15 +153,12 @@ def nb_agreement_suite(rng, cases: int = 1000, observations_per_model: int = 2) 
             ]
             discriminative = nb_discriminative_posterior(model.prior, columns).entries
             reference = joint_enumeration_nb(model, observation).entries
-            worst = max(
-                worst,
-                float(np.abs(generative - discriminative).max()),
-                float(np.abs(generative - reference).max()),
-            )
-    return SuiteResult("nb-generative-vs-discriminative", cases, worst)
+            gap = np.maximum(np.abs(generative - discriminative), np.abs(generative - reference))
+            worst = np.maximum(worst, gap.max())
+    return SuiteResult("nb-generative-vs-discriminative", cases, float(worst))
 
 
-def logreg_equivalence_suite(rng, cases: int = 500, observations: int = 100) -> SuiteResult:
+def logreg_equivalence_suite(rng, cases: int = 500) -> SuiteResult:
     """Conversion between softmax-linear and discriminative form, both ways.
 
     Per case: collapse a random discriminative model, expand a random
@@ -161,37 +169,37 @@ def logreg_equivalence_suite(rng, cases: int = 500, observations: int = 100) -> 
     for _ in range(cases):
         disc = random_discriminative_nb(rng)
         collapsed = nb_to_lr(disc)
-        probes = rng.normal(0.0, 2.0, size=(observations, disc.n_positions))
+        probes = rng.normal(0.0, 2.0, size=(PROBES_PER_CONVERSION, disc.n_positions))
         gap = np.abs(
             np.exp(disc_nb_log_posterior_batch(disc, probes))
             - np.exp(lr_log_posterior_batch(collapsed, probes))
         )
-        worst = max(worst, float(gap.max()))
+        worst = np.maximum(worst, gap.max())
 
         linear = random_logreg(rng)
         prior = random_probability_vector(rng, linear.labels.n)
         expanded = lr_to_nb(linear, prior)
-        probes = rng.normal(0.0, 2.0, size=(observations, linear.n_positions))
+        probes = rng.normal(0.0, 2.0, size=(PROBES_PER_CONVERSION, linear.n_positions))
         reference = np.exp(lr_log_posterior_batch(linear, probes))
         gap = np.abs(np.exp(disc_nb_log_posterior_batch(expanded, probes)) - reference)
-        worst = max(worst, float(gap.max()))
+        worst = np.maximum(worst, gap.max())
         round_trip = nb_to_lr(expanded)
         gap = np.abs(np.exp(lr_log_posterior_batch(round_trip, probes)) - reference)
-        worst = max(worst, float(gap.max()))
-    return SuiteResult("logreg-equivalence", cases, worst)
+        worst = np.maximum(worst, gap.max())
+    return SuiteResult("logreg-equivalence", cases, float(worst))
 
 
-def fb_efb_suite(rng, cases: int = 500, max_steps: int = 8) -> SuiteResult:
+def fb_efb_suite(rng, cases: int = 500) -> SuiteResult:
     """Classic vs entropic forward-backward on consistently derived posteriors."""
     worst = 0.0
     for _ in range(cases):
         model = random_hmm(rng, derive=True)
-        t_len = int(rng.integers(1, max_steps + 1))
+        t_len = int(rng.integers(1, FB_EFB_MAX_STEPS + 1))
         observation = random_hmm_observation(rng, model, t_len)
         classic = forward_backward(model, observation).gamma
         entropic = entropic_forward_backward(model, observation).gamma
-        worst = max(worst, float(np.abs(classic - entropic).max()))
-    return SuiteResult("fb-vs-efb", cases, worst)
+        worst = np.maximum(worst, np.abs(classic - entropic).max())
+    return SuiteResult("fb-vs-efb", cases, float(worst))
 
 
 def fb_enumeration_suite(rng, cases: int = 60) -> SuiteResult:
@@ -205,8 +213,8 @@ def fb_enumeration_suite(rng, cases: int = 60) -> SuiteResult:
         observation = random_hmm_observation(rng, model, t_len)
         fast = forward_backward(model, observation).gamma
         reference = joint_enumeration_hmm(model, observation).gamma
-        worst = max(worst, float(np.abs(fast - reference).max()))
-    return SuiteResult("fb-vs-enumeration", cases, worst)
+        worst = np.maximum(worst, np.abs(fast - reference).max())
+    return SuiteResult("fb-vs-enumeration", cases, float(worst))
 
 
 def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]:

@@ -12,11 +12,21 @@ import pytest
 
 from dualbayes import cli
 from dualbayes.cli import HMM_OUTPUT_BLOCK, PREDICT_BLOCK, main
-from dualbayes.core import LabelSpace, ProbabilityVector
+from dualbayes.core import (
+    EQUALITY_TOL,
+    DivergedLoss,
+    DualBayesError,
+    LabelSpace,
+    ProbabilityVector,
+)
 from dualbayes.hmm import entropic_forward_backward, forward_backward
 from dualbayes.logreg import LogisticRegressionModel, lr_posterior, nb_to_lr
 from dualbayes.model_io import load_model, save_model
-from dualbayes.naive_bayes import disc_nb_posterior, nb_generative_posterior
+from dualbayes.naive_bayes import (
+    DiscriminativeNBModel,
+    disc_nb_posterior,
+    nb_generative_posterior,
+)
 from dualbayes.verify import (
     random_discriminative_nb,
     random_hmm,
@@ -351,6 +361,21 @@ class TestRealValuedParse:
         what = "feature fields" if kind == "fit" else "fields"
         assert err == f"error: line 3: {what} must be numbers\n"
 
+    def test_named_line_is_the_physical_line(self, command):
+        # the blank line 3 is counted: the bad record is on line 4; for
+        # predict the file is "f0,f1\n1,2\n\n1,x\n" on a logreg model
+        kind, run = command
+        head, bad = self._file(kind, ["a|1,2", "b|1,x"]).rsplit("\n", 2)[:2]
+        code, out, err, _ = run(head + "\n\n" + bad + "\n")
+        assert code == 2 and out == ""
+        what = "feature fields" if kind == "fit" else "fields"
+        assert err == f"error: line 4: {what} must be numbers\n"
+
+    def test_multi_line_record_is_named_by_its_last_line(self, tmp_path, capsys):
+        data = _write(tmp_path / "d.csv", 'label,f0\n"a\nb",x\n')
+        assert main(["fit", "--discriminative", data, "-o", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == "error: line 3: feature fields must be numbers\n"
+
     @pytest.mark.parametrize("rows, line", [
         (["a|1,2", "b|1,2,3"], 3),
         (["a|1,2,3", "b|1,2,3"], 2),  # every row is wider than the header
@@ -473,6 +498,21 @@ class TestConvert:
         assert code == 2
         assert "prior must be strictly positive" in capsys.readouterr().err
 
+    def test_nan_probe_discrepancy_exits_3(self, tmp_path, capsys):
+        # slopes of +-1e308 overflow the logits of both routes into NaN rows
+        source = tmp_path / "disc.json"
+        save_model(
+            DiscriminativeNBModel(
+                LabelSpace(("a", "b")), ProbabilityVector.uniform(2),
+                np.array([[1e308], [-1e308]]), np.zeros((2, 1)),
+            ),
+            source,
+        )
+        assert main(["convert", str(source), "-o", str(tmp_path / "lr.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "max_probe_discrepancy=nan\n"
+        assert captured.err == f"error: probe discrepancy exceeds {EQUALITY_TOL:.1e}\n"
+
     def test_naive_bayes_model_rejected(self, tmp_path, capsys):
         dataset = _write(tmp_path / "d.csv", "label,f0\na,x\nb,y\n")
         model_path = tmp_path / "nb.json"
@@ -575,3 +615,40 @@ class TestHmmPosterior:
 
     def test_missing_model_file_exits_2(self, tmp_path):
         assert main(["hmm-posterior", str(tmp_path / "gone.json"), "--obs", "x"]) == 2
+
+
+class TestErrorPolicy:
+    """A package error or an input fault leaves ``main`` as one ``error:`` line:
+    exit 3 for a diverged loss, exit 2 for everything else."""
+
+    @staticmethod
+    def _raise_from_main(monkeypatch, capsys, error):
+        def handler(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_verify", handler)
+        code = main(["verify"])
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: boom\n"
+        return code
+
+    @pytest.mark.parametrize("error", DualBayesError.__subclasses__(),
+                             ids=lambda error: error.__name__)
+    def test_package_errors(self, monkeypatch, capsys, error):
+        expected = 3 if error is DivergedLoss else 2
+        assert self._raise_from_main(monkeypatch, capsys, error) == expected
+
+    @pytest.mark.parametrize("error", [ValueError, OSError, csv.Error],
+                             ids=["ValueError", "OSError", "csv.Error"])
+    def test_input_faults_exit_2(self, monkeypatch, capsys, error):
+        assert self._raise_from_main(monkeypatch, capsys, error) == 2
+
+    def test_oversized_csv_field_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "lr.json"
+        save_model(random_logreg(np.random.default_rng(41), n_labels=3, t_len=2), model_path)
+        data = _write(tmp_path / "obs.csv", "f0,f1\n1," + "1" * 140_000 + "\n")
+        assert main(["predict", str(model_path), data]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = csv.field_size_limit()
+        assert captured.err == f"error: field larger than field limit ({limit})\n"

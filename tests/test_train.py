@@ -193,6 +193,19 @@ class TestFit:
             assert first.loss_curve == second.loss_curve
             assert first.final_accuracy == second.final_accuracy
 
+    def test_one_chunk_records_its_own_loss(self):
+        # a batch at least as large as the dataset is the full batch: one
+        # chunk, no shuffle, and its loss recorded as is, not as loss * n / n
+        data, labels = self._separable_dataset(seed=5, per_class=37)
+        curves = [
+            fit_discriminative(data, 1, labels, TrainConfig(0.1, 20, batch, seed=9))[1].loss_curve
+            for batch in ("full", len(data), 10 * len(data))
+        ]
+        assert curves[0] == curves[1] == curves[2]
+        assert curves[0][0] == pytest.approx(math.log(2))  # the zero start scores labels alike
+        mini = fit_discriminative(data, 1, labels, TrainConfig(0.1, 20, 16, seed=9))[1]
+        assert mini.loss_curve != curves[0]
+
     def test_small_learning_rate_never_increases_loss(self):
         rng = np.random.default_rng(71)
         labels = LabelSpace(("a", "b", "c"))
