@@ -27,8 +27,6 @@ from .core import (
     EmptyDataset,
     EQUALITY_TOL,
     LabelSpace,
-    ProbabilityVector,
-    ZeroPrior,
     check_simplex_rows,
 )
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
@@ -72,10 +70,6 @@ _REAL_VALUED_BATCH = {DiscriminativeNBModel: disc_nb_log_posterior_batch,
                       LogisticRegressionModel: lr_log_posterior_batch}
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes it between two other fields."""
     buffer = io.StringIO()
@@ -86,8 +80,7 @@ def _csv_field(text: str) -> str:
 def _write_gamma(name: str, gamma: np.ndarray) -> None:
     """Print ``gamma`` as ``<name> t=<t> p_0 ... p_N-1`` lines, a block per write.
 
-    ``"%.17g" % p`` is the same string as :func:`_fmt`; one template per row
-    formats all of its values at once.
+    One template per row formats all of its values at once.
     """
     template = f"{name} t=%d " + " ".join(["%.17g"] * gamma.shape[1]) + "\n"
     write = sys.stdout.write
@@ -191,7 +184,7 @@ def _cmd_fit(args) -> int:
     )
     model, report = fit_discriminative(data, t_len, labels, config)
     for epoch, loss in enumerate(report.loss_curve):
-        print(f"epoch={epoch} loss={_fmt(loss)}")
+        print("epoch=%d loss=%.17g" % (epoch, loss))
     print(json.dumps({
         "loss_curve": list(report.loss_curve),
         "final_accuracy": report.final_accuracy,
@@ -244,14 +237,11 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _parse_prior(text: str) -> ProbabilityVector:
+def _parse_prior(text: str) -> list[float]:
     try:
-        entries = [float(field) for field in text.split(",")]
+        return [float(field) for field in text.split(",")]
     except ValueError:
         raise ValueError("--prior must be a comma-separated list of numbers") from None
-    if any(entry == 0.0 for entry in entries):
-        raise ZeroPrior("prior must be strictly positive")
-    return ProbabilityVector(entries)
 
 
 def _cmd_convert(args) -> int:
@@ -268,9 +258,11 @@ def _cmd_convert(args) -> int:
     )
     source, target = (np.exp(_REAL_VALUED_BATCH[type(m)](m, probes)) for m in (model, converted))
     discrepancy = float(np.abs(source - target).max())
-    save_model(converted, args.output)
+    passed = discrepancy <= EQUALITY_TOL  # NaN fails too
+    if passed:  # a failed conversion writes no file
+        save_model(converted, args.output)
     print(f"max_probe_discrepancy={discrepancy:.3e}")
-    if not discrepancy <= EQUALITY_TOL:  # NaN fails too
+    if not passed:
         print(f"error: probe discrepancy exceeds {EQUALITY_TOL:.1e}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

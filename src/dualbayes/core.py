@@ -104,10 +104,8 @@ def stochastic_matrix(values, what: str = "matrix") -> np.ndarray:
 def bayes_invert(prior: np.ndarray, emissions: np.ndarray, symbols, where: str = "") -> np.ndarray:
     """Bayes inversion: columns ``prior * emissions[:, y] / p(y)`` on the simplex, shape ``(N, M)``.
 
-    Raises :class:`ZeroPrior`, or :class:`ZeroMarginal` naming ``symbols[y]`` and ``where``.
+    Raises :class:`ZeroMarginal` naming ``symbols[y]`` and ``where``.
     """
-    if np.any(prior == 0.0):
-        raise ZeroPrior("Bayes inversion needs a strictly positive prior")
     joint = prior[:, None] * emissions
     marginal = joint.sum(axis=0)
     bad = np.flatnonzero(marginal <= 0.0)
@@ -251,22 +249,6 @@ class ProbabilityVector:
         return self.entries[index]
 
 
-def logsumexp(values) -> float:
-    """log(sum(exp(values))), computed with a max shift.
-
-    An empty or all ``-inf`` input yields ``-inf``; there is no exception
-    path.  When one entry dominates the rest by more than roughly 40 nats
-    the result equals that entry exactly in double precision.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return -np.inf
-    peak = float(np.max(arr))
-    if not np.isfinite(peak):
-        return peak
-    return peak + float(np.log(np.sum(np.exp(arr - peak))))
-
-
 def logsumexp_last(arr: np.ndarray) -> np.ndarray:
     """Max-shifted log-sum-exp along the last axis, keeping dims.
 
@@ -283,7 +265,7 @@ def normalize_log(weights) -> ProbabilityVector:
     ``weights`` is a nonempty vector in ``[-inf, +inf)``, where ``-inf``
     marks a zero weight; NaN or ``+inf`` raises ``ValueError`` and an
     all-``-inf`` vector raises :class:`AllZeroWeights`.  The output is
-    ``exp(weights - logsumexp(weights))``, which is invariant under adding
+    ``exp(weights - logsumexp_last(weights))``, which is invariant under adding
     a constant to every entry.
     """
     arr = np.asarray(weights, dtype=float)
@@ -293,4 +275,4 @@ def normalize_log(weights) -> ProbabilityVector:
         raise ValueError("log weights must lie in [-inf, +inf)")
     if not np.any(np.isfinite(arr)):
         raise AllZeroWeights("every weight is zero")
-    return ProbabilityVector(np.exp(arr - logsumexp(arr)))
+    return ProbabilityVector(np.exp(arr - logsumexp_last(arr)))

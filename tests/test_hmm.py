@@ -187,6 +187,27 @@ class TestModelValidation:
                     emissions=model.emissions, posteriors=wrong,
                 )
 
+    def test_consistency_checks_reachable_columns_only(self):
+        labels = LabelSpace(("a", "b"))
+        alphabet = ObservationAlphabet(("x", "y"))
+        transitions = np.full((2, 2), 0.5)
+        # a zero prior entry leaves 'y' unreachable; its column is free
+        emissions = np.array([[1.0, 0.0], [0.5, 0.5]])
+        zero_prior = HmmModel(
+            labels, alphabet, ProbabilityVector([1.0, 0.0]), transitions,
+            emissions=emissions, posteriors=np.array([[1.0, 0.3], [0.0, 0.7]]),
+        )
+        assert zero_prior.posteriors[1, 1] == 0.7
+        # no label emits 'y': any column is accepted there
+        prior = ProbabilityVector([0.25, 0.75])
+        unreachable = np.array([[1.0, 0.0], [1.0, 0.0]])
+        HmmModel(labels, alphabet, prior, transitions,
+                 emissions=unreachable, posteriors=np.array([[0.25, 0.9], [0.75, 0.1]]))
+        # a reachable column off by 1e-6 is still rejected
+        with pytest.raises(ValueError, match="disagree"):
+            HmmModel(labels, alphabet, prior, transitions, emissions=unreachable,
+                     posteriors=np.array([[0.25 + 1e-6, 0.9], [0.75 - 1e-6, 0.1]]))
+
     def test_zero_prior_allowed_without_posterior_use(self):
         labels = LabelSpace(("a", "b"))
         alphabet = ObservationAlphabet(("x",))

@@ -196,6 +196,16 @@ class TestGenerativePosterior:
         with pytest.raises(UnknownSymbol):
             nb_generative_posterior(model, ["q"])
 
+    def test_unhashable_symbol_is_unknown(self):
+        model = _two_label_model()
+        message = r"unknown symbol \['x'\]"
+        with pytest.raises(UnknownSymbol, match=message):
+            nb_encode(model, [[["x"]]])
+        with pytest.raises(UnknownSymbol, match=message):
+            nb_generative_posterior(model, [["x"]])
+        with pytest.raises(UnknownSymbol, match=message):
+            nb_sufficient_statistics([("a", [["x"]])], model.labels, model.alphabets)
+
 
 class TestDiscriminativeRoute:
     def test_symmetric_model_gives_uniform_tables(self):

@@ -80,6 +80,11 @@ class TestSuites:
         assert by_name["logreg-equivalence"].passed
         assert by_name["fb-vs-enumeration"].passed
 
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_case_count_below_one_rejected(self, cases):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_all_suites(seed=0, cases=cases)
+
     def test_result_threshold(self):
         assert SuiteResult("x", 1, 1e-11).passed
         assert not SuiteResult("x", 1, 2e-10).passed
