@@ -117,18 +117,18 @@ def bayes_invert(prior: np.ndarray, emissions: np.ndarray, symbols, where: str =
 
 
 def check_simplex_rows(rows: np.ndarray, what: str = "row") -> None:
-    """Check in one vectorized pass that every row of a 2-D array is a
-    probability vector: finite, nonnegative, summing to 1 within
-    ``SIMPLEX_TOL``.
+    """Check with two reductions, a min over the whole array and a sum per
+    row, that every row of a 2-D array is a probability vector: finite,
+    nonnegative, summing to 1 within ``SIMPLEX_TOL``.
 
     The error names the first failing row (``"{what} {index}: ..."``) with
     the reason :class:`ProbabilityVector` gives for it; no vector is built
     for a valid row.
     """
-    valid = (np.isfinite(rows).all(axis=1) & (rows >= 0.0).all(axis=1)
-             & (np.abs(rows.sum(axis=1) - 1.0) <= SIMPLEX_TOL))
-    if not valid.all():
-        row = int(valid.argmin())
+    # the test of ProbabilityVector; ``initial`` keeps empty shapes reducible
+    sums_ok = np.abs(rows.sum(axis=1) - 1.0) <= SIMPLEX_TOL
+    if not (rows.min(initial=np.inf) >= 0.0 and sums_ok.all()):
+        row = int((sums_ok & (rows.min(axis=1, initial=np.inf) >= 0.0)).argmin())
         try:
             ProbabilityVector(rows[row])
         except ValueError as exc:
@@ -229,12 +229,15 @@ class ProbabilityVector:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("entries must form a nonempty vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("entries must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > SIMPLEX_TOL:
-            raise ValueError(f"entries sum to {arr.sum()!r}, not 1")
+        # Two reductions accept exactly the finite, nonnegative vectors that
+        # sum to 1: NaN and -inf fail the min test, and +inf, or a sum that
+        # overflows, fails the sum test.  Only a rejected vector is itemised.
+        if not (arr.min() >= 0.0 and abs(arr.sum() - 1.0) <= SIMPLEX_TOL):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("entries must be finite")
+            if np.any(arr < 0.0):
+                raise ValueError("entries must be nonnegative")
+            raise ValueError(f"entries sum to {float(arr.sum())!r}, not 1")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 

@@ -118,11 +118,17 @@ def lr_to_nb(model: LogisticRegressionModel, prior=None) -> DiscriminativeNBMode
     uniform.  Slopes copy the weights, and each position receives an even
     share of the residual bias:
     ``intercepts[i, t] = (biases[i] - (1 - T) * log(prior[i])) / T``.
+    Raises ``ValueError`` for a prior without one entry per label and
+    :class:`ZeroPrior` for a zero entry.
     """
     if prior is None:
         prior = ProbabilityVector.uniform(model.labels.n)
     elif not isinstance(prior, ProbabilityVector):
         prior = ProbabilityVector(prior)
+    if len(prior) != model.labels.n:
+        raise ValueError(
+            f"prior has {len(prior)} entries, expected {model.labels.n} (one per label)"
+        )
     if np.any(prior.entries == 0.0):
         raise ZeroPrior("prior must be strictly positive")
     t_len = model.n_positions

@@ -2,9 +2,12 @@
 
 Each suite draws models from safe parameter ranges (probabilities bounded
 away from zero, short sequences), computes the same posterior along two or
-more independent routes, and records the worst absolute discrepancy.  The
-worst is kept with ``np.maximum``, so one NaN gap fails the suite, where the
-builtin ``max`` would drop it (``max(0.0, nan) == 0.0``).  The CLI
+more independent routes, and records the worst absolute discrepancy.  Each
+Naive Bayes case runs its observations as one batch through the two kernels
+``predict`` uses, against the brute-force oracle of :mod:`.oracle`, which
+scores each observation on its own.  The worst is kept with ``np.maximum``,
+so one NaN gap fails the suite, where the builtin ``max`` would drop it
+(``max(0.0, nan) == 0.0``).  The CLI
 ``verify`` command formats the results; the test suite reuses both the
 suites and the model generators.
 """
@@ -12,6 +15,7 @@ suites and the model generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,8 +31,9 @@ from .naive_bayes import (
     DiscriminativeNBModel,
     NaiveBayesModel,
     disc_nb_log_posterior_batch,
-    nb_discriminative_posterior,
-    nb_generative_posterior,
+    nb_discriminative_log_posterior_batch,
+    nb_encode,
+    nb_generative_log_posterior_batch,
     nb_to_discriminative,
 )
 from .oracle import joint_enumeration_hmm, joint_enumeration_nb
@@ -65,10 +70,13 @@ def random_stochastic_matrix(rng, n_rows, n_cols) -> np.ndarray:
     return weights / weights.sum(axis=1, keepdims=True)
 
 
+# Both are frozen values, so every model of a size shares one.
+@lru_cache(maxsize=None)
 def _label_space(n: int) -> LabelSpace:
     return LabelSpace(tuple(f"l{k}" for k in range(n)))
 
 
+@lru_cache(maxsize=None)
 def _alphabet(m: int) -> ObservationAlphabet:
     return ObservationAlphabet(tuple(f"s{k}" for k in range(m)))
 
@@ -136,22 +144,25 @@ def random_hmm_observation(rng, model: HmmModel, t_len: int) -> list[str]:
 
 
 def nb_agreement_suite(rng, cases: int = 1000) -> SuiteResult:
-    """Generative route vs posterior-column route vs direct enumeration."""
+    """Generative route vs posterior-column route vs direct enumeration.
+
+    Each case draws one model and ``OBSERVATIONS_PER_MODEL`` observations,
+    encodes them once, and runs them as one batch through the two kernels
+    ``predict`` uses, :func:`nb_generative_log_posterior_batch` and
+    :func:`nb_discriminative_log_posterior_batch`; the oracle
+    :func:`joint_enumeration_nb` scores each observation on its own.
+    """
     worst = 0.0
     for _ in range(cases):
         model = random_naive_bayes(rng)
         tables = nb_to_discriminative(model)
-        for _ in range(OBSERVATIONS_PER_MODEL):
-            observation = random_nb_observation(rng, model)
-            generative = nb_generative_posterior(model, observation).entries
-            columns = [
-                tables[t][model.alphabets[t].index(symbol)]
-                for t, symbol in enumerate(observation)
-            ]
-            discriminative = nb_discriminative_posterior(model.prior, columns).entries
-            reference = joint_enumeration_nb(model, observation).entries
-            gap = np.maximum(np.abs(generative - discriminative), np.abs(generative - reference))
-            worst = np.maximum(worst, gap.max())
+        observations = [random_nb_observation(rng, model) for _ in range(OBSERVATIONS_PER_MODEL)]
+        codes = nb_encode(model, observations)
+        generative = np.exp(nb_generative_log_posterior_batch(model, codes))
+        discriminative = np.exp(nb_discriminative_log_posterior_batch(model.prior, tables, codes))
+        reference = np.array([joint_enumeration_nb(model, o).entries for o in observations])
+        gap = np.maximum(np.abs(generative - discriminative), np.abs(generative - reference))
+        worst = np.maximum(worst, gap.max())
     return SuiteResult("nb-generative-vs-discriminative", cases, float(worst))
 
 

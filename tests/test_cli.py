@@ -502,6 +502,18 @@ class TestConvert:
         assert code == 2
         assert "prior must be strictly positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_labels, prior, message", [
+        (2, "0,0.5", "entries sum to 0.5, not 1"),
+        (3, "0.5,0.5", "prior has 2 entries, expected 3 (one per label)"),
+    ])
+    def test_bad_prior_exits_2(self, tmp_path, capsys, n_labels, prior, message):
+        source = tmp_path / "lr.json"
+        save_model(random_logreg(np.random.default_rng(3), n_labels=n_labels, t_len=2), source)
+        out = tmp_path / "o.json"
+        assert main(["convert", str(source), "-o", str(out), "--prior", prior]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_nan_probe_discrepancy_exits_3(self, tmp_path, capsys):
         # slopes of +-1e308 overflow the logits of both routes into NaN rows
         source = tmp_path / "disc.json"

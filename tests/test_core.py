@@ -2,6 +2,7 @@
 validated simplex / label-space types."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,42 @@ class TestCheckSimplexRows:
             check_simplex_rows(rows[[0, 2]].repeat([2, 1], axis=0))
         with pytest.raises(ValueError, match=r"^row 0: entries must be nonnegative"):
             check_simplex_rows(np.array([[1.0 + 1e-15, -1e-15]]))
+
+
+# bad rows and the reason both ProbabilityVector and check_simplex_rows give
+_BAD_ROWS = [
+    pytest.param([np.nan, 1.0], "entries must be finite", id="nan"),
+    pytest.param([np.inf, 0.0], "entries must be finite", id="plus-inf"),
+    pytest.param([-np.inf, 1.0], "entries must be finite", id="minus-inf"),
+    pytest.param([np.inf, -np.inf], "entries must be finite", id="plus-and-minus-inf"),
+    pytest.param([1.0 + 1e-15, -1e-15], "entries must be nonnegative", id="tiny-negative"),
+    pytest.param([0.5, 0.5 + 5e-12], "entries sum to 1.000000000005, not 1", id="sum-off"),
+    pytest.param([0.0, 0.5], "entries sum to 0.5, not 1", id="half"),
+    pytest.param([1e308, 1e308], "entries sum to inf, not 1", id="sum-overflows"),
+]
+
+
+class TestSimplexAcceptance:
+    """The min-and-sum test accepts exactly what the itemised checks accept."""
+
+    # inf - inf and an overflowing sum raise numpy warnings before the error
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("row, reason", _BAD_ROWS)
+    def test_vector_and_rows_give_the_same_reason(self, row, reason):
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            ProbabilityVector(row)
+        rows = np.array([[0.5, 0.5], [1.0, 0.0], row, [np.nan, np.nan]])
+        with pytest.raises(ValueError, match=f"^row 2: {re.escape(reason)}$"):
+            check_simplex_rows(rows)
+
+    def test_exact_zeros_and_empty_batches_are_accepted(self):
+        assert ProbabilityVector([0.0, 1.0, 0.0])[1] == 1.0
+        check_simplex_rows(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]]))
+        check_simplex_rows(np.zeros((0, 3)))
+
+    def test_rows_without_entries_are_rejected(self):
+        with pytest.raises(ValueError, match="^row 0: entries must form a nonempty vector$"):
+            check_simplex_rows(np.zeros((2, 0)))
 
 
 class TestLogWeightVector:

@@ -185,6 +185,11 @@ class TestExpand:
         with pytest.raises(ZeroPrior, match="strictly positive"):
             lr_to_nb(model, ProbabilityVector([1.0, 0.0]))
 
+    def test_prior_of_the_wrong_length_rejected(self):
+        model = LogisticRegressionModel(LabelSpace(("a", "b", "c")), np.ones((3, 2)), np.zeros(3))
+        with pytest.raises(ValueError, match=r"^prior has 2 entries, expected 3 \(one per label\)$"):
+            lr_to_nb(model, [0.5, 0.5])
+
 
 class TestModelValidation:
     def test_shape_and_finiteness(self):

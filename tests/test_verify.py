@@ -20,8 +20,8 @@ from dualbayes.verify import (
 )
 
 
-def _nan_entries(prior, columns):
-    return SimpleNamespace(entries=np.full(len(prior), np.nan))
+def _nan_nb_batch(prior, tables, codes):
+    return np.full((len(codes), len(prior)), np.nan)
 
 
 def _nan_batch(model, probes):
@@ -35,7 +35,7 @@ def _nan_gamma(model, observations):
 # one route of each suite, by suite name, and an all-NaN stand-in for it
 _NAN_ROUTES = {
     "nb-generative-vs-discriminative":
-        (nb_agreement_suite, "nb_discriminative_posterior", _nan_entries),
+        (nb_agreement_suite, "nb_discriminative_log_posterior_batch", _nan_nb_batch),
     "logreg-equivalence": (logreg_equivalence_suite, "lr_log_posterior_batch", _nan_batch),
     "fb-vs-efb": (fb_efb_suite, "entropic_forward_backward", _nan_gamma),
     "fb-vs-enumeration": (fb_enumeration_suite, "joint_enumeration_hmm", _nan_gamma),
@@ -98,6 +98,17 @@ class TestSuites:
         assert result.name == name
         assert np.isnan(result.max_discrepancy)
         assert not result.passed
+
+    def test_default_verify_output_is_pinned(self, capsys):
+        assert main(["verify", "--seed", "0"]) == 0
+        assert capsys.readouterr().out == (
+            "suite=nb-generative-vs-discriminative cases=1000 max_discrepancy=1.110e-15"
+            " tolerance=1.0e-10 PASS\n"
+            "suite=logreg-equivalence cases=500 max_discrepancy=1.998e-15 tolerance=1.0e-10 PASS\n"
+            "suite=fb-vs-efb cases=500 max_discrepancy=3.331e-16 tolerance=1.0e-10 PASS\n"
+            "suite=fb-vs-enumeration cases=60 max_discrepancy=6.661e-16 tolerance=1.0e-10 PASS\n"
+            "4/4 suites passed\n"
+        )
 
     def test_nan_entropic_route_fails_verify(self, monkeypatch, capsys):
         _, route, nan_route = _NAN_ROUTES["fb-vs-efb"]
