@@ -28,6 +28,7 @@ from .core import (
     EQUALITY_TOL,
     LabelSpace,
     check_simplex_rows,
+    real_observations,
 )
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
 from .logreg import LogisticRegressionModel, lr_log_posterior_batch, lr_to_nb, nb_to_lr
@@ -44,7 +45,7 @@ from .naive_bayes import (
     nb_sufficient_statistics,
     nb_to_discriminative,
 )
-from .train import TrainConfig, fit_discriminative
+from .train import TrainConfig, _gradient_descent
 from .verify import run_all_suites
 
 EXIT_OK = 0
@@ -126,7 +127,9 @@ def _read_rows(records, width: int, real_mode: bool, labelled: bool):
 def _read_dataset(path, real_mode: bool):
     """Parse a labelled CSV: header, then one label plus T feature fields per row.
 
-    Each real-valued row's observation is a view of one float64 array.
+    Returns ``(row_labels, features)``: the label of each row, and its
+    features as a list of field lists, or as one ``(S, T)`` float64 array
+    when ``real_mode``.
     """
     records = _records(path)
     lineno, header = next(records, (0, None))
@@ -139,7 +142,7 @@ def _read_dataset(path, real_mode: bool):
     labels, features = _read_rows(records, len(header), real_mode, labelled=True)
     if not labels:
         raise EmptyDataset("empty dataset")
-    return header, list(zip(labels, features))
+    return labels, features
 
 
 def _read_observations(path, real_mode: bool, expected: int):
@@ -163,7 +166,7 @@ def _read_observations(path, real_mode: bool, expected: int):
 
 def _cmd_fit(args) -> int:
     if args.generative:
-        _, data = _read_dataset(args.dataset, real_mode=False)
+        data = list(zip(*_read_dataset(args.dataset, real_mode=False)))
         labels, alphabets = _infer_spaces(data)
         stats = nb_sufficient_statistics(data, labels, alphabets)
         model = _model_from_statistics(stats, labels, alphabets, args.alpha)
@@ -175,14 +178,17 @@ def _cmd_fit(args) -> int:
             print(f"position={t} symbols={alphabet.m}")
         return EXIT_OK
 
-    _, data = _read_dataset(args.dataset, real_mode=True)
-    labels = LabelSpace(tuple(sorted({label for label, _ in data})))
-    t_len = len(data[0][1])
+    row_labels, features = _read_dataset(args.dataset, real_mode=True)
+    labels = LabelSpace(tuple(sorted(set(row_labels))))
     batch = args.batch_size if args.batch_size == "full" else int(args.batch_size)
     config = TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, batch_size=batch, seed=args.seed
     )
-    model, report = fit_discriminative(data, t_len, labels, config)
+    real_observations(features, features.shape[1])  # raises for a non-finite field
+    codes = np.array([labels.index(label) for label in row_labels], dtype=np.intp)
+    columns = np.ascontiguousarray(features.T)
+    del row_labels, features  # the trainer's arrays are then the only copy of the data
+    model, report = _gradient_descent(columns, codes, labels, config)
     for epoch, loss in enumerate(report.loss_curve):
         print("epoch=%d loss=%.17g" % (epoch, loss))
     print(json.dumps({

@@ -23,6 +23,13 @@ import numpy as np
 #: Maximum deviation of a probability vector's sum from 1.
 SIMPLEX_TOL = 1e-12
 
+# No entry of a nonnegative vector that passes the sum test exceeds this.
+_ENTRY_MAX = 1.0 + SIMPLEX_TOL
+
+# The simplex checks run thousands of times per `verify`; calling the ufunc
+# reductions directly skips the Python wrapper behind ndarray.min/max/sum.
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+
 #: Tolerance for agreement between two algorithms computing the same posterior.
 EQUALITY_TOL = 1e-10
 
@@ -117,18 +124,25 @@ def bayes_invert(prior: np.ndarray, emissions: np.ndarray, symbols, where: str =
 
 
 def check_simplex_rows(rows: np.ndarray, what: str = "row") -> None:
-    """Check with two reductions, a min over the whole array and a sum per
-    row, that every row of a 2-D array is a probability vector: finite,
-    nonnegative, summing to 1 within ``SIMPLEX_TOL``.
+    """Check with a min and a max over the whole array, and the largest
+    deviation of a row sum from 1, that every row of a 2-D array is a
+    probability vector: finite, nonnegative, summing to 1 within
+    ``SIMPLEX_TOL``.
 
     The error names the first failing row (``"{what} {index}: ..."``) with
     the reason :class:`ProbabilityVector` gives for it; no vector is built
     for a valid row.
     """
-    # the test of ProbabilityVector; ``initial`` keeps empty shapes reducible
-    sums_ok = np.abs(rows.sum(axis=1) - 1.0) <= SIMPLEX_TOL
-    if not (rows.min(initial=np.inf) >= 0.0 and sums_ok.all()):
-        row = int((sums_ok & (rows.min(axis=1, initial=np.inf) >= 0.0)).argmin())
+    # the test of ProbabilityVector, by the same direct ufunc reductions;
+    # ``initial`` keeps empty shapes reducible
+    if not (_min(rows, axis=None, initial=np.inf) >= 0.0
+            and _max(rows, axis=None, initial=-np.inf) <= _ENTRY_MAX
+            and _max(np.abs(_sum(rows, axis=1) - 1.0), initial=0.0) <= SIMPLEX_TOL):
+        # rows outside [0, _ENTRY_MAX] are zeroed before the sum, which cannot warn
+        bounded = ((rows.min(axis=1, initial=np.inf) >= 0.0)
+                   & (rows.max(axis=1, initial=-np.inf) <= _ENTRY_MAX))
+        sums = np.where(bounded[:, None], rows, 0.0).sum(axis=1)
+        row = int((bounded & (np.abs(sums - 1.0) <= SIMPLEX_TOL)).argmin())
         try:
             ProbabilityVector(rows[row])
         except ValueError as exc:
@@ -229,15 +243,20 @@ class ProbabilityVector:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("entries must form a nonempty vector")
-        # Two reductions accept exactly the finite, nonnegative vectors that
-        # sum to 1: NaN and -inf fail the min test, and +inf, or a sum that
-        # overflows, fails the sum test.  Only a rejected vector is itemised.
-        if not (arr.min() >= 0.0 and abs(arr.sum() - 1.0) <= SIMPLEX_TOL):
+        # Three reductions accept exactly the finite, nonnegative vectors that
+        # sum to 1: NaN and -inf fail the min test, +inf and any entry too
+        # large for such a vector fail the max test, so the sum runs only on
+        # entries in [0, _ENTRY_MAX] and can neither overflow nor meet
+        # inf - inf.  Only a rejected vector is itemised.
+        if not (_min(arr) >= 0.0 and _max(arr) <= _ENTRY_MAX
+                and abs(_sum(arr) - 1.0) <= SIMPLEX_TOL):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("entries must be finite")
             if np.any(arr < 0.0):
                 raise ValueError("entries must be nonnegative")
-            raise ValueError(f"entries sum to {float(arr.sum())!r}, not 1")
+            with np.errstate(over="ignore"):  # finite entries can sum to inf
+                total = float(arr.sum())
+            raise ValueError(f"entries sum to {total!r}, not 1")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 

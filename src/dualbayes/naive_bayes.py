@@ -228,8 +228,8 @@ def nb_fit_mle(dataset, smoothing_alpha: float = 0.0, *, labels=None, alphabets=
 def _model_from_statistics(stats: SufficientStatistics, labels: LabelSpace, alphabets,
                            smoothing_alpha: float) -> NaiveBayesModel:
     """The (smoothed) count-ratio model of :func:`nb_fit_mle` from its counts."""
-    if smoothing_alpha < 0:
-        raise ValueError("smoothing_alpha must be nonnegative")
+    if not 0.0 <= smoothing_alpha < np.inf:  # NaN fails too
+        raise ValueError("smoothing_alpha must be finite and nonnegative")
     alpha = float(smoothing_alpha)
     counts = stats.label_counts.astype(float)
     prior = ProbabilityVector((counts + alpha) / (stats.sample_count + alpha * labels.n))

@@ -29,6 +29,7 @@ from .core import (
     LabelSpace,
     normalize_log,
     real_observation,
+    real_observations,
 )
 from .logreg import _collapsed_biases, _log_softmax_linear
 from .naive_bayes import DiscriminativeNBModel, _log_posterior_matrix
@@ -54,6 +55,9 @@ class TrainConfig:
         if self.batch_size != "full":
             if not isinstance(self.batch_size, int) or self.batch_size < 1:
                 raise ValueError('batch_size must be a positive integer or "full"')
+        # checked here because a full-batch fit never hands the seed to numpy
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,7 @@ def _prepare(dataset, labels: LabelSpace, t_len: int):
     if obs is None or obs.ndim != 2 or obs.shape[1] != t_len:
         for _, observation in dataset:
             real_observation(observation, t_len)  # raises for the first bad row
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observation coordinates must be finite")
-    return obs, indices
+    return real_observations(obs, t_len), indices
 
 
 def _log_posterior(slopes, intercepts, log_prior, columns) -> np.ndarray:
@@ -176,18 +178,27 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
     any recorded loss stops being finite.
     """
     obs, idx = _prepare(dataset, labels, n_positions)
-    columns = np.ascontiguousarray(obs.T)
-    n_samples = idx.size
+    return _gradient_descent(np.ascontiguousarray(obs.T), idx, labels, config)
+
+
+def _gradient_descent(columns, idx, labels: LabelSpace,
+                      config: TrainConfig) -> tuple[DiscriminativeNBModel, TrainReport]:
+    # The loop of fit_discriminative on checked arrays: the C-contiguous
+    # (T, S) transpose of finite observations, and their label codes.  The
+    # caller transposes once and may drop its (S, T) array, so the loop
+    # holds the only copy of the data.  The shuffling generator, whose first
+    # use imports numpy.random, is built only when there are mini-batches.
+    n_positions, n_samples = columns.shape
     slopes = np.zeros((labels.n, n_positions))
     intercepts = np.zeros((labels.n, n_positions))
     prior_logits = np.zeros(labels.n)
-    rng = np.random.default_rng(config.seed)
     batch = n_samples if config.batch_size == "full" else min(config.batch_size, n_samples)
+    rng = np.random.default_rng(config.seed) if batch < n_samples else None
     lr = config.learning_rate
 
     curve = []
     for _ in range(config.epochs):
-        if batch >= n_samples:
+        if rng is None:
             chunks = [slice(None)]  # the whole dataset as views: nothing is copied
         else:
             order = rng.permutation(n_samples)

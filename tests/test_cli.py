@@ -31,6 +31,7 @@ from dualbayes.naive_bayes import (
     disc_nb_posterior,
     nb_generative_posterior,
 )
+from dualbayes.train import TrainConfig, fit_discriminative
 from dualbayes.verify import (
     random_discriminative_nb,
     random_hmm,
@@ -44,6 +45,11 @@ from dualbayes.verify import (
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _csv_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
 
 
 def _two_sample_csv(tmp_path):
@@ -100,15 +106,50 @@ class TestFit:
 
     def test_discriminative_fit_output_is_byte_identical_per_seed(self, tmp_path, capsys):
         dataset = _separable_csv(tmp_path, seed=5, per_class=25)
-        argv = ["fit", "--discriminative", "--lr", "0.05", "--epochs", "30",
-                "--seed", "3", dataset, "-o", str(tmp_path / "a.json")]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        argv[-1] = str(tmp_path / "b.json")
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert first == second
-        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+        data = [(label, [float(v)]) for label, v in _csv_rows(dataset)[1:]]
+        for batch in ("full", 16):
+            argv = ["fit", "--discriminative", "--lr", "0.05", "--epochs", "30",
+                    "--batch-size", str(batch), "--seed", "3", dataset,
+                    "-o", str(tmp_path / "a.json")]
+            assert main(argv) == 0
+            first = capsys.readouterr().out
+            argv[-1] = str(tmp_path / "b.json")
+            assert main(argv) == 0
+            second = capsys.readouterr().out
+            assert first == second
+            assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+            # the CLI trains on the reader's arrays; the library fit on rows agrees bit for bit
+            config = TrainConfig(0.05, 30, batch, seed=3)
+            model, report = fit_discriminative(data, 1, LabelSpace(("neg", "pos")), config)
+            save_model(model, tmp_path / "library.json")
+            assert (tmp_path / "library.json").read_text() == (tmp_path / "a.json").read_text()
+            assert json.loads(first.splitlines()[-1])["loss_curve"] == list(report.loss_curve)
+
+    @pytest.mark.parametrize("batch", ["full", "8"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, batch):
+        out = tmp_path / "m.json"
+        code = main(["fit", "--discriminative", "--batch-size", batch, "--seed", "-1",
+                     _separable_csv(tmp_path, per_class=10), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
+        assert not out.exists()
+
+    def test_discriminative_fit_keeps_one_copy_of_the_data(self, tmp_path, capsys):
+        # the reader's (S, T) array is dropped once the trainer has its
+        # (T, S) copy, so the data is held twice only while it is transposed
+        values = np.random.default_rng(45).normal(size=(2000, 20))
+        lines = ["label," + ",".join(f"f{t}" for t in range(20))]
+        lines += [f"l{i % 3}," + ",".join(map(repr, row)) for i, row in enumerate(values.tolist())]
+        dataset = _write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            code = main(["fit", "--discriminative", "--epochs", "3",
+                         dataset, "-o", str(tmp_path / "m.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * values.nbytes
 
     def test_diverging_fit_exits_3(self, tmp_path, capsys):
         dataset = _write(
@@ -135,7 +176,7 @@ class TestPredict:
         obs = _write(tmp_path / "obs.csv", "f0\nx\ny\n")
         out = tmp_path / "pred.csv"
         assert main(["predict", str(model_path), obs, "-o", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = _csv_rows(out)
         assert rows[0] == ["p_a", "p_b", "argmax", "tie"]
         for row in rows[1:]:
             assert float(row[0]) == 0.5
@@ -153,7 +194,7 @@ class TestPredict:
         obs = _write(tmp_path / "obs.csv", "f0,f1\nx,u\ny,v\nx,v\n")
         out = tmp_path / "pred.csv"
         assert main(["predict", str(model_path), obs, "-o", str(out)]) == 0
-        rows = list(csv.reader(out.open()))[1:]
+        rows = _csv_rows(out)[1:]
         for row, observation in zip(rows, [["x", "u"], ["y", "v"], ["x", "v"]]):
             expected = nb_generative_posterior(model, observation).entries
             parsed = np.array([float(row[0]), float(row[1])])
@@ -179,7 +220,7 @@ class TestPredict:
             obs = _write(tmp_path / f"obs{kind}.csv",
                          header + "\n" + "\n".join(",".join(row) for row in fields) + "\n")
             assert main(["predict", str(model_path), obs, "-o", str(out)]) == 0
-            rows = list(csv.reader(out.open()))[1:]
+            rows = _csv_rows(out)[1:]
             assert len(rows) == n_rows
             n = model.labels.n
             for row, observation in zip(rows, observations):
@@ -199,8 +240,8 @@ class TestPredict:
         assert main([
             "predict", "--route", "discriminative", str(model_path), obs, "-o", str(disc_out),
         ]) == 0
-        gen_rows = list(csv.reader(gen_out.open()))[1:]
-        disc_rows = list(csv.reader(disc_out.open()))[1:]
+        gen_rows = _csv_rows(gen_out)[1:]
+        disc_rows = _csv_rows(disc_out)[1:]
         for gen_row, disc_row in zip(gen_rows, disc_rows):
             for g, d in zip(gen_row[:2], disc_row[:2]):
                 assert abs(float(g) - float(d)) <= 1e-10
@@ -454,8 +495,6 @@ class TestRealValuedParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if labelled:
-            read = np.array([observation for _, observation in read])
         assert np.array_equal(read, values)
         assert peak < 5 * values.nbytes
 
@@ -682,15 +721,48 @@ class TestModuleEntryPoint:
     """``python -m dualbayes.cli``, the documented equivalent of the console script."""
 
     @staticmethod
-    def _run(*args):
+    def _run_python(*args):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        return subprocess.run([sys.executable, "-m", "dualbayes.cli", *args],
+        return subprocess.run([sys.executable, *args],
                               capture_output=True, text=True, env=env, timeout=120)
+
+    @classmethod
+    def _run(cls, *args):
+        return cls._run_python("-m", "dualbayes.cli", *args)
 
     def test_verify_smoke_run(self):
         done = self._run("verify", "--cases", "1")
         assert done.returncode == 0
         assert "4/4 suites passed" in done.stdout
+
+    def test_full_batch_fit_does_not_import_numpy_random(self, tmp_path):
+        # numpy.random costs about 6 MB and 15 ms to import; only shuffling needs it
+        dataset = _separable_csv(tmp_path, per_class=10)
+        script = ("import sys; from dualbayes.cli import main; code = main(sys.argv[1:]); "
+                  "print(code, 'numpy.random' in sys.modules)")
+        for batch, imported in (("full", False), ("8", True)):
+            done = self._run_python("-c", script, "fit", "--discriminative", "--epochs", "2",
+                                    "--batch-size", batch, dataset,
+                                    "-o", str(tmp_path / "m.json"))
+            assert done.stdout.splitlines()[-1] == f"0 {imported}"
+
+    @pytest.mark.parametrize("command, message", [
+        (["convert", "{dir}/lr.json", "-o", "{dir}/out.json", "--prior", "1e308,1e308"],
+         "entries sum to inf, not 1"),
+        (["fit", "--generative", "--alpha", "inf", "{dir}/data.csv", "-o", "{dir}/out.json"],
+         "smoothing_alpha must be finite and nonnegative"),
+        (["fit", "--generative", "--alpha", "nan", "{dir}/data.csv", "-o", "{dir}/out.json"],
+         "smoothing_alpha must be finite and nonnegative"),
+    ], ids=["overflowing-prior", "alpha-inf", "alpha-nan"])
+    def test_bad_value_prints_one_error_line_and_no_warning(self, tmp_path, command, message):
+        # run outside pytest, whose filters would turn a numpy warning into an exception
+        save_model(random_logreg(np.random.default_rng(3), n_labels=2, t_len=2),
+                   tmp_path / "lr.json")
+        _two_sample_csv(tmp_path)
+        done = self._run(*(arg.format(dir=tmp_path) for arg in command))
+        assert done.returncode == 2
+        assert done.stderr == f"error: {message}\n"
+        assert not (tmp_path / "out.json").exists()
 
     def test_cases_zero_exits_2(self):
         done = self._run("verify", "--cases", "0")

@@ -167,8 +167,7 @@ _BAD_ROWS = [
 class TestSimplexAcceptance:
     """The min-and-sum test accepts exactly what the itemised checks accept."""
 
-    # inf - inf and an overflowing sum raise numpy warnings before the error
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # runs under the suite's error::RuntimeWarning filter: no row may warn
     @pytest.mark.parametrize("row, reason", _BAD_ROWS)
     def test_vector_and_rows_give_the_same_reason(self, row, reason):
         with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):

@@ -228,6 +228,10 @@ class TestFit:
             TrainConfig(learning_rate=0.1, epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.1, epochs=1, batch_size=0)
+        for seed in (-1, np.int64(-1), 1.5, "3", None):
+            with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+                TrainConfig(learning_rate=0.1, epochs=1, seed=seed)
+        assert TrainConfig(learning_rate=0.1, epochs=1, seed=np.uint32(7)).seed == 7
         report = TrainReport((1.0, 0.5), 0.75)
         assert report.final_accuracy == 0.75
 
