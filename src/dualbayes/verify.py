@@ -14,8 +14,9 @@ suites and the model generators.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -225,17 +226,44 @@ def fb_enumeration_suite(rng, cases: int = 60) -> SuiteResult:
     return SuiteResult("fb-vs-enumeration", cases, float(worst))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_suite(seed: int, cases: int | None, stream: int, suite) -> SuiteResult:
+    rng = np.random.default_rng([seed, stream])
+    return suite(rng) if cases is None else suite(rng, cases=cases)
+
+
 def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]:
     """Run the four suites on deterministic per-suite substreams.
 
     ``cases=None`` uses each suite's full default; a number of at least 1
     overrides all of them (handy for smoke runs).
+
+    The suites draw from independent substreams, so they run at the same
+    time in forked workers, at most one per suite and capped at the usable
+    CPUs; the results equal a serial run's and come back in suite order.
+    With one CPU, or no fork start method, they run in this process.
     """
+    # checked here, so a bad value never reaches a worker
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     if cases is not None and cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
+    # imported here: every command imports this module, and only verify forks
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # longest first, so the shortest suites fill in behind it
     suites = (nb_agreement_suite, logreg_equivalence_suite, fb_efb_suite, fb_enumeration_suite)
-    results = []
-    for stream, suite in enumerate(suites):
-        rng = np.random.default_rng([seed, stream])
-        results.append(suite(rng) if cases is None else suite(rng, cases=cases))
-    return results
+    run = partial(_run_suite, seed, cases)
+    workers = min(len(suites), _usable_cpus())
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        # fork, not spawn: a worker starts with numpy and this module already imported
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            return list(pool.map(run, range(len(suites)), suites))
+    return list(map(run, range(len(suites)), suites))

@@ -753,16 +753,26 @@ class TestModuleEntryPoint:
          "smoothing_alpha must be finite and nonnegative"),
         (["fit", "--generative", "--alpha", "nan", "{dir}/data.csv", "-o", "{dir}/out.json"],
          "smoothing_alpha must be finite and nonnegative"),
-    ], ids=["overflowing-prior", "alpha-inf", "alpha-nan"])
+        (["fit", "--discriminative", "--lr", "inf", "{dir}/real.csv", "-o", "{dir}/out.json"],
+         "learning_rate must be positive and finite"),
+    ], ids=["overflowing-prior", "alpha-inf", "alpha-nan", "lr-inf"])
     def test_bad_value_prints_one_error_line_and_no_warning(self, tmp_path, command, message):
         # run outside pytest, whose filters would turn a numpy warning into an exception
         save_model(random_logreg(np.random.default_rng(3), n_labels=2, t_len=2),
                    tmp_path / "lr.json")
         _two_sample_csv(tmp_path)
+        _write(tmp_path / "real.csv", "label,f0\na,0.5\nb,-1.0\na,2.0\n")
         done = self._run(*(arg.format(dir=tmp_path) for arg in command))
         assert done.returncode == 2
         assert done.stderr == f"error: {message}\n"
         assert not (tmp_path / "out.json").exists()
+
+    def test_negative_verify_seed_exits_2(self):
+        # rejected before any suite runs, in the option's words rather than numpy's
+        done = self._run("verify", "--seed", "-1")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: seed must be a nonnegative integer\n"
 
     def test_cases_zero_exits_2(self):
         done = self._run("verify", "--cases", "0")

@@ -222,8 +222,9 @@ class TestFit:
             fit_discriminative(data, 1, labels, config)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0, epochs=10)
+        for rate in (0.0, -0.1, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^learning_rate must be positive and finite$"):
+                TrainConfig(learning_rate=rate, epochs=10)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.1, epochs=0)
         with pytest.raises(ValueError):

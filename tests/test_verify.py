@@ -1,6 +1,11 @@
 """The verification suites themselves: determinism, scaling, and the
 ability to fail when an algorithm is deliberately broken."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +13,9 @@ import pytest
 
 import dualbayes.verify
 from dualbayes.cli import main
+from dualbayes.core import ZeroEvidence
 from dualbayes.hmm import PosteriorMarginals, entropic_forward_backward
+from dualbayes.oracle import joint_enumeration_hmm
 from dualbayes.verify import (
     SuiteResult,
     fb_efb_suite,
@@ -117,3 +124,59 @@ class TestSuites:
         out = capsys.readouterr().out
         assert "suite=fb-vs-efb cases=5 max_discrepancy=nan tolerance=1.0e-10 FAIL\n" in out
         assert "3/4 suites passed" in out
+
+
+class TestRunner:
+    SUITES = (nb_agreement_suite, logreg_equivalence_suite, fb_efb_suite, fb_enumeration_suite)
+
+    @pytest.mark.parametrize("seed", [3, 2024])
+    def test_each_suite_runs_on_its_own_substream(self, seed):
+        direct = [suite(np.random.default_rng([seed, stream]), cases=6)
+                  for stream, suite in enumerate(self.SUITES)]
+        assert run_all_suites(seed=seed, cases=6) == direct
+
+    @pytest.mark.parametrize("cpus, calls_here", [(1, 4), (2, 0)])
+    def test_both_paths_give_the_same_results(self, monkeypatch, cpus, calls_here):
+        # the oracle calls this process sees tell an in-process run from a forked one
+        expected = [suite(np.random.default_rng([7, stream]), cases=4)
+                    for stream, suite in enumerate(self.SUITES)]
+        calls = []
+
+        def counted(model, observations):
+            calls.append(len(observations))
+            return joint_enumeration_hmm(model, observations)
+
+        monkeypatch.setattr(dualbayes.verify, "joint_enumeration_hmm", counted)
+        monkeypatch.setattr(dualbayes.verify, "_usable_cpus", lambda: cpus)
+        assert run_all_suites(seed=7, cases=4) == expected
+        assert len(calls) == calls_here
+
+    def test_no_worker_outlives_the_runner(self, monkeypatch, capsys):
+        run_all_suites(seed=0, cases=2)
+        assert multiprocessing.active_children() == []
+
+        def raising(model, observations):
+            raise ZeroEvidence("x")
+
+        monkeypatch.setattr(dualbayes.verify, "entropic_forward_backward", raising)
+        with pytest.raises(ZeroEvidence, match="^x$") as failure:
+            run_all_suites(seed=0, cases=2)
+        assert failure.type is ZeroEvidence
+        assert multiprocessing.active_children() == []
+        assert main(["verify", "--cases", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: x\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "3", None])
+    def test_bad_seed_rejected_before_any_suite_runs(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            run_all_suites(seed=seed, cases=1)
+
+    def test_importing_the_cli_does_not_import_the_pool(self):
+        # every command imports verify; only verify itself needs the pool modules
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        script = ("import sys, dualbayes.cli; "
+                  "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.stdout == "False False\n"
