@@ -178,12 +178,16 @@ def _cmd_fit(args) -> int:
             print(f"position={t} symbols={alphabet.m}")
         return EXIT_OK
 
-    row_labels, features = _read_dataset(args.dataset, real_mode=True)
-    labels = LabelSpace(tuple(sorted(set(row_labels))))
-    batch = args.batch_size if args.batch_size == "full" else int(args.batch_size)
+    try:
+        batch = int(args.batch_size)
+    except ValueError:
+        batch = args.batch_size  # "full", or text that TrainConfig rejects in its own words
+    # options are checked before the dataset is read, however large it is
     config = TrainConfig(
         learning_rate=args.lr, epochs=args.epochs, batch_size=batch, seed=args.seed
     )
+    row_labels, features = _read_dataset(args.dataset, real_mode=True)
+    labels = LabelSpace(tuple(sorted(set(row_labels))))
     real_observations(features, features.shape[1])  # raises for a non-finite field
     codes = np.array([labels.index(label) for label in row_labels], dtype=np.intp)
     columns = np.ascontiguousarray(features.T)

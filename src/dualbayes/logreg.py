@@ -72,26 +72,37 @@ def lr_log_posterior_batch(model: LogisticRegressionModel, observations) -> np.n
 
 def _log_softmax_linear(columns, weights, biases) -> np.ndarray:
     # Row-wise log softmax of columns.T @ weights.T + biases, where columns
-    # is the (T, S) position-major transpose of the observations, returned
-    # as an (S, N) view of a label-major (N, S) array, so that every step
-    # below is one elementwise operation over all rows.  Positions and
-    # labels are added one at a time in a fixed order, never by a matrix
-    # product or a sum reduction, whose summation order may change with the
-    # batch size: a row's value does not depend on the other rows.
-    # Overflowing logits give non-finite rows, which every caller detects
-    # (DivergedLoss, a failed probe or simplex check), so no warning is raised.
+    # is the (T, S) position-major transpose of the observations.  This is
+    # the inference kernel, whose rows must not depend on the batch they sit
+    # in (predict evaluates blocks, lr_posterior a batch of one), so
+    # positions are added one at a time in a fixed order, never by a matrix
+    # product: BLAS takes a different kernel and summation order for one
+    # row (gemv) than for many (gemm), and the results differ in the last
+    # bits.  Each step is one elementwise operation over all rows.
     with np.errstate(over="ignore", invalid="ignore"):
         logits = weights[:, 0, None] * columns[0]
         logits += biases[:, None]
         term = np.empty_like(logits)
         for t in range(1, len(columns)):
             logits += np.multiply(weights[:, t, None], columns[t], out=term)
-        logits -= logits.max(axis=0)
-        exp_logits = np.exp(logits, out=term)
-        total = exp_logits[0].copy()
-        for row in exp_logits[1:]:
-            total += row
-        logits -= np.log(total)
+        del term  # the softmax allocates its own buffer
+        return _log_softmax_label_major(logits)
+
+
+def _log_softmax_label_major(logits) -> np.ndarray:
+    # Log softmax over the labels of a label-major (N, S) logit array,
+    # computed in place and returned as an (S, N) view.  Labels are summed
+    # one at a time in a fixed order, so a row's value depends only on its
+    # own logits.  Overflowing logits give non-finite rows, which every
+    # caller detects (DivergedLoss, a failed probe or simplex check), so
+    # callers run this under np.errstate(over="ignore", invalid="ignore")
+    # and no warning is raised.
+    logits -= logits.max(axis=0)
+    exp_logits = np.exp(logits)
+    total = exp_logits[0].copy()
+    for row in exp_logits[1:]:
+        total += row
+    logits -= np.log(total)
     return logits.T
 
 

@@ -31,7 +31,7 @@ from .core import (
     real_observation,
     real_observations,
 )
-from .logreg import _collapsed_biases, _log_softmax_linear
+from .logreg import _collapsed_biases, _log_softmax_label_major
 from .naive_bayes import DiscriminativeNBModel, _log_posterior_matrix
 
 #: Central finite-difference step used by the gradient checks.
@@ -100,11 +100,17 @@ def _log_posterior(slopes, intercepts, log_prior, columns) -> np.ndarray:
     ``sum_t log softmax(z_t)`` differs from ``sum_t z_t`` by a term that is
     the same for every label, so the per-column normalizers cancel and the
     posterior is the log softmax of ``obs @ slopes.T + biases`` with
-    :func:`~dualbayes.logreg.nb_to_lr`'s biases.  Extreme parameters can
-    overflow the logits; the resulting non-finite loss raises
-    :class:`DivergedLoss`.
+    :func:`~dualbayes.logreg.nb_to_lr`'s biases.  The label-major logits
+    are one BLAS product, ``slopes @ columns``.  Unlike inference, which
+    adds positions one at a time so that a row does not depend on its batch,
+    the trainer needs no such guarantee: its gradient is already a BLAS sum
+    over rows.  Extreme parameters can overflow the logits; the resulting
+    non-finite loss raises :class:`DivergedLoss`.
     """
-    return _log_softmax_linear(columns, slopes, _collapsed_biases(log_prior, intercepts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = slopes @ columns
+        logits += _collapsed_biases(log_prior, intercepts)[:, None]
+        return _log_softmax_label_major(logits)
 
 
 def parameter_loss(slopes, intercepts, log_prior, dataset, labels: LabelSpace) -> float:

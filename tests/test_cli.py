@@ -134,6 +134,24 @@ class TestFit:
         assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--lr", "0", "learning_rate must be positive and finite"),
+        ("--epochs", "0", "epochs must be at least 1"),
+        ("--batch-size", "abc", 'batch_size must be a positive integer or "full"'),
+        ("--batch-size", "1.5", 'batch_size must be a positive integer or "full"'),
+        ("--batch-size", "0", 'batch_size must be a positive integer or "full"'),
+        ("--seed", "-1", "seed must be a nonnegative integer"),
+    ], ids=["lr-0", "epochs-0", "batch-abc", "batch-1.5", "batch-0", "seed-negative"])
+    def test_bad_option_is_reported_before_the_dataset_is_read(self, tmp_path, capsys,
+                                                               option, value, message):
+        # the dataset's bad row would be reported instead if it were read first
+        dataset = _write(tmp_path / "d.csv", "label,f0\na,0.5\nb,oops\n")
+        out = tmp_path / "m.json"
+        code = main(["fit", "--discriminative", option, value, dataset, "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_discriminative_fit_keeps_one_copy_of_the_data(self, tmp_path, capsys):
         # the reader's (S, T) array is dropped once the trainer has its
         # (T, S) copy, so the data is held twice only while it is transposed
@@ -746,24 +764,28 @@ class TestModuleEntryPoint:
                                     "-o", str(tmp_path / "m.json"))
             assert done.stdout.splitlines()[-1] == f"0 {imported}"
 
-    @pytest.mark.parametrize("command, message", [
+    @pytest.mark.parametrize("command, code, message", [
         (["convert", "{dir}/lr.json", "-o", "{dir}/out.json", "--prior", "1e308,1e308"],
-         "entries sum to inf, not 1"),
+         2, "entries sum to inf, not 1"),
         (["fit", "--generative", "--alpha", "inf", "{dir}/data.csv", "-o", "{dir}/out.json"],
-         "smoothing_alpha must be finite and nonnegative"),
+         2, "smoothing_alpha must be finite and nonnegative"),
         (["fit", "--generative", "--alpha", "nan", "{dir}/data.csv", "-o", "{dir}/out.json"],
-         "smoothing_alpha must be finite and nonnegative"),
+         2, "smoothing_alpha must be finite and nonnegative"),
         (["fit", "--discriminative", "--lr", "inf", "{dir}/real.csv", "-o", "{dir}/out.json"],
-         "learning_rate must be positive and finite"),
-    ], ids=["overflowing-prior", "alpha-inf", "alpha-nan", "lr-inf"])
-    def test_bad_value_prints_one_error_line_and_no_warning(self, tmp_path, command, message):
+         2, "learning_rate must be positive and finite"),
+        (["fit", "--discriminative", "--epochs", "10", "{dir}/huge.csv", "-o", "{dir}/out.json"],
+         3, "loss became non-finite (nan)"),
+    ], ids=["overflowing-prior", "alpha-inf", "alpha-nan", "lr-inf", "diverging-fit"])
+    def test_bad_value_prints_one_error_line_and_no_warning(self, tmp_path, command, code,
+                                                            message):
         # run outside pytest, whose filters would turn a numpy warning into an exception
         save_model(random_logreg(np.random.default_rng(3), n_labels=2, t_len=2),
                    tmp_path / "lr.json")
         _two_sample_csv(tmp_path)
         _write(tmp_path / "real.csv", "label,f0\na,0.5\nb,-1.0\na,2.0\n")
+        _write(tmp_path / "huge.csv", "label,f0\na,1e200\nb,-1e200\na,5e199\nb,-5e199\n")
         done = self._run(*(arg.format(dir=tmp_path) for arg in command))
-        assert done.returncode == 2
+        assert done.returncode == code
         assert done.stderr == f"error: {message}\n"
         assert not (tmp_path / "out.json").exists()
 

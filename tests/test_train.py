@@ -142,13 +142,15 @@ class TestGradient:
 
 
 class TestCollapsedPosterior:
-    def test_trainer_log_posterior_equals_the_per_column_batch(self):
+    # S=1 is a one-row product (BLAS gemv), which a mini-batch of one reaches
+    @pytest.mark.parametrize("n_rows", [1, 2, 25, 1100])
+    def test_trainer_log_posterior_equals_the_per_column_batch(self, n_rows):
         # the trainer evaluates the logistic-regression collapse; it must be
         # the same function as the per-column softmax combination
         rng = np.random.default_rng(83)
         for _ in range(50):
             model = random_discriminative_nb(rng)
-            obs = rng.normal(0.0, 2.0, size=(25, model.n_positions))
+            obs = rng.normal(0.0, 2.0, size=(n_rows, model.n_positions))
             trainer = _log_posterior(
                 model.slopes, model.intercepts, np.log(model.prior.entries), obs.T
             )
