@@ -296,20 +296,21 @@ def _cmd_hmm_posterior(args) -> int:
     model = load_model(args.model)
     if not isinstance(model, HmmModel):
         raise ValueError("hmm-posterior needs an hmm model")
-    observation = [field.strip() for field in args.obs.split(",") if field.strip()]
-    if not observation:
-        raise ValueError("--obs must list at least one symbol")
+    # every field is one step, so an empty field is an unknown symbol, not a skipped one
+    observation = [field.strip() for field in args.obs.split(",")]
 
     needs_posteriors = args.algorithm in ("efb", "both")
-    if needs_posteriors and model.posteriors is None:
+    derived = needs_posteriors and model.posteriors is None
+    if derived:
         model = derive_hmm_posteriors(model)
-        print("note: derived posterior columns from prior and emissions")
 
     tables = {}
     if args.algorithm in ("fb", "both"):
         tables["fb"] = forward_backward(model, observation).gamma
     if needs_posteriors:
         tables["efb"] = entropic_forward_backward(model, observation).gamma
+    if derived:  # printed once both recursions have run, so a failed run prints nothing
+        print("note: derived posterior columns from prior and emissions")
     for name, gamma in tables.items():
         _write_gamma(name, gamma)
     if args.algorithm == "both":

@@ -2,14 +2,11 @@
 
 Each suite draws models from safe parameter ranges (probabilities bounded
 away from zero, short sequences), computes the same posterior along two or
-more independent routes, and records the worst absolute discrepancy.  Each
-Naive Bayes case runs its observations as one batch through the two kernels
-``predict`` uses, against the brute-force oracle of :mod:`.oracle`, which
-scores each observation on its own.  The worst is kept with ``np.maximum``,
-so one NaN gap fails the suite, where the builtin ``max`` would drop it
-(``max(0.0, nan) == 0.0``).  The CLI
-``verify`` command formats the results; the test suite reuses both the
-suites and the model generators.
+more independent routes, and records the worst absolute discrepancy.  A
+suite is a name, a default case count and a function that draws one case's
+gaps; one loop, :func:`_sweep`, runs every suite.  Naive Bayes cases run
+through the two batch kernels ``predict`` uses; the brute-force oracles of
+:mod:`.oracle` score each observation on its own.
 """
 
 from __future__ import annotations
@@ -22,12 +19,7 @@ import numpy as np
 
 from .core import EQUALITY_TOL, LabelSpace, ObservationAlphabet, ProbabilityVector
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
-from .logreg import (
-    LogisticRegressionModel,
-    lr_log_posterior_batch,
-    lr_to_nb,
-    nb_to_lr,
-)
+from .logreg import LogisticRegressionModel, lr_log_posterior_batch, lr_to_nb, nb_to_lr
 from .naive_bayes import (
     DiscriminativeNBModel,
     NaiveBayesModel,
@@ -54,7 +46,7 @@ class SuiteResult:
     name: str
     cases: int
     max_discrepancy: float
-    tolerance: float = EQUALITY_TOL
+    tolerance = EQUALITY_TOL  # a class constant, not a field
 
     @property
     def passed(self) -> bool:
@@ -144,7 +136,7 @@ def random_hmm_observation(rng, model: HmmModel, t_len: int) -> list[str]:
             for _ in range(t_len)]
 
 
-def nb_agreement_suite(rng, cases: int = 1000) -> SuiteResult:
+def _nb_agreement_gaps(rng):
     """Generative route vs posterior-column route vs direct enumeration.
 
     Each case draws one model and ``OBSERVATIONS_PER_MODEL`` observations,
@@ -153,77 +145,86 @@ def nb_agreement_suite(rng, cases: int = 1000) -> SuiteResult:
     :func:`nb_discriminative_log_posterior_batch`; the oracle
     :func:`joint_enumeration_nb` scores each observation on its own.
     """
-    worst = 0.0
-    for _ in range(cases):
-        model = random_naive_bayes(rng)
-        tables = nb_to_discriminative(model)
-        observations = [random_nb_observation(rng, model) for _ in range(OBSERVATIONS_PER_MODEL)]
-        codes = nb_encode(model, observations)
-        generative = np.exp(nb_generative_log_posterior_batch(model, codes))
-        discriminative = np.exp(nb_discriminative_log_posterior_batch(model.prior, tables, codes))
-        reference = np.array([joint_enumeration_nb(model, o).entries for o in observations])
-        gap = np.maximum(np.abs(generative - discriminative), np.abs(generative - reference))
-        worst = np.maximum(worst, gap.max())
-    return SuiteResult("nb-generative-vs-discriminative", cases, float(worst))
+    model = random_naive_bayes(rng)
+    tables = nb_to_discriminative(model)
+    observations = [random_nb_observation(rng, model) for _ in range(OBSERVATIONS_PER_MODEL)]
+    codes = nb_encode(model, observations)
+    generative = np.exp(nb_generative_log_posterior_batch(model, codes))
+    discriminative = np.exp(nb_discriminative_log_posterior_batch(model.prior, tables, codes))
+    reference = np.array([joint_enumeration_nb(model, o).entries for o in observations])
+    return np.abs(generative - discriminative), np.abs(generative - reference)
 
 
-def logreg_equivalence_suite(rng, cases: int = 500) -> SuiteResult:
+def _logreg_equivalence_gaps(rng):
     """Conversion between softmax-linear and discriminative form, both ways.
 
     Per case: collapse a random discriminative model, expand a random
     softmax-linear model under a random positive prior, and collapse that
     expansion back; compare posteriors at random observations each time.
     """
-    worst = 0.0
-    for _ in range(cases):
-        disc = random_discriminative_nb(rng)
-        collapsed = nb_to_lr(disc)
-        probes = rng.normal(0.0, 2.0, size=(PROBES_PER_CONVERSION, disc.n_positions))
-        gap = np.abs(
-            np.exp(disc_nb_log_posterior_batch(disc, probes))
-            - np.exp(lr_log_posterior_batch(collapsed, probes))
-        )
-        worst = np.maximum(worst, gap.max())
-
-        linear = random_logreg(rng)
-        prior = random_probability_vector(rng, linear.labels.n)
-        expanded = lr_to_nb(linear, prior)
-        probes = rng.normal(0.0, 2.0, size=(PROBES_PER_CONVERSION, linear.n_positions))
-        reference = np.exp(lr_log_posterior_batch(linear, probes))
-        gap = np.abs(np.exp(disc_nb_log_posterior_batch(expanded, probes)) - reference)
-        worst = np.maximum(worst, gap.max())
-        round_trip = nb_to_lr(expanded)
-        gap = np.abs(np.exp(lr_log_posterior_batch(round_trip, probes)) - reference)
-        worst = np.maximum(worst, gap.max())
-    return SuiteResult("logreg-equivalence", cases, float(worst))
+    disc = random_discriminative_nb(rng)
+    collapsed = nb_to_lr(disc)
+    probes = rng.normal(0.0, 2.0, size=(PROBES_PER_CONVERSION, disc.n_positions))
+    collapse_gap = np.abs(np.exp(disc_nb_log_posterior_batch(disc, probes))
+                          - np.exp(lr_log_posterior_batch(collapsed, probes)))
+    linear = random_logreg(rng)
+    prior = random_probability_vector(rng, linear.labels.n)
+    expanded = lr_to_nb(linear, prior)
+    probes = rng.normal(0.0, 2.0, size=(PROBES_PER_CONVERSION, linear.n_positions))
+    reference = np.exp(lr_log_posterior_batch(linear, probes))
+    expand_gap = np.abs(np.exp(disc_nb_log_posterior_batch(expanded, probes)) - reference)
+    round_trip = nb_to_lr(expanded)
+    round_trip_gap = np.abs(np.exp(lr_log_posterior_batch(round_trip, probes)) - reference)
+    return collapse_gap, expand_gap, round_trip_gap
 
 
-def fb_efb_suite(rng, cases: int = 500) -> SuiteResult:
+def _fb_efb_gaps(rng):
     """Classic vs entropic forward-backward on consistently derived posteriors."""
-    worst = 0.0
-    for _ in range(cases):
-        model = random_hmm(rng, derive=True)
-        t_len = int(rng.integers(1, FB_EFB_MAX_STEPS + 1))
-        observation = random_hmm_observation(rng, model, t_len)
-        classic = forward_backward(model, observation).gamma
-        entropic = entropic_forward_backward(model, observation).gamma
-        worst = np.maximum(worst, np.abs(classic - entropic).max())
-    return SuiteResult("fb-vs-efb", cases, float(worst))
+    model = random_hmm(rng, derive=True)
+    observation = random_hmm_observation(rng, model, int(rng.integers(1, FB_EFB_MAX_STEPS + 1)))
+    classic = forward_backward(model, observation).gamma
+    return (np.abs(classic - entropic_forward_backward(model, observation).gamma),)
 
 
-def fb_enumeration_suite(rng, cases: int = 60) -> SuiteResult:
+def _fb_enumeration_gaps(rng):
     """Fast forward-backward vs whole-path enumeration."""
+    n_labels = int(rng.integers(2, 5))
+    model = random_hmm(rng, n_labels=n_labels)
+    max_steps = {2: 8, 3: 7, 4: 6}[n_labels]  # the oracle walks N**T paths
+    observation = random_hmm_observation(rng, model, int(rng.integers(1, max_steps + 1)))
+    fast = forward_backward(model, observation).gamma
+    return (np.abs(fast - joint_enumeration_hmm(model, observation).gamma),)
+
+
+def _check_cases(cases) -> None:
+    if not isinstance(cases, (int, np.integer)):
+        raise ValueError(f"cases must be an integer of at least 1, got {cases!r}")
+    if cases < 1:
+        raise ValueError(f"cases must be at least 1, got {cases}")
+
+
+def _sweep(name: str, default_cases: int, draw, rng, cases: int | None = None) -> SuiteResult:
+    """Run ``cases`` draws (``default_cases`` when None) and keep the worst gap.
+
+    ``draw(rng)`` returns one case's gap arrays.  ``np.maximum`` keeps a NaN
+    gap, so it fails the suite, where the builtin ``max(0.0, nan)`` is 0.0.
+    """
+    cases = default_cases if cases is None else cases
+    _check_cases(cases)
     worst = 0.0
-    max_steps = {2: 8, 3: 7, 4: 6}
     for _ in range(cases):
-        n_labels = int(rng.integers(2, 5))
-        model = random_hmm(rng, n_labels=n_labels)
-        t_len = int(rng.integers(1, max_steps[n_labels] + 1))
-        observation = random_hmm_observation(rng, model, t_len)
-        fast = forward_backward(model, observation).gamma
-        reference = joint_enumeration_hmm(model, observation).gamma
-        worst = np.maximum(worst, np.abs(fast - reference).max())
-    return SuiteResult("fb-vs-enumeration", cases, float(worst))
+        for gap in draw(rng):
+            worst = np.maximum(worst, gap.max())
+    return SuiteResult(name, cases, float(worst))
+
+
+# One record per suite: its name, default case count and draw; SUITES lists
+# them longest first, so the shortest suites fill in behind the longest.
+nb_agreement_suite = partial(_sweep, "nb-generative-vs-discriminative", 1000, _nb_agreement_gaps)
+logreg_equivalence_suite = partial(_sweep, "logreg-equivalence", 500, _logreg_equivalence_gaps)
+fb_efb_suite = partial(_sweep, "fb-vs-efb", 500, _fb_efb_gaps)
+fb_enumeration_suite = partial(_sweep, "fb-vs-enumeration", 60, _fb_enumeration_gaps)
+SUITES = (nb_agreement_suite, logreg_equivalence_suite, fb_efb_suite, fb_enumeration_suite)
 
 
 def _usable_cpus() -> int:
@@ -233,13 +234,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_suite(seed: int, cases: int | None, stream: int, suite) -> SuiteResult:
-    rng = np.random.default_rng([seed, stream])
-    return suite(rng) if cases is None else suite(rng, cases=cases)
+def _run_suite(seed: int, cases: int | None, stream: int) -> SuiteResult:
+    return SUITES[stream](np.random.default_rng([seed, stream]), cases=cases)
 
 
 def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]:
-    """Run the four suites on deterministic per-suite substreams.
+    """Run every suite of ``SUITES`` on deterministic per-suite substreams.
 
     ``cases=None`` uses each suite's full default; a number of at least 1
     overrides all of them (handy for smoke runs).
@@ -252,18 +252,17 @@ def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]
     # checked here, so a bad value never reaches a worker
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    if cases is not None and cases < 1:
-        raise ValueError(f"cases must be at least 1, got {cases}")
+    if cases is not None:
+        _check_cases(cases)
     # imported here: every command imports this module, and only verify forks
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # longest first, so the shortest suites fill in behind it
-    suites = (nb_agreement_suite, logreg_equivalence_suite, fb_efb_suite, fb_enumeration_suite)
     run = partial(_run_suite, seed, cases)
-    workers = min(len(suites), _usable_cpus())
+    streams = range(len(SUITES))
+    workers = min(len(SUITES), _usable_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # fork, not spawn: a worker starts with numpy and this module already imported
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(run, range(len(suites)), suites))
-    return list(map(run, range(len(suites)), suites))
+            return list(pool.map(run, streams))
+    return list(map(run, streams))

@@ -694,6 +694,15 @@ class TestHmmPosterior:
         assert main(["hmm-posterior", str(path), "--obs", "nope"]) == 2
         assert "unknown symbol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("derive", [True, False], ids=["posteriors", "no-posteriors"])
+    @pytest.mark.parametrize("obs", ["s0,,s1", "s0,s1,"])
+    def test_empty_field_is_an_unknown_symbol(self, tmp_path, capsys, obs, derive):
+        # every field is one step; none is skipped, and nothing is printed
+        path = tmp_path / "hmm.json"
+        save_model(random_hmm(np.random.default_rng(19), 2, 2, derive=derive), path)
+        assert main(["hmm-posterior", str(path), "--obs", obs]) == 2
+        assert capsys.readouterr() == ("", "error: unknown symbol ''\n")
+
     def test_missing_model_file_exits_2(self, tmp_path):
         assert main(["hmm-posterior", str(tmp_path / "gone.json"), "--obs", "x"]) == 2
 

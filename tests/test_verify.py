@@ -13,11 +13,12 @@ import pytest
 
 import dualbayes.verify
 from dualbayes.cli import main
-from dualbayes.core import ZeroEvidence
+from dualbayes.core import EQUALITY_TOL, ZeroEvidence
 from dualbayes.hmm import PosteriorMarginals, entropic_forward_backward
 from dualbayes.oracle import joint_enumeration_hmm
 from dualbayes.verify import (
     SuiteResult,
+    _sweep,
     fb_efb_suite,
     fb_enumeration_suite,
     logreg_equivalence_suite,
@@ -87,10 +88,12 @@ class TestSuites:
         assert by_name["logreg-equivalence"].passed
         assert by_name["fb-vs-enumeration"].passed
 
-    @pytest.mark.parametrize("cases", [0, -3])
+    @pytest.mark.parametrize("cases", [0, -3, 2.5, "3"])
     def test_case_count_below_one_rejected(self, cases):
         with pytest.raises(ValueError, match="at least 1"):
             run_all_suites(seed=0, cases=cases)
+        with pytest.raises(ValueError, match="at least 1"):
+            fb_efb_suite(np.random.default_rng(0), cases=cases)
 
     def test_result_threshold(self):
         assert SuiteResult("x", 1, 1e-11).passed
@@ -124,6 +127,49 @@ class TestSuites:
         out = capsys.readouterr().out
         assert "suite=fb-vs-efb cases=5 max_discrepancy=nan tolerance=1.0e-10 FAIL\n" in out
         assert "3/4 suites passed" in out
+
+
+def _scripted(per_case):
+    """A draw function that returns the given gap arrays, one case per call."""
+    calls = iter(per_case)
+    return lambda rng: [np.array(gap) for gap in next(calls)]
+
+
+_SMALL, _BIG = 1e-16, 2e-10
+
+
+class TestSweep:
+    """The one loop behind every suite, driven by a synthetic draw function."""
+
+    @pytest.mark.parametrize("per_case, worst", [
+        ([[[_SMALL], [_SMALL, np.nan]]], np.nan),
+        ([[[_SMALL]], [[_SMALL]], [[np.nan]], [[_SMALL]]], np.nan),
+        ([[[_SMALL], [_SMALL], [_BIG]]], _BIG),
+        ([[[_SMALL], [_SMALL]], [[_SMALL], [_BIG, _SMALL]], [[_SMALL], [_SMALL]]], _BIG),
+    ], ids=["nan-in-a-later-array", "nan-in-a-later-case",
+            "worst-in-the-third-array", "worst-in-a-later-case"])
+    def test_worst_gap_of_any_array_of_any_case(self, per_case, worst):
+        result = _sweep("synthetic", len(per_case), _scripted(per_case), None)
+        assert result.cases == len(per_case)
+        np.testing.assert_equal(result.max_discrepancy, worst)
+        assert not result.passed
+
+    def test_draws_each_case_from_the_given_generator(self):
+        rng = np.random.default_rng(0)
+        seen = []
+
+        def draw(generator):
+            seen.append(generator)
+            return [np.zeros(2)]
+
+        assert _sweep("s", 3, draw, rng) == SuiteResult("s", 3, 0.0)
+        assert _sweep("s", 3, draw, rng, cases=5) == SuiteResult("s", 5, 0.0)
+        assert len(seen) == 8 and all(generator is rng for generator in seen)
+
+    def test_tolerance_is_a_constant_not_a_field(self):
+        assert SuiteResult("x", 1, 0.0).tolerance == EQUALITY_TOL
+        with pytest.raises(TypeError):
+            SuiteResult("x", 1, 0.0, 1.0)
 
 
 class TestRunner:
