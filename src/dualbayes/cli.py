@@ -257,6 +257,8 @@ def _parse_prior(text: str) -> list[float]:
 def _cmd_convert(args) -> int:
     model = load_model(args.model)
     if isinstance(model, DiscriminativeNBModel):
+        if args.prior is not None:
+            raise ValueError("--prior applies only to logreg -> disc_nb")
         converted = nb_to_lr(model)
     elif isinstance(model, LogisticRegressionModel):
         converted = lr_to_nb(model, _parse_prior(args.prior) if args.prior else None)

@@ -18,22 +18,24 @@ that normalization cancels, so the two algorithms agree.  For an arbitrary
 ``(prior, transitions, L)`` triple there is no such guarantee; both
 algorithms still run and return what their recursions define.
 
-The kernel divides every forward and backward vector by its total (Rabiner,
-"A tutorial on hidden Markov models", Proc. IEEE 1989, section V.A), so
-long sequences neither underflow nor accumulate rounding; the totals are
-taken as ``v.dot(ones)`` and any total that is not > 0 is zero evidence.
-Factors come from a label-by-symbol log table shifted by each column's
-maximum, which keeps them in ``[0, 1]`` with at least one entry equal to
-one.  The forward vectors are stored as the rows of ``gamma``, the backward
-pass multiplies its vector into each row, and the rows are normalized once,
-together, at the end.
+Each route gathers: it builds a ``(K, N)`` table of log factors, one row
+per symbol, and maps step ``t`` to the row of ``y_t``.  The kernel sees
+only initial weights, transitions, that table and that row index.  It
+divides every forward and backward vector by its total (Rabiner, "A
+tutorial on hidden Markov models", Proc. IEEE 1989, section V.A), so long
+sequences neither underflow nor accumulate rounding; the totals are taken
+as ``v.dot(ones)`` and any total that is not > 0 is zero evidence.  Each
+factor row is shifted by its own maximum, which keeps it in ``[0, 1]``
+with at least one entry equal to one.  The forward vectors are stored as
+the rows of ``gamma``, the backward pass multiplies its vector into each
+row, and the rows are normalized once, together, at the end.
 
 The forward totals ``c_t`` also give the log-evidence for free:
-``log_evidence = sum_t log c_t + sum_t peak[y_t]``, where ``peak[y]`` is the
-shift applied to symbol ``y``'s factors.  For :func:`forward_backward` it is
-``log p(y_1..y_T)``.  The entropic factors carry an extra ``1 / p(y)`` per
-step, so on derived columns the two routes' log-evidences differ by exactly
-``sum_t log p(y_t)``.
+``log_evidence = sum_t log c_t + sum_t peak[k_t]``, where ``k_t`` is the
+row used at step ``t`` and ``peak[k]`` is the shift applied to row ``k``.
+For :func:`forward_backward` it is ``log p(y_1..y_T)``.  The entropic
+factors carry an extra ``1 / p(y)`` per step, so on derived columns the two
+routes' log-evidences differ by exactly ``sum_t log p(y_t)``.
 """
 
 from __future__ import annotations
@@ -150,45 +152,40 @@ class PosteriorMarginals:
         return marginals
 
 
-def _observation_indices(model: HmmModel, observations) -> list[int]:
-    indices = [model.alphabet.index(symbol) for symbol in observations]
-    if not indices:
-        raise ValueError("need at least one observation")
-    return indices
-
-
 _ZERO_EVIDENCE = "zero evidence: the observation sequence has probability zero under the model"
 
 
-def _smooth(model: HmmModel, log_table: np.ndarray, observations) -> PosteriorMarginals:
-    """Scaled forward-backward with per-symbol factors ``exp(log_table[:, y])``.
+def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
+    """Scaled forward-backward with per-step factors ``exp(log_factors[rows[t]])``.
 
-    Each factor column is shifted by its own maximum ``peak[y]``, a
-    per-symbol constant that normalization cancels.  Forward step ``t``
-    divides ``alpha`` by its total ``c_t = alpha.dot(ones)`` and stores it as
-    ``gamma[t]``; the backward pass divides its single vector ``beta`` by its
-    total and multiplies it into ``gamma[t]`` without renormalizing.  The
-    rows are normalized once, vectorized, at the end.  Every total, the
-    rows' included, must be > 0, or :class:`ZeroEvidence` is raised.
+    ``init`` (N,) and ``transitions`` (N, N) are nonnegative weights,
+    ``log_factors`` is (K, N) with entries in ``[-inf, inf)`` and ``rows``
+    holds T >= 1 indices into it.  Each factor row is shifted by its own
+    maximum ``peak[k]``, a constant that normalization cancels.  Forward
+    step ``t`` divides ``alpha`` by its total ``c_t = alpha.dot(ones)`` and
+    stores it as ``gamma[t]``; the backward pass divides its single vector
+    ``beta`` by its total and multiplies it into ``gamma[t]`` without
+    renormalizing.  The rows are normalized once, vectorized, at the end.
+    Every total, the rows' included, must be > 0, or :class:`ZeroEvidence`
+    is raised.
 
-    The result carries ``log_evidence = sum_t log c_t + sum_t peak[y_t]``,
-    the log of the sequence's total weight under the unshifted factors,
-    from the forward totals kept in one length-T array that then holds the
-    row totals.
+    ``log_evidence = sum_t log c_t + sum_t peak[rows[t]]`` is the log of the
+    sequence's total weight under the unshifted factors; the forward totals
+    share one length-T buffer with the row totals.
     """
-    obs = _observation_indices(model, observations)
-    peak = log_table.max(axis=0)
-    peak[~np.isfinite(peak)] = 0.0  # a symbol no label allows keeps all-zero factors
-    factors = list(np.exp(log_table - peak).T)  # factors[y] is the column for symbol y
-    transitions = model.transitions
-    ones = np.ones(model.labels.n)
+    if len(rows) == 0:
+        raise ValueError("need at least one observation")
+    peak = log_factors.max(axis=1)
+    peak[~np.isfinite(peak)] = 0.0  # a row of all -inf keeps all-zero factors
+    factors = list(np.exp(log_factors - peak[:, None]))  # factors[k] is row k
+    ones = np.ones(len(init))
 
-    gamma = np.empty((len(obs), model.labels.n))
-    scales = np.empty(len(obs))
-    alpha = model.prior.entries * factors[obs[0]]
-    for t, y in enumerate(obs):
+    gamma = np.empty((len(rows), len(init)))
+    scales = np.empty(len(rows))
+    alpha = init * factors[rows[0]]
+    for t, k in enumerate(rows):
         if t:
-            alpha = alpha.dot(transitions) * factors[y]
+            alpha = alpha.dot(transitions) * factors[k]
         total = alpha.dot(ones)
         if not total > 0.0:
             raise ZeroEvidence(_ZERO_EVIDENCE)
@@ -197,8 +194,8 @@ def _smooth(model: HmmModel, log_table: np.ndarray, observations) -> PosteriorMa
         scales[t] = total
 
     beta = ones
-    for t in range(len(obs) - 2, -1, -1):
-        beta = transitions.dot(factors[obs[t + 1]] * beta)
+    for t in range(len(rows) - 2, -1, -1):
+        beta = transitions.dot(factors[rows[t + 1]] * beta)
         total = beta.dot(ones)
         if not total > 0.0:
             raise ZeroEvidence(_ZERO_EVIDENCE)
@@ -206,7 +203,7 @@ def _smooth(model: HmmModel, log_table: np.ndarray, observations) -> PosteriorMa
         row = gamma[t]  # a view: multiplying it in place skips the write-back
         row *= beta
 
-    log_evidence = float(np.log(scales).sum() + peak[obs].sum())
+    log_evidence = float(np.log(scales).sum() + peak[rows].sum())
     totals = gamma.dot(ones, out=scales)  # the scales are spent; reuse their buffer
     if not np.all(totals > 0.0):
         raise ZeroEvidence(_ZERO_EVIDENCE)
@@ -223,7 +220,8 @@ def forward_backward(model: HmmModel, observations) -> PosteriorMarginals:
     """
     if model.emissions is None:
         raise ValueError("forward_backward needs the emission matrix")
-    return _smooth(model, safe_log(model.emissions), observations)
+    rows = [model.alphabet.index(y) for y in observations]
+    return _smooth(model.prior.entries, model.transitions, safe_log(model.emissions.T), rows)
 
 
 def entropic_forward_backward(model: HmmModel, observations) -> PosteriorMarginals:
@@ -240,8 +238,9 @@ def entropic_forward_backward(model: HmmModel, observations) -> PosteriorMargina
         raise MissingPosteriors("model has no posterior columns; derive or supply them")
     if np.any(model.prior.entries == 0.0):
         raise ZeroPrior("the entropic recursion needs a strictly positive prior")
-    log_ratio = safe_log(model.posteriors) - np.log(model.prior.entries)[:, None]
-    return _smooth(model, log_ratio, observations)
+    rows = [model.alphabet.index(y) for y in observations]
+    log_ratio = safe_log(model.posteriors.T) - np.log(model.prior.entries)
+    return _smooth(model.prior.entries, model.transitions, log_ratio, rows)
 
 
 def derive_hmm_posteriors(model: HmmModel) -> HmmModel:

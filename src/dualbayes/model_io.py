@@ -61,41 +61,54 @@ def model_to_dict(model) -> dict:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
+def _names(value, key: str) -> tuple[str, ...]:
+    # tuple() would also accept a string, one name per character
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ValueError(f"model JSON {key} must be a list of strings")
+    return tuple(value)
+
+
 def model_from_dict(data: dict):
     """Rebuild a model from :func:`model_to_dict` output.
 
-    Raises ``ValueError`` on a missing key, an unknown type tag, or a
-    stored ``T`` that contradicts the parameter shapes; invariant
+    Raises ``ValueError`` on a missing key, an unknown type tag, names
+    that are not a list of strings, ``params`` that are not an object, or
+    a stored ``T`` that contradicts the parameter shapes; invariant
     violations surface as the constructors' own errors.
     """
     try:
         kind = data["type"]
         if kind == "naive_bayes":
-            labels = LabelSpace(tuple(data["labels"]))
-            alphabets = tuple(ObservationAlphabet(tuple(s)) for s in data["alphabets"])
+            alphabets = data["alphabets"]
+            if not isinstance(alphabets, list):
+                raise ValueError("model JSON 'alphabets' must be a list of lists of strings")
             model = NaiveBayesModel(
-                labels=labels,
-                alphabets=alphabets,
+                labels=LabelSpace(_names(data["labels"], "'labels'")),
+                alphabets=tuple(ObservationAlphabet(_names(symbols, "'alphabets' entry"))
+                                for symbols in alphabets),
                 prior=ProbabilityVector(data["prior"]),
                 emissions=data["emissions"],
             )
         elif kind == "disc_nb":
+            params = data["params"]
+            if not isinstance(params, dict):
+                raise ValueError("model JSON 'params' must be an object")
             model = DiscriminativeNBModel(
-                labels=LabelSpace(tuple(data["labels"])),
+                labels=LabelSpace(_names(data["labels"], "'labels'")),
                 prior=ProbabilityVector(data["prior"]),
-                slopes=data["params"]["a"],
-                intercepts=data["params"]["c"],
+                slopes=params["a"],
+                intercepts=params["c"],
             )
         elif kind == "logreg":
             model = LogisticRegressionModel(
-                labels=LabelSpace(tuple(data["labels"])),
+                labels=LabelSpace(_names(data["labels"], "'labels'")),
                 weights=data["weights"],
                 biases=data["biases"],
             )
         elif kind == "hmm":
             return HmmModel(
-                labels=LabelSpace(tuple(data["labels"])),
-                alphabet=ObservationAlphabet(tuple(data["alphabet"])),
+                labels=LabelSpace(_names(data["labels"], "'labels'")),
+                alphabet=ObservationAlphabet(_names(data["alphabet"], "'alphabet'")),
                 prior=ProbabilityVector(data["prior"]),
                 transitions=data["transitions"],
                 emissions=data.get("emissions"),

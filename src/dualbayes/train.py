@@ -48,8 +48,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < np.inf:
+        rate = self.learning_rate
+        if not isinstance(rate, (int, float, np.integer, np.floating)) or not 0 < rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
+        if not isinstance(self.epochs, (int, np.integer)):
+            raise ValueError("epochs must be an integer")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size != "full":

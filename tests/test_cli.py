@@ -25,7 +25,7 @@ from dualbayes.core import (
 )
 from dualbayes.hmm import entropic_forward_backward, forward_backward
 from dualbayes.logreg import LogisticRegressionModel, lr_posterior, nb_to_lr
-from dualbayes.model_io import load_model, save_model
+from dualbayes.model_io import load_model, model_to_dict, save_model
 from dualbayes.naive_bayes import (
     DiscriminativeNBModel,
     disc_nb_posterior,
@@ -571,6 +571,14 @@ class TestConvert:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_prior_on_disc_nb_exits_2(self, tmp_path, capsys):
+        source = tmp_path / "disc.json"
+        save_model(random_discriminative_nb(np.random.default_rng(3), n_labels=2, t_len=2), source)
+        out = tmp_path / "lr.json"
+        assert main(["convert", str(source), "-o", str(out), "--prior", "0.9,0.1"]) == 2
+        assert capsys.readouterr() == ("", "error: --prior applies only to logreg -> disc_nb\n")
+        assert not out.exists()
+
     def test_nan_probe_discrepancy_exits_3(self, tmp_path, capsys):
         # slopes of +-1e308 overflow the logits of both routes into NaN rows
         source = tmp_path / "disc.json"
@@ -702,6 +710,14 @@ class TestHmmPosterior:
         save_model(random_hmm(np.random.default_rng(19), 2, 2, derive=derive), path)
         assert main(["hmm-posterior", str(path), "--obs", obs]) == 2
         assert capsys.readouterr() == ("", "error: unknown symbol ''\n")
+
+    def test_malformed_model_json_exits_2(self, tmp_path, capsys):
+        data = model_to_dict(random_hmm(np.random.default_rng(23), 2, 2))
+        data["alphabet"] = [["s0"], ["s1"]]
+        path = _write(tmp_path / "hmm.json", json.dumps(data))
+        assert main(["hmm-posterior", path, "--obs", "s0"]) == 2
+        message = "error: model JSON 'alphabet' must be a list of strings\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_missing_model_file_exits_2(self, tmp_path):
         assert main(["hmm-posterior", str(tmp_path / "gone.json"), "--obs", "x"]) == 2

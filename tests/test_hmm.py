@@ -1,7 +1,7 @@
 """HMM posterior marginals: classic and entropic recursions, their
 agreement on consistent and long sequences, zero evidence, log-evidence,
-the enumeration cross-check, and the kernel against a plain per-step loop
-on adversarial models."""
+the enumeration cross-check, the kernel's contract on factor rows, and
+the kernel against a plain per-step loop on adversarial models."""
 
 import math
 import tracemalloc
@@ -24,6 +24,7 @@ from dualbayes.core import (
 from dualbayes.hmm import (
     HmmModel,
     PosteriorMarginals,
+    _smooth,
     derive_hmm_posteriors,
     entropic_forward_backward,
     forward_backward,
@@ -331,6 +332,60 @@ class TestBothRoutes:
         for gamma in (classic, entropic):
             assert gamma.min() >= 0.0
             assert float(np.abs(gamma.sum(axis=1) - 1.0).max()) <= SIMPLEX_TOL
+
+
+class TestSmoothKernel:
+    """``_smooth(init, transitions, log_factors, rows)`` on inputs no model
+    could hold: unnormalized weights and a factor table of any height."""
+
+    @staticmethod
+    def _inputs(rng, n=3, k=4, t_len=50):
+        log_factors = rng.normal(0.0, 3.0, size=(k, n))
+        log_factors[0, 0] = -np.inf
+        return (rng.uniform(0.1, 2.0, size=n), rng.uniform(0.1, 2.0, size=(n, n)),
+                log_factors, list(rng.integers(0, k, size=t_len)))
+
+    @pytest.mark.parametrize("c", [1e-3, 3.0])
+    def test_scaled_transitions_shift_only_the_evidence(self, c):
+        init, transitions, log_factors, rows = self._inputs(np.random.default_rng(43))
+        base = _smooth(init, transitions, log_factors, rows)
+        scaled = _smooth(init, c * transitions, log_factors, rows)
+        assert float(np.abs(scaled.gamma - base.gamma).max()) <= EQUALITY_TOL
+        assert math.isclose(scaled.log_evidence - base.log_evidence,
+                            (len(rows) - 1) * math.log(c), rel_tol=EQUALITY_TOL,
+                            abs_tol=EQUALITY_TOL)
+
+    def test_shifted_row_shifts_the_evidence_once_per_use(self):
+        init, transitions, log_factors, rows = self._inputs(np.random.default_rng(47))
+        k, shift = rows[3], 2.5
+        shifted = log_factors.copy()
+        shifted[k] += shift
+        base = _smooth(init, transitions, log_factors, rows)
+        out = _smooth(init, transitions, shifted, rows)
+        assert float(np.abs(out.gamma - base.gamma).max()) <= EQUALITY_TOL
+        assert math.isclose(out.log_evidence - base.log_evidence, shift * rows.count(k),
+                            rel_tol=EQUALITY_TOL, abs_tol=EQUALITY_TOL)
+
+    def test_any_table_that_holds_the_route_rows_gives_the_route(self):
+        # seven rows for three symbols, each symbol's row repeated, and each
+        # step reading one of its symbol's copies at random
+        rng = np.random.default_rng(53)
+        model = random_hmm(rng, n_labels=4, m_symbols=3, derive=True)
+        obs = random_hmm_observation(rng, model, 40)
+        order = np.array([2, 0, 2, 1, 0, 1, 1])
+        copies = [np.flatnonzero(order == y) for y in range(3)]
+        rows = [int(rng.choice(copies[model.alphabet.index(y)])) for y in obs]
+        for route, log_table in _log_tables(model):
+            out = _smooth(model.prior.entries, model.transitions, log_table.T[order], rows)
+            expected = route(model, obs)
+            np.testing.assert_array_equal(out.gamma, expected.gamma)
+            assert out.log_evidence == expected.log_evidence
+
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=int)], ids=["list", "array"])
+    def test_no_rows_is_an_error(self, rows):
+        init, transitions, log_factors, _ = self._inputs(np.random.default_rng(59))
+        with pytest.raises(ValueError, match="^need at least one observation$"):
+            _smooth(init, transitions, log_factors, rows)
 
 
 class TestPosteriorMarginals:

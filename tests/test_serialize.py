@@ -151,6 +151,22 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="contradicts"):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("make, key, value, message", [
+        (random_discriminative_nb, "params", [1], "'params' must be an object"),
+        (random_logreg, "labels", 5, "'labels' must be a list of strings"),
+        (random_logreg, "labels", [["a"], ["b"]], "'labels' must be a list of strings"),
+        (random_logreg, "labels", "ab", "'labels' must be a list of strings"),
+        (random_hmm, "alphabet", [["x"]], "'alphabet' must be a list of strings"),
+        (random_naive_bayes, "alphabets", ["xy"], "'alphabets' entry must be a list of strings"),
+        (random_naive_bayes, "alphabets", 5, "'alphabets' must be a list of lists of strings"),
+    ], ids=["params-list", "labels-number", "labels-nested", "labels-string",
+            "alphabet-nested", "alphabets-string", "alphabets-number"])
+    def test_names_and_params_must_have_their_json_types(self, make, key, value, message):
+        data = model_to_dict(make(np.random.default_rng(41)))
+        data[key] = value
+        with pytest.raises(ValueError, match=f"^model JSON {message}$"):
+            model_from_dict(data)
+
     def test_non_object_json(self):
         with pytest.raises(ValueError):
             loads_model("[1, 2, 3]")
