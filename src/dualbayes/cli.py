@@ -261,7 +261,7 @@ def _cmd_convert(args) -> int:
             raise ValueError("--prior applies only to logreg -> disc_nb")
         converted = nb_to_lr(model)
     elif isinstance(model, LogisticRegressionModel):
-        converted = lr_to_nb(model, _parse_prior(args.prior) if args.prior else None)
+        converted = lr_to_nb(model, None if args.prior is None else _parse_prior(args.prior))
     else:
         raise ValueError("convert needs a disc_nb or logreg model")
 

@@ -85,25 +85,34 @@ class StateSpaceTooLarge(DualBayesError):
     """Brute-force enumeration over all label paths was refused."""
 
 
-def readonly_array(values) -> np.ndarray:
-    """Copy ``values`` into a float array that rejects writes."""
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
 def safe_log(values) -> np.ndarray:
     """Elementwise log with 0 mapped to ``-inf`` and no runtime warning."""
     with np.errstate(divide="ignore"):
         return np.log(values)
 
 
-def stochastic_matrix(values, what: str = "matrix") -> np.ndarray:
-    """Validate and freeze a matrix whose rows are probability distributions."""
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"{what} must be a nonempty 2-D array")
-    check_simplex_rows(arr, what=f"{what} row")
+def parameter_array(values, what: str, shape: tuple, simplex_rows: bool = False) -> np.ndarray:
+    """Copy ``values`` into a checked float array of exactly ``shape`` that rejects writes.
+
+    ``None`` in ``shape`` allows any size of at least 1 (shown as ``T`` in
+    the error).  The entries must be finite, or with ``simplex_rows`` every
+    row must pass :func:`check_simplex_rows`.  Every error is a
+    ``ValueError`` that starts with ``what``.
+    """
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError):  # a dict, a ragged list, a non-numeric string
+        raise ValueError(f"{what} must be an array of numbers") from None
+    # the tuple comparison settles a matching shape without the per-axis loop
+    if arr.shape != shape and (arr.ndim != len(shape) or any(
+            size < 1 if want is None else size != want for size, want in zip(arr.shape, shape))):
+        sizes = ["T" if want is None else str(want) for want in shape]
+        expected = f"({', '.join(sizes)}{',' if len(sizes) == 1 else ''})"
+        raise ValueError(f"{what} must have shape {expected}, got {arr.shape}")
+    if simplex_rows:
+        check_simplex_rows(arr, what=f"{what} row")
+    elif not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
     arr.flags.writeable = False
     return arr
 
@@ -240,7 +249,10 @@ class ProbabilityVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+        try:
+            arr = np.array(self.entries, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError("entries must be an array of numbers") from None
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("entries must form a nonempty vector")
         # Three reductions accept exactly the finite, nonnegative vectors that

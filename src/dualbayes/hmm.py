@@ -54,8 +54,8 @@ from .core import (
     ZeroPrior,
     bayes_invert,
     check_simplex_rows,
+    parameter_array,
     safe_log,
-    stochastic_matrix,
 )
 
 
@@ -78,32 +78,21 @@ class HmmModel:
     posteriors: np.ndarray | None = None
 
     def __post_init__(self):
-        n = self.labels.n
+        n, m = self.labels.n, self.alphabet.m
         if len(self.prior) != n:
             raise ValueError("prior length does not match the label count")
-        transitions = stochastic_matrix(self.transitions, what="transition matrix")
-        if transitions.shape != (n, n):
-            raise ValueError(f"transition matrix must be ({n}, {n}), got {transitions.shape}")
-        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "transitions", parameter_array(
+            self.transitions, "transition matrix", (n, n), simplex_rows=True))
 
         emissions = self.emissions
         if emissions is not None:
-            emissions = stochastic_matrix(emissions, what="emission matrix")
-            if emissions.shape != (n, self.alphabet.m):
-                raise ValueError(
-                    f"emission matrix must be ({n}, {self.alphabet.m}), got {emissions.shape}"
-                )
+            emissions = parameter_array(emissions, "emission matrix", (n, m), simplex_rows=True)
             object.__setattr__(self, "emissions", emissions)
 
         posteriors = self.posteriors
         if posteriors is not None:
-            columns = stochastic_matrix(np.asarray(posteriors, dtype=float).T,
-                                        what="posterior columns (transposed)")
-            posteriors = columns.T
-            if posteriors.shape != (n, self.alphabet.m):
-                raise ValueError(
-                    f"posterior matrix must be ({n}, {self.alphabet.m}), got {posteriors.shape}"
-                )
+            posteriors = parameter_array(posteriors, "posterior matrix", (n, m))
+            check_simplex_rows(posteriors.T, what="posterior column")
             object.__setattr__(self, "posteriors", posteriors)
 
         if emissions is None and posteriors is None:
@@ -137,8 +126,8 @@ class PosteriorMarginals:
     log_evidence: float | None = None
 
     def __post_init__(self):
-        gamma = stochastic_matrix(self.gamma, what="posterior marginals")
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", parameter_array(
+            self.gamma, "posterior marginals", (None, None), simplex_rows=True))
 
     @classmethod
     def _adopt(cls, gamma: np.ndarray, log_evidence: float) -> "PosteriorMarginals":

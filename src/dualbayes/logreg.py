@@ -19,6 +19,7 @@ from .core import (
     LabelSpace,
     ProbabilityVector,
     ZeroPrior,
+    parameter_array,
     real_observation,
     real_observations,
 )
@@ -34,18 +35,9 @@ class LogisticRegressionModel:
     biases: np.ndarray
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        biases = np.array(self.biases, dtype=float)
-        if weights.ndim != 2 or weights.shape[0] != self.labels.n or weights.shape[1] < 1:
-            raise ValueError(f"weights must have shape (n_labels, T), got {weights.shape}")
-        if biases.shape != (self.labels.n,):
-            raise ValueError(f"biases must have shape ({self.labels.n},), got {biases.shape}")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
-            raise ValueError("parameters must be finite")
-        weights.flags.writeable = False
-        biases.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
+        n = self.labels.n
+        object.__setattr__(self, "weights", parameter_array(self.weights, "weights", (n, None)))
+        object.__setattr__(self, "biases", parameter_array(self.biases, "biases", (n,)))
 
     @property
     def n_positions(self) -> int:

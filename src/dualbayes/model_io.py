@@ -72,22 +72,25 @@ def model_from_dict(data: dict):
     """Rebuild a model from :func:`model_to_dict` output.
 
     Raises ``ValueError`` on a missing key, an unknown type tag, names
-    that are not a list of strings, ``params`` that are not an object, or
-    a stored ``T`` that contradicts the parameter shapes; invariant
-    violations surface as the constructors' own errors.
+    that are not a list of strings, ``params`` that are not an object,
+    ``emissions`` that are not a list, or a stored ``T`` that is not an
+    integer or contradicts the parameter shapes; invariant violations
+    surface as the constructors' own errors.
     """
     try:
         kind = data["type"]
         if kind == "naive_bayes":
-            alphabets = data["alphabets"]
+            alphabets, emissions = data["alphabets"], data["emissions"]
             if not isinstance(alphabets, list):
                 raise ValueError("model JSON 'alphabets' must be a list of lists of strings")
+            if not isinstance(emissions, list):
+                raise ValueError("model JSON 'emissions' must be a list of tables")
             model = NaiveBayesModel(
                 labels=LabelSpace(_names(data["labels"], "'labels'")),
                 alphabets=tuple(ObservationAlphabet(_names(symbols, "'alphabets' entry"))
                                 for symbols in alphabets),
                 prior=ProbabilityVector(data["prior"]),
-                emissions=data["emissions"],
+                emissions=emissions,
             )
         elif kind == "disc_nb":
             params = data["params"]
@@ -119,6 +122,8 @@ def model_from_dict(data: dict):
         stored_t = data["T"]
     except KeyError as exc:
         raise ValueError(f"model JSON is missing key {exc}") from None
+    if type(stored_t) is not int:  # a bool is not a count
+        raise ValueError("model JSON 'T' must be an integer")
     if model.n_positions != stored_t:
         raise ValueError(
             f"stored T={stored_t} contradicts parameter shapes (T={model.n_positions})"

@@ -42,11 +42,10 @@ from .core import (
     ZeroPrior,
     bayes_invert,
     logsumexp_last,
-    readonly_array,
+    parameter_array,
     real_observation,
     real_observations,
     safe_log,
-    stochastic_matrix,
 )
 
 
@@ -73,17 +72,13 @@ class NaiveBayesModel:
             raise ValueError("prior length does not match the label count")
         if len(self.emissions) != len(alphabets):
             raise ValueError("need one emission table per observation position")
-        tables = []
-        for t, (table, alphabet) in enumerate(zip(self.emissions, alphabets)):
-            arr = stochastic_matrix(table, what=f"emission table {t}")
-            if arr.shape != (self.labels.n, alphabet.m):
-                raise ValueError(
-                    f"emission table {t} has shape {arr.shape}, "
-                    f"expected {(self.labels.n, alphabet.m)}"
-                )
-            tables.append(arr)
+        tables = tuple(
+            parameter_array(table, f"emission table {t}", (self.labels.n, alphabet.m),
+                            simplex_rows=True)
+            for t, (table, alphabet) in enumerate(zip(self.emissions, alphabets))
+        )
         object.__setattr__(self, "alphabets", alphabets)
-        object.__setattr__(self, "emissions", tuple(tables))
+        object.__setattr__(self, "emissions", tables)
 
     @property
     def n_positions(self) -> int:
@@ -110,20 +105,10 @@ class DiscriminativeNBModel:
             raise ValueError("prior length does not match the label count")
         if np.any(self.prior.entries == 0.0):
             raise ZeroPrior("prior must be strictly positive")
-        slopes = np.array(self.slopes, dtype=float)
-        intercepts = np.array(self.intercepts, dtype=float)
-        if slopes.ndim != 2 or slopes.shape[0] != self.labels.n or slopes.shape[1] < 1:
-            raise ValueError(
-                f"slopes must have shape (n_labels, T), got {slopes.shape}"
-            )
-        if intercepts.shape != slopes.shape:
-            raise ValueError("slopes and intercepts must have the same shape")
-        if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(intercepts))):
-            raise ValueError("parameters must be finite")
-        slopes.flags.writeable = False
-        intercepts.flags.writeable = False
+        slopes = parameter_array(self.slopes, "slopes", (self.labels.n, None))
         object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "intercepts", intercepts)
+        object.__setattr__(self, "intercepts",
+                           parameter_array(self.intercepts, "intercepts", slopes.shape))
 
     @property
     def n_positions(self) -> int:
@@ -335,11 +320,13 @@ def nb_to_discriminative(model: NaiveBayesModel) -> tuple[np.ndarray, ...]:
     """
     if np.any(model.prior.entries == 0.0):
         raise ZeroPrior("Bayes inversion needs a strictly positive prior")
-    return tuple(
-        readonly_array(bayes_invert(model.prior.entries, table, alphabet.symbols,
-                                    f" at position {t}").T)
+    tables = tuple(
+        bayes_invert(model.prior.entries, table, alphabet.symbols, f" at position {t}").T
         for t, (table, alphabet) in enumerate(zip(model.emissions, model.alphabets))
     )
+    for table in tables:  # fresh arrays: frozen in place, not copied
+        table.flags.writeable = False
+    return tables
 
 
 def nb_discriminative_log_posterior_batch(prior, tables, codes) -> np.ndarray:

@@ -562,6 +562,7 @@ class TestConvert:
     @pytest.mark.parametrize("n_labels, prior, message", [
         (2, "0,0.5", "entries sum to 0.5, not 1"),
         (3, "0.5,0.5", "prior has 2 entries, expected 3 (one per label)"),
+        (2, "", "--prior must be a comma-separated list of numbers"),
     ])
     def test_bad_prior_exits_2(self, tmp_path, capsys, n_labels, prior, message):
         source = tmp_path / "lr.json"
@@ -813,6 +814,24 @@ class TestModuleEntryPoint:
         assert done.returncode == code
         assert done.stderr == f"error: {message}\n"
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("make, key, value, message", [
+        (random_discriminative_nb, "prior", {"a": 1}, "entries must be an array of numbers"),
+        (random_logreg, "weights", {"x": 1}, "weights must be an array of numbers"),
+        (random_naive_bayes, "emissions", 5, "model JSON 'emissions' must be a list of tables"),
+        (random_logreg, "T", "1", "model JSON 'T' must be an integer"),
+        (random_logreg, "T", True, "model JSON 'T' must be an integer"),
+    ], ids=["prior-object", "weights-object", "emissions-number", "T-string", "T-bool"])
+    def test_malformed_model_json_prints_one_error_line(self, tmp_path, make, key, value,
+                                                        message):
+        data = model_to_dict(make(np.random.default_rng(5), t_len=1))
+        data[key] = value
+        (tmp_path / "model.json").write_text(json.dumps(data))
+        _write(tmp_path / "obs.csv", "f0\n0.5\n")
+        done = self._run("predict", str(tmp_path / "model.json"), str(tmp_path / "obs.csv"))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: {message}\n"
 
     def test_negative_verify_seed_exits_2(self):
         # rejected before any suite runs, in the option's words rather than numpy's

@@ -19,7 +19,11 @@ from dualbayes.core import (
     check_simplex_rows,
     logsumexp_last,
     normalize_log,
+    parameter_array,
 )
+from dualbayes.hmm import HmmModel, PosteriorMarginals
+from dualbayes.logreg import LogisticRegressionModel
+from dualbayes.naive_bayes import DiscriminativeNBModel, NaiveBayesModel
 
 finite_vectors = st.lists(
     st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=8
@@ -184,6 +188,84 @@ class TestSimplexAcceptance:
     def test_rows_without_entries_are_rejected(self):
         with pytest.raises(ValueError, match="^row 0: entries must form a nonempty vector$"):
             check_simplex_rows(np.zeros((2, 0)))
+
+
+_LABELS = LabelSpace(("a", "b"))
+_ALPHABETS = (ObservationAlphabet(("x", "y")), ObservationAlphabet(("u", "v", "w")))
+_PRIOR = ProbabilityVector([0.4, 0.6])
+_TABLES = ([[0.5, 0.5], [0.2, 0.8]], [[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+_REAL = [[1.0, 2.0], [0.5, -1.0]]
+_STEP = [[0.9, 0.1], [0.2, 0.8]]
+
+# every parameter_array call of a constructor: the field as errors name it, a
+# constructor of that field's value, a valid value, and whether rows are distributions
+_CALL_SITES = [
+    ("emission table 0", lambda v: NaiveBayesModel(_LABELS, _ALPHABETS, _PRIOR, (v, _TABLES[1])),
+     _TABLES[0], True),
+    ("emission table 1", lambda v: NaiveBayesModel(_LABELS, _ALPHABETS, _PRIOR, (_TABLES[0], v)),
+     _TABLES[1], True),
+    ("slopes", lambda v: DiscriminativeNBModel(_LABELS, _PRIOR, v, _REAL), _REAL, False),
+    ("intercepts", lambda v: DiscriminativeNBModel(_LABELS, _PRIOR, _REAL, v), _REAL, False),
+    ("weights", lambda v: LogisticRegressionModel(_LABELS, v, [0.1, 0.2]), _REAL, False),
+    ("biases", lambda v: LogisticRegressionModel(_LABELS, _REAL, v), [0.1, 0.2], False),
+    ("transition matrix", lambda v: HmmModel(_LABELS, _ALPHABETS[0], _PRIOR, v, emissions=_STEP),
+     _STEP, True),
+    ("emission matrix", lambda v: HmmModel(_LABELS, _ALPHABETS[0], _PRIOR, _STEP, emissions=v),
+     _STEP, True),
+    ("posterior matrix", lambda v: HmmModel(_LABELS, _ALPHABETS[0], _PRIOR, _STEP, posteriors=v),
+     [[0.5, 0.4], [0.5, 0.6]], False),
+    ("posterior marginals", PosteriorMarginals, _STEP, True),
+]
+
+
+def _with_nan(valid):
+    arr = np.array(valid, dtype=float)
+    arr.flat[0] = np.nan
+    return arr
+
+
+class TestParameterArray:
+    """One check for every parameter table: numbers, exact shape, then finite or simplex rows."""
+
+    @pytest.mark.parametrize("bad", ["dict", "ragged", "shape", "nan"])
+    @pytest.mark.parametrize("what, build, valid, simplex", _CALL_SITES,
+                             ids=[site[0].replace(" ", "-") for site in _CALL_SITES])
+    def test_every_call_site_names_its_field(self, what, build, valid, simplex, bad):
+        build(valid)
+        value, message = {
+            "dict": ({"a": 1}, f"{what} must be an array of numbers$"),
+            "ragged": ([[0.5, 0.5], [1.0]], f"{what} must be an array of numbers$"),
+            # no entries along the last axis, which even a free size rejects
+            "shape": (np.asarray(valid)[..., :0], f"{what} must have shape \\(.*\\), got "),
+            "nan": (_with_nan(valid),
+                    f"{what} row 0: entries must be finite$" if simplex else f"{what} must be finite$"),
+        }[bad]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build(value)
+
+    def test_returns_a_frozen_float_copy(self):
+        caller = [[1, 2], [3, 4]]
+        arr = parameter_array(caller, "weights", (2, None))
+        assert arr.dtype == float and not arr.flags.writeable
+        np.testing.assert_array_equal(arr, caller)
+
+    def test_free_size_is_shown_as_t_and_needs_one_entry(self):
+        assert parameter_array([[1.0] * 5] * 3, "weights", (3, None)).shape == (3, 5)
+        with pytest.raises(ValueError, match=r"^weights must have shape \(3, T\), got \(1, 3\)$"):
+            parameter_array([[1.0, 2.0, 3.0]], "weights", (3, None))
+        with pytest.raises(ValueError, match=r"^biases must have shape \(2,\), got \(\)$"):
+            parameter_array(5, "biases", (2,))
+        with pytest.raises(ValueError, match=r"^weights must have shape \(3, T\), got \(3, 0\)$"):
+            parameter_array(np.zeros((3, 0)), "weights", (3, None))
+
+    def test_posterior_matrix_columns_are_distributions(self):
+        with pytest.raises(ValueError, match=r"^posterior column 1: entries sum to 1.1, not 1$"):
+            HmmModel(_LABELS, _ALPHABETS[0], _PRIOR, _STEP, posteriors=[[0.5, 0.6], [0.5, 0.5]])
+
+    def test_probability_vector_names_a_non_numeric_value(self):
+        for value in ({"a": 1}, [[0.5], [0.25, 0.25]], "abc"):
+            with pytest.raises(ValueError, match="^entries must be an array of numbers$"):
+                ProbabilityVector(value)
 
 
 class TestLogWeightVector:

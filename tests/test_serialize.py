@@ -2,6 +2,7 @@
 preservation."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -159,8 +160,12 @@ class TestMalformedInput:
         (random_hmm, "alphabet", [["x"]], "'alphabet' must be a list of strings"),
         (random_naive_bayes, "alphabets", ["xy"], "'alphabets' entry must be a list of strings"),
         (random_naive_bayes, "alphabets", 5, "'alphabets' must be a list of lists of strings"),
+        (random_naive_bayes, "emissions", 5, "'emissions' must be a list of tables"),
+        (random_logreg, "T", "2", "'T' must be an integer"),
+        (partial(random_logreg, t_len=1), "T", True, "'T' must be an integer"),
     ], ids=["params-list", "labels-number", "labels-nested", "labels-string",
-            "alphabet-nested", "alphabets-string", "alphabets-number"])
+            "alphabet-nested", "alphabets-string", "alphabets-number", "emissions-number",
+            "T-string", "T-bool"])
     def test_names_and_params_must_have_their_json_types(self, make, key, value, message):
         data = model_to_dict(make(np.random.default_rng(41)))
         data[key] = value
