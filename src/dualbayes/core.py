@@ -91,6 +91,28 @@ def safe_log(values) -> np.ndarray:
         return np.log(values)
 
 
+def _holds_str_or_bool(values) -> bool:
+    """Whether ``values`` or any entry of its nested lists is a string or a
+    boolean, which ``np.array(values, dtype=float)`` would turn into a number."""
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "bSU" or (
+            values.dtype.kind == "O" and _holds_str_or_bool(values.tolist()))
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_str_or_bool, values))
+    return isinstance(values, (str, bytes, bool, np.bool_))
+
+
+def _float_array(values) -> np.ndarray | None:
+    """``values`` copied into a float array, or ``None`` when it is not an
+    array of numbers: a dict, a ragged list, a string or a boolean."""
+    if _holds_str_or_bool(values):
+        return None
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        return None
+
+
 def parameter_array(values, what: str, shape: tuple, simplex_rows: bool = False) -> np.ndarray:
     """Copy ``values`` into a checked float array of exactly ``shape`` that rejects writes.
 
@@ -99,10 +121,9 @@ def parameter_array(values, what: str, shape: tuple, simplex_rows: bool = False)
     row must pass :func:`check_simplex_rows`.  Every error is a
     ``ValueError`` that starts with ``what``.
     """
-    try:
-        arr = np.array(values, dtype=float)
-    except (TypeError, ValueError):  # a dict, a ragged list, a non-numeric string
-        raise ValueError(f"{what} must be an array of numbers") from None
+    arr = _float_array(values)
+    if arr is None:
+        raise ValueError(f"{what} must be an array of numbers")
     # the tuple comparison settles a matching shape without the per-axis loop
     if arr.shape != shape and (arr.ndim != len(shape) or any(
             size < 1 if want is None else size != want for size, want in zip(arr.shape, shape))):
@@ -249,10 +270,9 @@ class ProbabilityVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        try:
-            arr = np.array(self.entries, dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError("entries must be an array of numbers") from None
+        arr = _float_array(self.entries)
+        if arr is None:
+            raise ValueError("entries must be an array of numbers")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("entries must form a nonempty vector")
         # Three reductions accept exactly the finite, nonnegative vectors that

@@ -224,10 +224,20 @@ def _with_nan(valid):
     return arr
 
 
+def _with_first_entry(valid, entry):
+    # nested lists with the first number replaced by ``entry(number)``
+    out = np.array(valid, dtype=float).tolist()
+    row = out
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = entry(row[0])
+    return out
+
+
 class TestParameterArray:
     """One check for every parameter table: numbers, exact shape, then finite or simplex rows."""
 
-    @pytest.mark.parametrize("bad", ["dict", "ragged", "shape", "nan"])
+    @pytest.mark.parametrize("bad", ["dict", "ragged", "shape", "nan", "string", "bool"])
     @pytest.mark.parametrize("what, build, valid, simplex", _CALL_SITES,
                              ids=[site[0].replace(" ", "-") for site in _CALL_SITES])
     def test_every_call_site_names_its_field(self, what, build, valid, simplex, bad):
@@ -239,6 +249,9 @@ class TestParameterArray:
             "shape": (np.asarray(valid)[..., :0], f"{what} must have shape \\(.*\\), got "),
             "nan": (_with_nan(valid),
                     f"{what} row 0: entries must be finite$" if simplex else f"{what} must be finite$"),
+            # each of which np.array(..., dtype=float) would convert
+            "string": (_with_first_entry(valid, repr), f"{what} must be an array of numbers$"),
+            "bool": (_with_first_entry(valid, lambda _: True), f"{what} must be an array of numbers$"),
         }[bad]
         with pytest.raises(ValueError, match=f"^{message}"):
             build(value)
@@ -263,7 +276,8 @@ class TestParameterArray:
             HmmModel(_LABELS, _ALPHABETS[0], _PRIOR, _STEP, posteriors=[[0.5, 0.6], [0.5, 0.5]])
 
     def test_probability_vector_names_a_non_numeric_value(self):
-        for value in ({"a": 1}, [[0.5], [0.25, 0.25]], "abc"):
+        for value in ({"a": 1}, [[0.5], [0.25, 0.25]], "abc", ["0.5", "0.5"], [0.5, "0.5"],
+                      [True, False], [True, 0.0], np.array([True, False]), "1.0"):
             with pytest.raises(ValueError, match="^entries must be an array of numbers$"):
                 ProbabilityVector(value)
 

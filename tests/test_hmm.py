@@ -21,6 +21,7 @@ from dualbayes.core import (
     ZeroPrior,
     safe_log,
 )
+from dualbayes import hmm
 from dualbayes.hmm import (
     HmmModel,
     PosteriorMarginals,
@@ -345,26 +346,46 @@ class TestSmoothKernel:
         return (rng.uniform(0.1, 2.0, size=n), rng.uniform(0.1, 2.0, size=(n, n)),
                 log_factors, list(rng.integers(0, k, size=t_len)))
 
+    # the plain loop's size, and one the blocked recursion runs
+    SIZES = ({}, {"n": 8, "k": 5, "t_len": 2000})
+
     @pytest.mark.parametrize("c", [1e-3, 3.0])
     def test_scaled_transitions_shift_only_the_evidence(self, c):
-        init, transitions, log_factors, rows = self._inputs(np.random.default_rng(43))
-        base = _smooth(init, transitions, log_factors, rows)
-        scaled = _smooth(init, c * transitions, log_factors, rows)
-        assert float(np.abs(scaled.gamma - base.gamma).max()) <= EQUALITY_TOL
-        assert math.isclose(scaled.log_evidence - base.log_evidence,
-                            (len(rows) - 1) * math.log(c), rel_tol=EQUALITY_TOL,
-                            abs_tol=EQUALITY_TOL)
+        for size in self.SIZES:
+            init, transitions, log_factors, rows = self._inputs(np.random.default_rng(43), **size)
+            base = _smooth(init, transitions, log_factors, rows)
+            scaled = _smooth(init, c * transitions, log_factors, rows)
+            assert float(np.abs(scaled.gamma - base.gamma).max()) <= EQUALITY_TOL
+            assert math.isclose(scaled.log_evidence - base.log_evidence,
+                                (len(rows) - 1) * math.log(c), rel_tol=EQUALITY_TOL,
+                                abs_tol=EQUALITY_TOL)
 
     def test_shifted_row_shifts_the_evidence_once_per_use(self):
-        init, transitions, log_factors, rows = self._inputs(np.random.default_rng(47))
-        k, shift = rows[3], 2.5
-        shifted = log_factors.copy()
-        shifted[k] += shift
-        base = _smooth(init, transitions, log_factors, rows)
-        out = _smooth(init, transitions, shifted, rows)
-        assert float(np.abs(out.gamma - base.gamma).max()) <= EQUALITY_TOL
-        assert math.isclose(out.log_evidence - base.log_evidence, shift * rows.count(k),
-                            rel_tol=EQUALITY_TOL, abs_tol=EQUALITY_TOL)
+        for size in self.SIZES:
+            init, transitions, log_factors, rows = self._inputs(np.random.default_rng(47), **size)
+            k, shift = rows[3], 2.5
+            shifted = log_factors.copy()
+            shifted[k] += shift
+            base = _smooth(init, transitions, log_factors, rows)
+            out = _smooth(init, transitions, shifted, rows)
+            assert float(np.abs(out.gamma - base.gamma).max()) <= EQUALITY_TOL
+            assert math.isclose(out.log_evidence - base.log_evidence, shift * rows.count(k),
+                                rel_tol=EQUALITY_TOL, abs_tol=EQUALITY_TOL)
+
+    @pytest.mark.parametrize("t_len, step", [(50, 20), (10_000, 4951), (10_000, 5000),
+                                             (10_000, 9901), (10_000, 9999)])
+    def test_a_break_that_only_the_forward_pass_sees(self, t_len, step):
+        # labels 0 and 1 alternate, emitting symbols 0 and 1; label 2, which
+        # nothing enters, emits both and stays, so every stretch of symbols
+        # is possible from it, and only alpha can see symbol 0 or 1 repeat at
+        # ``step``.  At T = 10^4 step 9901 opens the last block and 9999 ends it.
+        init = np.array([1.0, 0.0, 0.0])
+        transitions = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        log_factors = safe_log(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        rows = [(t - (t >= step)) % 2 for t in range(t_len)]
+        _smooth(init, transitions, log_factors, rows[:step])
+        with pytest.raises(ZeroEvidence):
+            _smooth(init, transitions, log_factors, rows)
 
     def test_any_table_that_holds_the_route_rows_gives_the_route(self):
         # seven rows for three symbols, each symbol's row repeated, and each
@@ -389,11 +410,17 @@ class TestSmoothKernel:
 
 
 class TestPosteriorMarginals:
-    @pytest.mark.parametrize("smooth", [forward_backward, entropic_forward_backward])
-    def test_kernel_gamma_is_frozen_in_place(self, smooth):
+    # the plain loop at N=32, and the blocked recursion at N=8, T=10^4 with its
+    # index array, operator stack and per-block states beside gamma
+    @pytest.mark.parametrize("smooth, n, t_len, bound", [
+        (forward_backward, 32, 2000, 1.6), (entropic_forward_backward, 32, 2000, 1.6),
+        (forward_backward, 8, 10_000, 2.0), (entropic_forward_backward, 8, 10_000, 2.0),
+    ], ids=["forward_backward", "entropic_forward_backward",
+            "forward_backward-blocked", "entropic_forward_backward-blocked"])
+    def test_kernel_gamma_is_frozen_in_place(self, smooth, n, t_len, bound):
         rng = np.random.default_rng(37)
-        model = random_hmm(rng, n_labels=32, m_symbols=20, derive=True)
-        obs = random_hmm_observation(rng, model, 2000)
+        model = random_hmm(rng, n_labels=n, m_symbols=20, derive=True)
+        obs = random_hmm_observation(rng, model, t_len)
         tracemalloc.start()
         try:
             gamma = smooth(model, obs).gamma
@@ -404,7 +431,7 @@ class TestPosteriorMarginals:
         with pytest.raises(ValueError):
             gamma[0, 0] = 0.5
         # a second copy of gamma would double the peak
-        assert peak < 1.6 * gamma.nbytes
+        assert peak < bound * gamma.nbytes
 
     def test_caller_array_is_copied_and_validated(self):
         caller = np.array([[0.25, 0.75], [1.0, 0.0]])
@@ -495,12 +522,35 @@ class TestAdversarialKernel:
         obs = [f"s{t % 3}" for t in range(t_len - 1)] + [f"s{(t_len - 2) % 3}"]
         assert _compare_with_plain_loop(self._cycle(3, eps), obs) == [eps == 0.0] * 2
 
+    # T = 10^4 runs in 101 blocks of 99 steps: step 4951 opens block 50,
+    # step 5000 lies inside it, and step 9901 opens the last block
     @pytest.mark.parametrize("eps", [0.0, 1e-300])
-    @pytest.mark.parametrize("n", [2, 8, 32])
-    def test_zero_evidence_through_the_transitions(self, n, eps):
-        obs = [f"s{t % n}" for t in range(50)]
-        obs[20] = obs[21]
+    @pytest.mark.parametrize("n, t_len, step", [
+        (2, 50, 20), (8, 50, 20), (32, 50, 20),
+        (2, 10_000, 4951), (2, 10_000, 5000), (8, 10_000, 4951), (8, 10_000, 5000),
+        (8, 10_000, 9901),
+    ], ids=["2", "8", "32", "2-block-start", "2-mid-block", "8-block-start", "8-mid-block",
+            "8-last-block-start"])
+    def test_zero_evidence_through_the_transitions(self, n, t_len, step, eps):
+        # the symbols skip a label at ``step``, which no move allows; every
+        # stretch before or after it is a path of the cycle
+        obs = [f"s{(t + (t >= step)) % n}" for t in range(t_len)]
         assert _compare_with_plain_loop(self._cycle(n, eps), obs) == [eps == 0.0] * 2
+
+    @pytest.mark.parametrize("t_len", [511, 512, 528, 529, 530])
+    def test_lengths_around_the_blocked_threshold(self, t_len, monkeypatch):
+        # T = 511 runs the plain loop.  Above it, T - 1 = 511 and 527 end in a
+        # ragged block (5 and 21 of 22 steps), and 528 = 24 * 22 and 529 = 23^2
+        # in a full one
+        blocked = []
+        run = hmm._blocked_recursion
+        monkeypatch.setattr(hmm, "_blocked_recursion",
+                            lambda *args: blocked.append(len(args[3])) or run(*args))
+        rng = np.random.default_rng(t_len)
+        for n in (2, 16):
+            model = _adversarial_hmm(rng, n, 5)
+            assert _compare_with_plain_loop(model, _sample(rng, model, t_len)) == [False, False]
+        assert blocked == ([] if t_len < 512 else [t_len] * 4)
 
 
 class TestDerivePosteriors:

@@ -153,23 +153,34 @@ class TestMalformedInput:
             model_from_dict(data)
 
     @pytest.mark.parametrize("make, key, value, message", [
-        (random_discriminative_nb, "params", [1], "'params' must be an object"),
-        (random_logreg, "labels", 5, "'labels' must be a list of strings"),
-        (random_logreg, "labels", [["a"], ["b"]], "'labels' must be a list of strings"),
-        (random_logreg, "labels", "ab", "'labels' must be a list of strings"),
-        (random_hmm, "alphabet", [["x"]], "'alphabet' must be a list of strings"),
-        (random_naive_bayes, "alphabets", ["xy"], "'alphabets' entry must be a list of strings"),
-        (random_naive_bayes, "alphabets", 5, "'alphabets' must be a list of lists of strings"),
-        (random_naive_bayes, "emissions", 5, "'emissions' must be a list of tables"),
-        (random_logreg, "T", "2", "'T' must be an integer"),
-        (partial(random_logreg, t_len=1), "T", True, "'T' must be an integer"),
+        (random_discriminative_nb, "params", [1], "model JSON 'params' must be an object"),
+        (random_logreg, "labels", 5, "model JSON 'labels' must be a list of strings"),
+        (random_logreg, "labels", [["a"], ["b"]], "model JSON 'labels' must be a list of strings"),
+        (random_logreg, "labels", "ab", "model JSON 'labels' must be a list of strings"),
+        (random_hmm, "alphabet", [["x"]], "model JSON 'alphabet' must be a list of strings"),
+        (random_naive_bayes, "alphabets", ["xy"],
+         "model JSON 'alphabets' entry must be a list of strings"),
+        (random_naive_bayes, "alphabets", 5,
+         "model JSON 'alphabets' must be a list of lists of strings"),
+        (random_naive_bayes, "emissions", 5, "model JSON 'emissions' must be a list of tables"),
+        (random_logreg, "T", "2", "model JSON 'T' must be an integer"),
+        (partial(random_logreg, t_len=1), "T", True, "model JSON 'T' must be an integer"),
+        # numbers written as strings, and booleans, which float conversion accepts
+        (partial(random_logreg, t_len=1), "weights", [["1.5"], [True]],
+         "weights must be an array of numbers"),
+        (random_logreg, "biases", ["0.1", False], "biases must be an array of numbers"),
+        (random_hmm, "prior", ["0.5", "0.5"], "entries must be an array of numbers"),
+        (random_discriminative_nb, "prior", [True, 0.5], "entries must be an array of numbers"),
+        (random_hmm, "transitions", [[True, False], [0.5, "0.5"]],
+         "transition matrix must be an array of numbers"),
     ], ids=["params-list", "labels-number", "labels-nested", "labels-string",
             "alphabet-nested", "alphabets-string", "alphabets-number", "emissions-number",
-            "T-string", "T-bool"])
+            "T-string", "T-bool", "weights-string-and-bool", "biases-string-and-bool",
+            "prior-strings", "prior-bool", "transitions-string-and-bool"])
     def test_names_and_params_must_have_their_json_types(self, make, key, value, message):
         data = model_to_dict(make(np.random.default_rng(41)))
         data[key] = value
-        with pytest.raises(ValueError, match=f"^model JSON {message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             model_from_dict(data)
 
     def test_non_object_json(self):
