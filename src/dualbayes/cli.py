@@ -14,9 +14,14 @@ import argparse
 import csv
 import io
 import json
+import os
+import shutil
 import sys
+import tempfile
+import warnings
 from array import array
-from functools import partial
+from contextlib import ExitStack
+from functools import cache, partial
 
 import numpy as np
 
@@ -29,6 +34,7 @@ from .core import (
     LabelSpace,
     check_simplex_rows,
     real_observations,
+    usable_cpus,
 )
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
 from .logreg import LogisticRegressionModel, lr_log_posterior_batch, lr_to_nb, nb_to_lr
@@ -58,12 +64,14 @@ EXIT_NUMERIC = 3
 _PROBE_SEED = 181101
 _PROBE_COUNT = 100
 
-# Rows per batch-kernel call in `predict`; bounds the (rows, T, N)
-# temporaries of the disc_nb kernel whatever the file size.
+# Rows per batch-kernel call and per output write in `predict`; bounds the
+# (rows, T, N) temporaries of the disc_nb kernel whatever the file size.  A
+# table of at least two blocks is formatted in up to one part per usable CPU.
 PREDICT_BLOCK = 1024
 
 # Rows per write in `hmm-posterior`; bounds the Python floats and strings
-# alive at once, which a whole-table `tolist()` would make grow with T.
+# alive at once, which a whole-table `tolist()` would make grow with T.  A
+# table of at least two blocks is formatted in up to one part per usable CPU.
 HMM_OUTPUT_BLOCK = 256
 
 # The batch kernel of each real-valued model type, for `predict` and `convert`.
@@ -78,16 +86,82 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[1:-3]
 
 
+def _write_parts(lines, count: int, block: int, out) -> None:
+    """Write the text of rows ``[0, count)`` to ``out``, ``block`` rows at a time.
+
+    ``lines(start, stop)`` returns the text of rows ``[start, stop)``.  The
+    rows are cut into contiguous parts of whole blocks, one per usable CPU
+    and at most one per whole block.  A forked child formats each part after
+    the first into its own temporary file while this process writes the
+    first part; the files are then copied to ``out`` in order.  A part whose
+    file could not be made, or whose child failed, is formatted here instead,
+    so ``out`` always gets a serial run's bytes.  Every child is reaped and
+    every file closed before this returns or raises.
+    """
+    blocks = -(-count // block)
+    parts = max(1, min(usable_cpus(), count // block)) if hasattr(os, "fork") else 1
+    edges = [min(count, block * (blocks * k // parts)) for k in range(parts + 1)]
+
+    def write(start, stop, to):
+        for first in range(start, stop, block):
+            to.write(lines(first, min(first + block, stop)))
+
+    with ExitStack() as stack:
+        reap = cache(lambda pid: os.waitpid(pid, 0)[1])  # the wait status, once per child
+        children = [(start, stop, *_fork_part(stack, reap, write, start, stop))
+                    for start, stop in zip(edges[1:-1], edges[2:])]
+        write(edges[0], edges[1], out)
+        for start, stop, pid, spool in children:
+            if pid is not None and reap(pid) == 0:
+                spool.seek(0)
+                shutil.copyfileobj(spool, out)
+            else:
+                write(start, stop, out)
+
+
+def _fork_part(stack: ExitStack, reap, write, start: int, stop: int):
+    """``(pid, file)`` of a forked child that writes rows ``[start, stop)`` into
+    ``file``, or ``(None, None)`` when no file or no child could be made.
+
+    ``stack`` closes the file and reaps the child on every way out.
+    """
+    try:
+        spool = stack.enter_context(
+            tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads (numpy's BLAS pool)
+            # forks.  The child is safe: it only formats rows already in memory,
+            # calls no BLAS, takes no lock another thread could hold, and leaves
+            # by os._exit, so it never runs this interpreter's shutdown.
+            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None, None
+    if pid == 0:
+        code = 1
+        try:
+            write(start, stop, spool)
+            spool.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    stack.callback(reap, pid)
+    return pid, spool
+
+
 def _write_gamma(name: str, gamma: np.ndarray) -> None:
-    """Print ``gamma`` as ``<name> t=<t> p_0 ... p_N-1`` lines, a block per write.
+    """Print ``gamma`` as ``<name> t=<t> p_0 ... p_N-1`` lines.
 
     One template per row formats all of its values at once.
     """
     template = f"{name} t=%d " + " ".join(["%.17g"] * gamma.shape[1]) + "\n"
-    write = sys.stdout.write
-    for start in range(0, gamma.shape[0], HMM_OUTPUT_BLOCK):
-        rows = gamma[start:start + HMM_OUTPUT_BLOCK].tolist()
-        write("".join([template % (t, *row) for t, row in enumerate(rows, start)]))
+
+    def lines(start, stop):
+        rows = gamma[start:stop].tolist()
+        return "".join([template % (t, *row) for t, row in enumerate(rows, start)])
+
+    _write_parts(lines, gamma.shape[0], HMM_OUTPUT_BLOCK, sys.stdout)
 
 
 def _records(path):
@@ -230,17 +304,19 @@ def _cmd_predict(args) -> int:
 
     names = model.labels.names
     template = ",".join(["%.17g"] * len(names)) + ",%s,%d\r\n"
+    quoted = [_csv_field(name) for name in names]
+
+    def lines(start, stop):
+        return "".join([
+            template % (*entries, quoted[k], tie)
+            for entries, k, tie in zip(probs[start:stop].tolist(), best[start:stop].tolist(),
+                                       ties[start:stop].tolist())
+        ])
+
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         csv.writer(out).writerow([f"p_{name}" for name in names] + ["argmax", "tie"])
-        quoted = [_csv_field(name) for name in names]
-        for start in range(0, len(probs), PREDICT_BLOCK):
-            block = slice(start, start + PREDICT_BLOCK)
-            out.write("".join([
-                template % (*entries, quoted[k], tie)
-                for entries, k, tie in zip(probs[block].tolist(), best[block].tolist(),
-                                           ties[block].tolist())
-            ]))
+        _write_parts(lines, len(probs), PREDICT_BLOCK, out)
     finally:
         if args.output:
             out.close()

@@ -16,6 +16,7 @@ and imported everywhere else.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,3 +331,10 @@ def normalize_log(weights) -> ProbabilityVector:
     if not np.any(np.isfinite(arr)):
         raise AllZeroWeights("every weight is zero")
     return ProbabilityVector(np.exp(arr - logsumexp_last(arr)))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

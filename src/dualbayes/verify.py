@@ -11,13 +11,12 @@ through the two batch kernels ``predict`` uses; the brute-force oracles of
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import EQUALITY_TOL, LabelSpace, ObservationAlphabet, ProbabilityVector
+from .core import EQUALITY_TOL, LabelSpace, ObservationAlphabet, ProbabilityVector, usable_cpus
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
 from .logreg import LogisticRegressionModel, lr_log_posterior_batch, lr_to_nb, nb_to_lr
 from .naive_bayes import (
@@ -227,13 +226,6 @@ fb_enumeration_suite = partial(_sweep, "fb-vs-enumeration", 60, _fb_enumeration_
 SUITES = (nb_agreement_suite, logreg_equivalence_suite, fb_efb_suite, fb_enumeration_suite)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where there is one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _run_suite(seed: int, cases: int | None, stream: int) -> SuiteResult:
     return SUITES[stream](np.random.default_rng([seed, stream]), cases=cases)
 
@@ -260,7 +252,7 @@ def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]
 
     run = partial(_run_suite, seed, cases)
     streams = range(len(SUITES))
-    workers = min(len(SUITES), _usable_cpus())
+    workers = min(len(SUITES), usable_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         # fork, not spawn: a worker starts with numpy and this module already imported
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:

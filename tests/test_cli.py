@@ -8,7 +8,9 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -844,3 +846,218 @@ class TestModuleEntryPoint:
         done = self._run("verify", "--cases", "0")
         assert done.returncode == 2
         assert done.stdout == ""
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks during the test."""
+    made, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def _numbered_rows(calls):
+    """A ``lines`` function for ``cli._write_parts`` that records the calls
+    this process makes; rows formatted in a child are missing from them."""
+    def lines(start, stop):
+        calls.append((start, stop))
+        return "".join(f"row {i}\n" for i in range(start, stop))
+    return lines
+
+
+class TestOutputParts:
+    """``predict`` and ``hmm-posterior`` format a table of at least two blocks
+    in up to one part per usable CPU: this process writes the first part and
+    forked children the others.  Each case is checked against a one-part
+    run, byte for byte, and leaves no child behind."""
+
+    @staticmethod
+    def _cpus(monkeypatch, cpus):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+
+    @staticmethod
+    def _hmm_argv(tmp_path, t_len, algorithm="both"):
+        rng = np.random.default_rng(71)
+        path = tmp_path / "hmm.json"
+        save_model(random_hmm(rng, 3, 4, derive=True), path)
+        obs = random_hmm_observation(rng, load_model(path), t_len)
+        return ["hmm-posterior", str(path), "--algorithm", algorithm, "--obs", ",".join(obs)]
+
+    @staticmethod
+    def _predict_argv(tmp_path, rows):
+        rng = np.random.default_rng(73)
+        save_model(random_discriminative_nb(rng, n_labels=5, t_len=4), tmp_path / "m.json")
+        reals = rng.normal(0.0, 2.0, size=(rows, 4)).tolist()
+        obs = _write(tmp_path / "obs.csv",
+                     "f0,f1,f2,f3\n" + "".join(",".join(map(repr, row)) + "\n" for row in reals))
+        return ["predict", str(tmp_path / "m.json"), obs]
+
+    def test_hmm_posterior(self, tmp_path, capsys, monkeypatch, forks):
+        # T = 1000 is three whole blocks and a ragged one, so at most 3 parts
+        argv = self._hmm_argv(tmp_path, 1000)
+        outputs, made = [], []
+        for cpus in (1, 2, 3, 4):
+            self._cpus(monkeypatch, cpus)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+            made.append(len(forks))
+            _assert_no_child_left()
+        assert outputs[1:] == outputs[:1] * 3
+        assert outputs[0].out.count("\n") == 2 * 1000 + 1
+        assert made == [0, 2, 6, 10]  # two tables, each in min(cpus, 3) parts
+
+    def test_predict_to_stdout_and_to_a_file(self, tmp_path, capsys, monkeypatch, forks):
+        argv = self._predict_argv(tmp_path, 5000)  # four whole blocks and a ragged one
+        outputs = []
+        for cpus in (1, 2, 3, 4):
+            self._cpus(monkeypatch, cpus)
+            out = tmp_path / f"pred{cpus}.csv"
+            assert main(argv) == 0
+            assert main(argv + ["-o", str(out)]) == 0
+            outputs.append((capsys.readouterr(), out.read_bytes()))
+            _assert_no_child_left()
+        assert outputs[1:] == outputs[:1] * 3
+        assert outputs[0][1].count(b"\r\n") == 5001
+        assert len(forks) == 2 * (1 + 2 + 3)
+
+    @pytest.mark.parametrize("count, block, cpus, here", [
+        (10, 3, 2, [(0, 3), (3, 6)]),  # 4 blocks in parts of 2 and 2, the last one ragged
+        (10, 3, 3, [(0, 3)]),  # parts of 1, 1 and 2 blocks
+        (7, 3, 4, [(0, 3)]),  # two whole blocks: two parts
+        (5, 3, 4, [(0, 3), (3, 5)]),  # one whole block: one part
+        (9, 3, 1, [(0, 3), (3, 6), (6, 9)]),
+    ])
+    def test_parts_are_whole_blocks_in_order(self, monkeypatch, count, block, cpus, here):
+        self._cpus(monkeypatch, cpus)
+        calls, out = [], io.StringIO()
+        cli._write_parts(_numbered_rows(calls), count, block, out)
+        assert out.getvalue() == "".join(f"row {i}\n" for i in range(count))
+        assert calls == here
+        _assert_no_child_left()
+
+    def test_a_table_of_fewer_than_two_blocks_never_forks(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        self._cpus(monkeypatch, 4)
+        monkeypatch.setattr(os, "fork", no_fork)
+        hmm_argv = self._hmm_argv(tmp_path, 2 * HMM_OUTPUT_BLOCK - 1)
+        assert main(hmm_argv) == 0
+        assert capsys.readouterr().out.count("\n") == 2 * (2 * HMM_OUTPUT_BLOCK - 1) + 1
+        assert main(self._predict_argv(tmp_path, 2 * PREDICT_BLOCK - 1)) == 0
+        assert capsys.readouterr().out.count("\r\n") == 2 * PREDICT_BLOCK
+
+    def test_a_failed_child_is_formatted_here(self, monkeypatch, forks):
+        # the child of the last part raises part-way; the first child succeeds
+        self._cpus(monkeypatch, 3)
+        parent, calls = os.getpid(), []
+        numbered = _numbered_rows(calls)
+
+        def lines(start, stop):
+            if os.getpid() != parent and start == 9:
+                raise RuntimeError("formatting failed")
+            return numbered(start, stop)
+
+        out = io.StringIO()
+        cli._write_parts(lines, 10, 3, out)
+        assert out.getvalue() == "".join(f"row {i}\n" for i in range(10))
+        assert calls == [(0, 3), (6, 9), (9, 10)]
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_a_part_without_a_file_is_formatted_here(self, monkeypatch, forks):
+        def no_file(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        self._cpus(monkeypatch, 3)
+        monkeypatch.setattr(cli.tempfile, "TemporaryFile", no_file)
+        calls, out = [], io.StringIO()
+        cli._write_parts(_numbered_rows(calls), 10, 3, out)
+        assert out.getvalue() == "".join(f"row {i}\n" for i in range(10))
+        assert calls == [(0, 3), (3, 6), (6, 9), (9, 10)]
+        assert forks == []
+
+    @pytest.mark.parametrize("failing_write", [1, 3], ids=["first-part", "copy"])
+    def test_a_failed_write_leaves_no_child_and_no_open_file(self, tmp_path, failing_write):
+        # in a fresh interpreter under development mode, where an unclosed
+        # file is an error; T = 4 blocks in two parts, and this process
+        # writes the first part in two writes before it copies the child's file
+        script = textwrap.dedent(f"""
+            import os, sys
+            from dualbayes import cli
+            cli.usable_cpus = lambda: 2
+            forks, fork = [], os.fork
+            def counted():
+                pid = fork()
+                if pid:
+                    forks.append(pid)
+                return pid
+            os.fork = counted
+            class Pipe:
+                writes = 0
+                def write(self, text):
+                    Pipe.writes += 1
+                    if Pipe.writes == {failing_write}:
+                        raise BrokenPipeError(32, "Broken pipe")
+            files = sorted(os.listdir("/dev/fd"))
+            sys.stdout = Pipe()
+            code = cli.main(sys.argv[1:])
+            sys.stdout = sys.__stdout__
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                left = "a child left"
+            except ChildProcessError:
+                left = "no child left"
+            print(code, len(forks), left, sorted(os.listdir("/dev/fd")) == files)
+        """)
+        argv = self._hmm_argv(tmp_path, 4 * HMM_OUTPUT_BLOCK, algorithm="fb")
+        done = TestModuleEntryPoint._run_python("-X", "dev", "-W", "error::ResourceWarning",
+                                                "-c", script, *argv)
+        assert done.stderr == "error: [Errno 32] Broken pipe\n"
+        assert done.stdout == "2 1 no child left True\n"
+
+    def test_the_fork_warning_of_python_3_12_does_not_escape(self, tmp_path, capsys,
+                                                             monkeypatch, forks):
+        # Python 3.12+ warns, from the frame that called fork, when a process
+        # with threads forks; numpy's BLAS threads make that every process
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with pytest.warns(DeprecationWarning, match=r"use of fork\(\) may lead to deadlocks"):
+            if os.fork() == 0:
+                os._exit(0)
+        os.waitpid(forks.pop(), 0)
+
+        argv = self._hmm_argv(tmp_path, 1000)
+        self._cpus(monkeypatch, 1)
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        self._cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert len(forks) == 2
+        _assert_no_child_left()
+

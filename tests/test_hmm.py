@@ -5,6 +5,7 @@ the kernel against a plain per-step loop on adversarial models."""
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -80,6 +81,27 @@ def _plain_smooth(model, log_table, observations):
         gamma[t] *= beta
         normalize(gamma[t])
     return gamma, math.fsum(log_totals)
+
+
+def _decimal_gamma(model, obs):
+    """γ from an unscaled forward-backward in 50-digit ``decimal`` arithmetic,
+    whose exponent range holds products far below the smallest float."""
+    with localcontext() as context:
+        context.prec = 50
+        prior = [Decimal(p) for p in model.prior.entries.tolist()]
+        moves = [[Decimal(a) for a in row] for row in model.transitions.tolist()]
+        emits = [[Decimal(b) for b in row] for row in model.emissions.tolist()]
+        labels, ys = range(model.labels.n), [model.alphabet.index(y) for y in obs]
+        alphas = [[prior[i] * emits[i][ys[0]] for i in labels]]
+        for y in ys[1:]:
+            alphas.append([sum(alphas[-1][i] * moves[i][j] for i in labels) * emits[j][y]
+                           for j in labels])
+        betas = [[Decimal(1)] * len(labels)]
+        for y in reversed(ys[1:]):
+            betas.insert(0, [sum(moves[i][j] * emits[j][y] * betas[0][j] for j in labels)
+                             for i in labels])
+        rows = [[a * b for a, b in zip(alpha, beta)] for alpha, beta in zip(alphas, betas)]
+        return np.array([[float(g / sum(row)) for g in row] for row in rows])
 
 
 def _log_tables(model):
@@ -551,6 +573,35 @@ class TestAdversarialKernel:
             model = _adversarial_hmm(rng, n, 5)
             assert _compare_with_plain_loop(model, _sample(rng, model, t_len)) == [False, False]
         assert blocked == ([] if t_len < 512 else [t_len] * 4)
+
+    @staticmethod
+    def _near_underflow_case():
+        # the draws a sweep over _adversarial_hmm made before it reached this
+        # model: transitions [[4.2e-250, 1], [1, 1.9e-181]], prior [8.8e-30, 1]
+        rng = np.random.default_rng(445)
+        rng.choice([2, 3, 5, 8, 16]), rng.choice([1, 2, 5, 20])
+        rng.choice([2, 3, 5, 17, 100, 600, 3000])
+        model = _adversarial_hmm(rng, 2, 5)
+        return model, [model.alphabet.symbols[k] for k in rng.integers(0, 5, size=17)]
+
+    def test_the_decimal_reference(self):
+        # it agrees with the kernel on ordinary models, and on the case below
+        # it gives the even split that the symmetric middle of the path implies
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            model = random_hmm(rng)
+            obs = random_hmm_observation(rng, model, int(rng.integers(1, 9)))
+            gap = np.abs(_decimal_gamma(model, obs) - forward_backward(model, obs).gamma)
+            assert gap.max() <= EQUALITY_TOL
+        model, obs = self._near_underflow_case()
+        assert np.allclose(_decimal_gamma(model, obs)[2:5], 0.5, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.xfail(strict=True, reason="per-step normalization drops entries more than "
+                                           "1e-308 below the largest one")
+    def test_gamma_near_underflow_matches_a_50_digit_recursion(self):
+        model, obs = self._near_underflow_case()
+        gamma = forward_backward(model, obs).gamma
+        assert np.allclose(gamma[2:5], _decimal_gamma(model, obs)[2:5], rtol=0.0, atol=1e-10)
 
 
 class TestDerivePosteriors:

@@ -193,7 +193,7 @@ class TestRunner:
             return joint_enumeration_hmm(model, observations)
 
         monkeypatch.setattr(dualbayes.verify, "joint_enumeration_hmm", counted)
-        monkeypatch.setattr(dualbayes.verify, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(dualbayes.verify, "usable_cpus", lambda: cpus)
         assert run_all_suites(seed=7, cases=4) == expected
         assert len(calls) == calls_here
 
