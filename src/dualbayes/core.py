@@ -92,6 +92,11 @@ def safe_log(values) -> np.ndarray:
         return np.log(values)
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _holds_str_or_bool(values) -> bool:
     """Whether ``values`` or any entry of its nested lists is a string or a
     boolean, which ``np.array(values, dtype=float)`` would turn into a number."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .core import LabelSpace, ObservationAlphabet, ProbabilityVector
+from .core import LabelSpace, ObservationAlphabet, ProbabilityVector, is_integer
 from .hmm import HmmModel
 from .logreg import LogisticRegressionModel
 from .naive_bayes import DiscriminativeNBModel, NaiveBayesModel
@@ -122,7 +122,7 @@ def model_from_dict(data: dict):
         stored_t = data["T"]
     except KeyError as exc:
         raise ValueError(f"model JSON is missing key {exc}") from None
-    if type(stored_t) is not int:  # a bool is not a count
+    if not is_integer(stored_t):
         raise ValueError("model JSON 'T' must be an integer")
     if model.n_positions != stored_t:
         raise ValueError(

@@ -10,10 +10,11 @@ label.  The same model then supports two inference routes:
   and combines them with the prior as ``prior^(1-T) * prod_t L[t]`` before
   renormalizing.
 
-Both routes normalize ``c * log prior + sum_t log table_t[y_t]``, with
-``c = 1`` on the emission tables or ``c = 1 - T`` on the posterior-column
-tables, in one private gather kernel over symbol codes (:func:`nb_encode`);
-the per-row functions are a batch of one through it, bit for bit.
+Every route normalizes ``c * log prior + sum_t log column_t`` in one
+private fold: ``c = 1`` with columns gathered from the emission tables by
+symbol code (:func:`nb_encode`), ``c = 1 - T`` with columns gathered from
+posterior-column tables or, on real values, per-position log softmax
+columns.  The per-row functions are a batch of one through it, bit for bit.
 
 The two routes agree exactly whenever the posterior columns are the Bayes
 inversion of the same prior and emissions, which :func:`nb_to_discriminative`
@@ -40,6 +41,7 @@ from .core import (
     UnknownSymbol,
     ZeroEvidence,
     ZeroPrior,
+    _float_array,
     bayes_invert,
     logsumexp_last,
     parameter_array,
@@ -260,11 +262,9 @@ def nb_encode(model: NaiveBayesModel, observations) -> np.ndarray:
     return _encode([alphabet.code_of for alphabet in model.alphabets], observations)
 
 
-def _nb_log_posterior(log_prior_term, tables, codes, error) -> np.ndarray:
-    # normalized log_prior_term + sum_t log tables[t][codes[:, t]] for codes
-    # of shape (S, T) and tables of shape (M_t, N); positions are added in a
-    # fixed order, so a row's value does not depend on the rest of the batch.
-    # ``error`` is raised when some row gives every label weight zero.
+def _gathered_log_columns(tables, codes):
+    # the (S, N) log columns log tables[t][codes[:, t]] for checked codes of
+    # shape (S, T) and tables of shape (M_t, N), each gathered when folded
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] != len(tables):
         raise LengthMismatch(f"codes must have shape (S, {len(tables)}), got {codes.shape}")
@@ -275,10 +275,18 @@ def _nb_log_posterior(log_prior_term, tables, codes, error) -> np.ndarray:
         raise UnknownSymbol(f"symbol codes must lie in [0, M_t) for M_t = {sizes.tolist()}")
     with np.errstate(divide="ignore"):
         log_tables = [np.log(table) for table in tables]
+    return (log_table.take(column, axis=0) for log_table, column in zip(log_tables, codes.T))
+
+
+def _nb_log_posterior(log_prior_term, log_columns, error=None) -> np.ndarray:
+    # normalized log_prior_term + sum_t log_columns[t] for (S, N) columns, the
+    # one fold of every NB route; columns are added one at a time in a fixed
+    # order, so a row does not depend on its batch.  ``error`` is raised when
+    # some row gives every label weight zero; without it that row is NaN.
     log_weights = log_prior_term
-    for log_table, column in zip(log_tables, codes.T):
-        log_weights = log_weights + log_table.take(column, axis=0)
-    if not np.isfinite(log_weights).any(axis=1).all():
+    for column in log_columns:
+        log_weights = log_weights + column
+    if error is not None and not np.isfinite(log_weights).any(axis=1).all():
         raise error
     return log_weights - logsumexp_last(log_weights)
 
@@ -292,8 +300,9 @@ def nb_generative_log_posterior_batch(model: NaiveBayesModel, codes) -> np.ndarr
     under every label and :class:`UnknownSymbol` for a non-integer code or
     one outside its position's alphabet.
     """
+    log_columns = _gathered_log_columns([table.T for table in model.emissions], codes)
     return _nb_log_posterior(
-        safe_log(model.prior.entries), [table.T for table in model.emissions], codes,
+        safe_log(model.prior.entries), log_columns,
         ZeroEvidence("zero evidence: the observation has probability zero under every label"),
     )
 
@@ -343,7 +352,9 @@ def nb_discriminative_log_posterior_batch(prior, tables, codes) -> np.ndarray:
         prior = ProbabilityVector(prior)
     if np.any(prior.entries == 0.0):
         raise ZeroPrior("the discriminative combination needs a strictly positive prior")
-    tables = [np.asarray(table, dtype=float) for table in tables]
+    tables = [_float_array(table) for table in tables]
+    if any(table is None for table in tables):
+        raise ValueError("posterior tables must be arrays of numbers")
     if not tables:
         raise ValueError("need at least one posterior table")
     if any(table.ndim != 2 or table.shape[1] != len(prior) for table in tables):
@@ -352,7 +363,7 @@ def nb_discriminative_log_posterior_batch(prior, tables, codes) -> np.ndarray:
     if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
         raise ValueError("posterior table entries must be finite and nonnegative")
     return _nb_log_posterior(
-        (1.0 - len(tables)) * np.log(prior.entries), tables, codes,
+        (1.0 - len(tables)) * np.log(prior.entries), _gathered_log_columns(tables, codes),
         AllZeroWeights("every weight is zero"),
     )
 
@@ -365,9 +376,8 @@ def nb_discriminative_posterior(prior, l_columns) -> ProbabilityVector:
     column as a one-row table.  Raises :class:`AllZeroWeights` when every
     label gets score zero.
     """
-    columns = [c.entries if isinstance(c, ProbabilityVector) else c for c in l_columns]
-    tables = np.array(columns, dtype=float)[:, None]
-    codes = np.zeros((1, len(columns)), dtype=np.intp)
+    tables = [[c.entries if isinstance(c, ProbabilityVector) else c] for c in l_columns]
+    codes = np.zeros((1, len(tables)), dtype=np.intp)
     return ProbabilityVector(np.exp(nb_discriminative_log_posterior_batch(prior, tables, codes)[0]))
 
 
@@ -383,24 +393,17 @@ def disc_nb_log_posterior_batch(model: DiscriminativeNBModel, observations) -> n
 
     ``observations`` has shape ``(S, T)``; the result has shape ``(S, N)``
     and each row is the log of :func:`disc_nb_posterior` for that
-    observation.  Every position's softmax column is evaluated and
-    combined as ``prior^(1-T) * prod_t L[t]``, independently of the
-    logistic-regression collapse, which is what lets the conversion
-    checks compare two computations.
+    observation.  The log softmax columns of ``y_t * slopes[:, t] +
+    intercepts[:, t]`` go through the symbolic routes' fold with prior term
+    ``(1 - T) * log prior``, independently of the logistic-regression
+    collapse, which is what lets the conversion checks compare the two.
     """
     obs = real_observations(observations, model.n_positions)
-    log_prior = np.log(model.prior.entries)
-    return _log_posterior_matrix(model.slopes, model.intercepts, log_prior, obs)
-
-
-def _log_posterior_matrix(slopes, intercepts, log_prior, obs) -> np.ndarray:
-    # extreme parameters can overflow the logits; the resulting non-finite
-    # posteriors are detected by the callers (DivergedLoss in training,
-    # validation errors elsewhere), so the warnings are silenced here
+    # extreme parameters overflow the logits into NaN rows, which the callers
+    # detect (a failed simplex check or probe), so the warnings are silenced
     with np.errstate(over="ignore", invalid="ignore"):
         # logits[s, t, i] = slopes[i, t] * obs[s, t] + intercepts[i, t]
-        logits = obs[:, :, None] * slopes.T[None, :, :] + intercepts.T[None, :, :]
-        log_columns = logits - logsumexp_last(logits)
-        t_len = slopes.shape[1]
-        log_delta = (1.0 - t_len) * log_prior[None, :] + log_columns.sum(axis=1)
-        return log_delta - logsumexp_last(log_delta)
+        logits = obs[:, :, None] * model.slopes.T + model.intercepts.T
+        logits -= logsumexp_last(logits)
+        return _nb_log_posterior((1.0 - model.n_positions) * np.log(model.prior.entries),
+                                 logits.transpose(1, 0, 2))

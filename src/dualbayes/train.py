@@ -8,7 +8,8 @@ every coordinate against central finite differences.
 
 Training evaluates the posterior through the model's exact collapse to a
 multinomial logistic regression (one softmax per sample instead of one per
-position).  The loss functions keep the per-column definition, so the
+position).  The loss functions evaluate the per-column definition,
+:func:`~dualbayes.naive_bayes.disc_nb_log_posterior_batch`, so the
 finite-difference checks compare the collapsed gradients with the model's
 defining formula.
 
@@ -27,12 +28,13 @@ from .core import (
     DivergedLoss,
     EmptyDataset,
     LabelSpace,
+    is_integer,
     normalize_log,
     real_observation,
     real_observations,
 )
 from .logreg import _collapsed_biases, _log_softmax_label_major
-from .naive_bayes import DiscriminativeNBModel, _log_posterior_matrix
+from .naive_bayes import DiscriminativeNBModel, disc_nb_log_posterior_batch
 
 #: Central finite-difference step used by the gradient checks.
 FD_STEP = 1e-5
@@ -49,17 +51,18 @@ class TrainConfig:
 
     def __post_init__(self):
         rate = self.learning_rate
-        if not isinstance(rate, (int, float, np.integer, np.floating)) or not 0 < rate < np.inf:
+        if (isinstance(rate, bool) or not isinstance(rate, (int, float, np.integer, np.floating))
+                or not 0 < rate < np.inf):
             raise ValueError("learning_rate must be positive and finite")
-        if not isinstance(self.epochs, (int, np.integer)):
+        if not is_integer(self.epochs):
             raise ValueError("epochs must be an integer")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size != "full":
-            if not isinstance(self.batch_size, int) or self.batch_size < 1:
+            if not is_integer(self.batch_size) or self.batch_size < 1:
                 raise ValueError('batch_size must be a positive integer or "full"')
         # checked here because a full-batch fit never hands the seed to numpy
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
 
@@ -119,30 +122,26 @@ def _log_posterior(slopes, intercepts, log_prior, columns) -> np.ndarray:
 def parameter_loss(slopes, intercepts, log_prior, dataset, labels: LabelSpace) -> float:
     """Mean cross-entropy at raw parameter values.
 
-    ``log_prior`` is used verbatim, without renormalization; the posterior
-    is invariant to adding a constant to it, so single coordinates can be
-    perturbed freely.  This is the function the finite-difference gradient
-    checks probe, and :func:`loss_cross_entropy` is this function evaluated
-    at a model's own parameters.
+    ``log_prior`` is renormalized into the model's prior (an entry that
+    underflows to zero raises :class:`~dualbayes.core.ZeroPrior`); the
+    posterior is invariant to adding a constant to it, so single coordinates
+    can be perturbed freely.  This is the function the finite-difference
+    gradient checks probe, and :func:`loss_cross_entropy` is its value at a
+    model's own parameters.
     """
-    slopes = np.asarray(slopes, dtype=float)
-    intercepts = np.asarray(intercepts, dtype=float)
-    log_prior = np.asarray(log_prior, dtype=float)
-    obs, idx = _prepare(dataset, labels, slopes.shape[1])
-    log_post = _log_posterior_matrix(slopes, intercepts, log_prior, obs)
-    return float(-log_post[np.arange(idx.size), idx].mean())
+    model = DiscriminativeNBModel(labels, normalize_log(log_prior), slopes, intercepts)
+    return loss_cross_entropy(model, dataset)
 
 
 def loss_cross_entropy(model: DiscriminativeNBModel, dataset) -> float:
     """Mean negative log posterior probability of the true labels.
 
-    Finite for any finite parameters and observations, because softmax
-    posterior columns are strictly positive.
+    Finite unless the logits overflow (slopes near 1e308 give NaN), because
+    softmax posterior columns are strictly positive.
     """
-    return parameter_loss(
-        model.slopes, model.intercepts, np.log(model.prior.entries),
-        dataset, model.labels,
-    )
+    obs, idx = _prepare(dataset, model.labels, model.n_positions)
+    log_post = disc_nb_log_posterior_batch(model, obs)
+    return float(-log_post[np.arange(idx.size), idx].mean())
 
 
 def _loss_and_gradients(slopes, intercepts, log_prior, columns, idx):

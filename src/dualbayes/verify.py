@@ -16,7 +16,14 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import EQUALITY_TOL, LabelSpace, ObservationAlphabet, ProbabilityVector, usable_cpus
+from .core import (
+    EQUALITY_TOL,
+    LabelSpace,
+    ObservationAlphabet,
+    ProbabilityVector,
+    is_integer,
+    usable_cpus,
+)
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
 from .logreg import LogisticRegressionModel, lr_log_posterior_batch, lr_to_nb, nb_to_lr
 from .naive_bayes import (
@@ -196,7 +203,7 @@ def _fb_enumeration_gaps(rng):
 
 
 def _check_cases(cases) -> None:
-    if not isinstance(cases, (int, np.integer)):
+    if not is_integer(cases):
         raise ValueError(f"cases must be an integer of at least 1, got {cases!r}")
     if cases < 1:
         raise ValueError(f"cases must be at least 1, got {cases}")
@@ -242,7 +249,7 @@ def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]
     With one CPU, or no fork start method, they run in this process.
     """
     # checked here, so a bad value never reaches a worker
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     if cases is not None:
         _check_cases(cases)

@@ -371,6 +371,21 @@ class TestPredict:
         assert main(["predict", str(model_path), obs]) == 0
         assert capsys.readouterr().out == expected.getvalue()
 
+    def test_overflowing_disc_nb_row_exits_2(self, tmp_path, capsys):
+        # slopes of +-1e308 at y=10 overflow the logits into a NaN row, which
+        # the simplex check rejects before anything is written
+        model_path = tmp_path / "disc.json"
+        save_model(
+            DiscriminativeNBModel(
+                LabelSpace(("a", "b")), ProbabilityVector.uniform(2),
+                np.array([[1e308], [-1e308]]), np.zeros((2, 1)),
+            ),
+            model_path,
+        )
+        obs = _write(tmp_path / "obs.csv", "f0\n10\n")
+        assert main(["predict", str(model_path), obs]) == 2
+        assert capsys.readouterr() == ("", "error: row 0: entries must be finite\n")
+
     def test_hmm_model_rejected(self, tmp_path, capsys):
         model_path = tmp_path / "h.json"
         save_model(random_hmm(np.random.default_rng(0)), model_path)

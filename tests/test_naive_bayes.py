@@ -1,9 +1,13 @@
 """Naive Bayes: counting fit, both inference routes, and their agreement."""
 
+import math
+
 import numpy as np
 import pytest
 
+from dualbayes.cli import PREDICT_BLOCK
 from dualbayes.core import (
+    EQUALITY_TOL,
     AllZeroWeights,
     EmptyDataset,
     LabelSpace,
@@ -305,6 +309,21 @@ class TestBatchFunctions:
         for bad in ([[-0.1, 1.1]], [[np.nan, 1.0]]):
             with pytest.raises(ValueError):
                 nb_discriminative_log_posterior_batch(prior, [np.array(bad)], [[0]])
+        with pytest.raises(ValueError, match="^posterior tables must be arrays of numbers$"):
+            nb_discriminative_log_posterior_batch(prior, [[[0.5], [0.5, 0.5]]], [[0]])  # ragged
+
+    @pytest.mark.parametrize("table", [
+        [["0.5", "0.5"]], np.array([["0.5", "0.5"]]), [[True, False]], np.array([[True, False]]),
+    ])
+    def test_posterior_tables_must_be_numbers(self, table):
+        # strings and booleans are not weights, as in every parameter array
+        prior = ProbabilityVector([0.5, 0.5])
+        codes = np.zeros((1, 1), dtype=np.intp)
+        message = "^posterior tables must be arrays of numbers$"
+        with pytest.raises(ValueError, match=message):
+            nb_discriminative_log_posterior_batch(prior, [table], codes)
+        with pytest.raises(ValueError, match=message):
+            nb_discriminative_posterior(prior, table)
 
     @pytest.mark.parametrize("route", ["generative", "columns"])
     @pytest.mark.parametrize("code", [-1, 2, 3, 1.0])
@@ -363,7 +382,54 @@ class TestSoftmaxParameterization:
         batch = rng.normal(size=(20, 3))
         from_batch = np.exp(disc_nb_log_posterior_batch(model, batch))
         for row, obs in zip(from_batch, batch):
-            np.testing.assert_allclose(row, disc_nb_posterior(model, obs).entries, atol=1e-14)
+            np.testing.assert_array_equal(row, disc_nb_posterior(model, obs).entries)
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        # predict evaluates blocks of PREDICT_BLOCK rows: a row's bits must
+        # not change with the block it lands in or its place there
+        rng = np.random.default_rng(20)
+        model = random_discriminative_nb(rng, n_labels=8, t_len=20)
+        batch = rng.normal(0.0, 2.0, size=(PREDICT_BLOCK + 3, 20))
+        whole = disc_nb_log_posterior_batch(model, batch)
+        for split in (1, 2, 500, PREDICT_BLOCK, PREDICT_BLOCK + 2):
+            parts = [disc_nb_log_posterior_batch(model, batch[:split]),
+                     disc_nb_log_posterior_batch(model, batch[split:])]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    def test_matches_plain_math_reference_near_overflow(self):
+        # the definition in plain floats: a max-shifted log softmax per
+        # position, and math.fsum over the prior term and the columns
+        def reference(prior, slopes, intercepts, y):
+            terms = [[(1 - len(y)) * math.log(p)] for p in prior]
+            for t, value in enumerate(y):
+                logits = [row[t] * value + bias[t] for row, bias in zip(slopes, intercepts)]
+                peak = max(logits)
+                norm = peak + math.log(math.fsum(math.exp(z - peak) for z in logits))
+                for label_terms, z in zip(terms, logits):
+                    label_terms.append(z - norm)
+            weights = [math.fsum(label_terms) for label_terms in terms]
+            peak = max(weights)
+            norm = peak + math.log(math.fsum(math.exp(w - peak) for w in weights))
+            return [math.exp(w - norm) for w in weights]
+
+        rng = np.random.default_rng(21)
+        for t_len in (1, 2, 7, 20, 50):
+            n = int(rng.integers(2, 9))
+            # logits spread up to about +-700, next to exp's overflow limit
+            scale = rng.uniform(0.0, 700.0, size=(n, t_len))
+            slopes = rng.uniform(-1.0, 1.0, size=(n, t_len)) * scale / 3.0
+            intercepts = rng.uniform(-1.0, 1.0, size=(n, t_len)) * scale
+            prior = rng.uniform(0.05, 1.0, n)
+            model = DiscriminativeNBModel(
+                LabelSpace(tuple(f"l{i}" for i in range(n))),
+                ProbabilityVector(prior / prior.sum()), slopes, intercepts,
+            )
+            batch = rng.normal(size=(8, t_len))
+            got = np.exp(disc_nb_log_posterior_batch(model, batch))
+            for row, y in zip(got, batch.tolist()):
+                want = reference(model.prior.entries.tolist(), slopes.tolist(),
+                                 intercepts.tolist(), y)
+                np.testing.assert_allclose(row, want, rtol=0.0, atol=EQUALITY_TOL)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(23)

@@ -224,19 +224,21 @@ class TestFit:
             fit_discriminative(data, 1, labels, config)
 
     def test_config_validation(self):
-        for rate in (0.0, -0.1, np.inf, np.nan, "0.1", None):
+        for rate in (0.0, -0.1, np.inf, np.nan, "0.1", None, True):
             with pytest.raises(ValueError, match="^learning_rate must be positive and finite$"):
                 TrainConfig(learning_rate=rate, epochs=10)
         with pytest.raises(ValueError, match="^epochs must be at least 1$"):
             TrainConfig(learning_rate=0.1, epochs=0)
-        for epochs in (2.5, "3", None):
+        for epochs in (2.5, "3", None, True):
             with pytest.raises(ValueError, match="^epochs must be an integer$"):
                 TrainConfig(learning_rate=0.1, epochs=epochs)
         config = TrainConfig(learning_rate=np.float32(0.1), epochs=np.int64(2))
         assert config.epochs == 2
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.1, epochs=1, batch_size=0)
-        for seed in (-1, np.int64(-1), 1.5, "3", None):
+        for batch_size in (0, True, 2.0, "4"):
+            with pytest.raises(ValueError, match='^batch_size must be a positive integer or "full"$'):
+                TrainConfig(learning_rate=0.1, epochs=1, batch_size=batch_size)
+        assert TrainConfig(learning_rate=0.1, epochs=1, batch_size=np.int64(4)).batch_size == 4
+        for seed in (-1, np.int64(-1), 1.5, "3", None, False, True):
             with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
                 TrainConfig(learning_rate=0.1, epochs=1, seed=seed)
         assert TrainConfig(learning_rate=0.1, epochs=1, seed=np.uint32(7)).seed == 7

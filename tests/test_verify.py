@@ -88,7 +88,7 @@ class TestSuites:
         assert by_name["logreg-equivalence"].passed
         assert by_name["fb-vs-enumeration"].passed
 
-    @pytest.mark.parametrize("cases", [0, -3, 2.5, "3"])
+    @pytest.mark.parametrize("cases", [0, -3, 2.5, "3", True])
     def test_case_count_below_one_rejected(self, cases):
         with pytest.raises(ValueError, match="at least 1"):
             run_all_suites(seed=0, cases=cases)
@@ -213,7 +213,7 @@ class TestRunner:
         assert capsys.readouterr() == ("", "error: x\n")
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "3", None, True, False])
     def test_bad_seed_rejected_before_any_suite_runs(self, seed):
         with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
             run_all_suites(seed=seed, cases=1)
