@@ -286,6 +286,8 @@ def _cmd_predict(args) -> int:
     elif isinstance(model, NaiveBayesModel):
         kernel = partial(nb_generative_log_posterior_batch, model)
     elif type(model) in _REAL_VALUED_BATCH:
+        if args.route is not None:
+            raise ValueError("--route applies only to naive_bayes models")
         kernel = partial(_REAL_VALUED_BATCH[type(model)], model)
     else:
         raise ValueError("predict supports naive_bayes, disc_nb, and logreg models; "
@@ -426,8 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("model", help="model JSON produced by fit or convert")
     predict.add_argument("data", help="CSV of observations (header plus one row each)")
     predict.add_argument("-o", "--output", default=None, help="output CSV (default stdout)")
-    predict.add_argument("--route", choices=("generative", "discriminative"),
-                         default="generative",
+    predict.add_argument("--route", choices=("generative", "discriminative"), default=None,
                          help="inference route for naive_bayes models (default generative)")
     predict.set_defaults(handler=_cmd_predict)
 

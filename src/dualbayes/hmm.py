@@ -33,14 +33,18 @@ row, and the rows are normalized once, together, at the end.
 A long sequence over few labels is evaluated in time blocks, in the manner
 of temporal parallelization of Bayesian smoothers (Särkkä & García-Fernández,
 IEEE TAC 2021).  The T - 1 transition steps are cut into about sqrt(T)
-blocks; each block's transfer operator, the product of its steps, is built
-for all blocks at once with one matrix product per step; a short
+blocks, and one block step advances every block at once with one matrix
+product: on a ``(blocks, N, N)`` stack it builds each block's transfer
+operator, the product of its steps, forward and backward; a short
 sequential pass carries ``alpha`` and ``beta`` across the block boundaries
-through those operators; and one forward and one backward sweep then run
-every block from its boundary on a ``(blocks, N)`` state.  That is about
-6 sqrt(T) Python-level steps instead of 2T, for N times the arithmetic, so
-the kernel takes this route only with at most 16 labels and at least 512
-steps, and the step-by-step loop otherwise.  The two agree to rounding.
+through those operators; and on a ``(blocks, N)`` state the same step then
+runs one forward and one backward sweep of every block from its boundary.
+That is about 6 sqrt(T) Python-level steps instead of 2T, for N times the
+arithmetic, so the kernel takes this route only with at most 16 labels and
+at least 512 steps, and the step-by-step loop otherwise.  The two agree to
+rounding.  The block step floors each total at the smallest normal float
+instead of raising, so a block that cannot reach a step carries zeros into
+its rows of ``gamma``, and the final check on those rows raises.
 
 The forward totals ``c_t`` also give the log-evidence for free:
 ``log_evidence = sum_t log c_t + sum_t peak[k_t]``, where ``k_t`` is the
@@ -184,12 +188,15 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
     Every total, the rows' included, must be > 0, or :class:`ZeroEvidence`
     is raised.
 
-    The recursion is chosen from the input's size alone.  With at most
+    Step 0, ``alpha = init * f_0``, is taken here for both recursions.  The
+    rest is chosen from the input's size alone.  With at most
     ``_BLOCKED_MAX_LABELS`` labels and at least ``_BLOCKED_MIN_STEPS`` steps,
     :func:`_blocked_recursion` runs the steps in about ``sqrt(T)`` time
     blocks at once; otherwise :func:`_plain_recursion` runs them one by one.
     Both store the same normalized ``alpha`` in ``gamma`` and the same
-    ``c_t`` in ``scales``, up to rounding.
+    ``c_t`` in ``scales``, up to rounding.  The plain loop raises at the
+    first zero total; the blocked one floors it, so that block's later rows
+    of ``gamma`` are zero and the check on the rows raises.
 
     ``log_evidence = sum_t log c_t + sum_t peak[rows[t]]`` is the log of the
     sequence's total weight under the unshifted factors; the forward totals
@@ -203,26 +210,32 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
 
     gamma = np.empty((len(rows), len(init)))
     scales = np.empty(len(rows))
+    ones = np.ones(len(init))
+    alpha = init * factors[rows[0]]
+    total = alpha.dot(ones)
+    if not total > 0.0:
+        raise ZeroEvidence(_ZERO_EVIDENCE)
+    gamma[0] = alpha / total
+    scales[0] = total
     if len(init) <= _BLOCKED_MAX_LABELS and len(rows) >= _BLOCKED_MIN_STEPS:
-        _blocked_recursion(init, transitions, factors, rows, gamma, scales)
+        _blocked_recursion(transitions, factors, rows, gamma, scales)
     else:
-        _plain_recursion(init, transitions, list(factors), rows, gamma, scales)
+        _plain_recursion(transitions, list(factors), rows, gamma, scales)
 
     log_evidence = float(np.log(scales).sum() + peak[rows].sum())
-    totals = gamma.dot(np.ones(len(init)), out=scales)  # the scales are spent; reuse their buffer
+    totals = gamma.dot(ones, out=scales)  # the scales are spent; reuse their buffer
     if not np.all(totals > 0.0):
         raise ZeroEvidence(_ZERO_EVIDENCE)
     gamma /= totals[:, None]
     return PosteriorMarginals._adopt(gamma, log_evidence)
 
 
-def _plain_recursion(init, transitions, factors, rows, gamma, scales):
-    """One forward and one backward step per position, on (N,) vectors."""
-    ones = np.ones(len(init))
-    alpha = init * factors[rows[0]]
-    for t, k in enumerate(rows):
-        if t:
-            alpha = alpha.dot(transitions) * factors[k]
+def _plain_recursion(transitions, factors, rows, gamma, scales):
+    """One forward and one backward step per position after the first, on (N,) vectors."""
+    ones = np.ones(len(transitions))
+    alpha = gamma[0]
+    for t in range(1, len(rows)):
+        alpha = alpha.dot(transitions) * factors[rows[t]]
         total = alpha.dot(ones)
         if not total > 0.0:
             raise ZeroEvidence(_ZERO_EVIDENCE)
@@ -241,111 +254,93 @@ def _plain_recursion(init, transitions, factors, rows, gamma, scales):
         row *= beta
 
 
-def _blocked_recursion(init, transitions, factors, rows, gamma, scales):
+def _blocked_recursion(transitions, factors, rows, gamma, scales):
     """The steps ``1..T-1`` cut into B blocks of ``L = isqrt(T - 1)`` (the last
-    one ragged), every block advanced at once on a ``(B, N)`` state.
+    one ragged), every block advanced at once by :func:`_sweep`.
 
     1. Transfer operators: each block's product of ``A diag(f)`` steps,
-       built for all blocks together from the identity, one ``(B*N, N)``
-       product per step, with every row normalized and its log total kept.
-       The backward pass builds the same products transposed, as steps of
-       ``diag(f) A.T`` taken from the block's end, so that their columns are
-       normalized; the forward stack is freed before it starts.
+       swept for all blocks together from the identity on a ``(B, N, N)``
+       stack, with the log of every row's total kept.  The backward pass
+       builds the same products transposed, as ``diag(f) A.T`` steps taken
+       from the block's end, so that their columns are normalized, in the
+       forward stack's buffer once the forward pushes are done.
     2. Boundaries: B sequential steps push the normalized ``alpha`` through
        the forward operators, in log space, to each block's start, and
        ``beta`` through the backward ones to each block's end.
     3. One forward and one backward sweep of L steps run every block from
-       its boundary, as :func:`_plain_recursion` runs the whole sequence:
-       the same per-step totals and checks, with ``alpha`` written into
-       ``gamma`` and ``beta`` multiplied into it through strided row views.
+       its boundary on a ``(B, N)`` state, as :func:`_plain_recursion` runs
+       the whole sequence: ``alpha`` and its totals are written into
+       ``gamma`` and ``scales``, and ``beta`` is multiplied into ``gamma``,
+       through strided row views.
     """
-    n, span = len(init), isqrt(len(rows) - 1)
+    n, span = len(transitions), isqrt(len(rows) - 1)
     blocks = -(-(len(rows) - 1) // span)
     ragged = len(rows) - 1 - (blocks - 1) * span  # steps in the last block
     steps = np.zeros((blocks, span), dtype=np.intp)  # steps[b, j] is position 1 + b*L + j
     steps.reshape(-1)[:len(rows) - 1] = rows[1:]
+    active = np.full(span, blocks)  # active[j] blocks have a step j
+    active[ragged:] -= 1
     backward = np.ascontiguousarray(transitions.T)  # a product with a transposed view is slower
-    ones = np.ones(n)
+    stacked = factors[:, None, :]  # one factor row per operator, broadcast over its rows
 
-    def active(j):  # how many blocks have a step j
-        return blocks if j < ragged else blocks - 1
-
-    alpha = init * factors[rows[0]]
-    total = alpha.dot(ones)
-    if not total > 0.0:
-        raise ZeroEvidence(_ZERO_EVIDENCE)
     starts = np.empty((blocks, n))
-    starts[0] = gamma[0] = alpha / total
-    scales[0] = total
-
+    starts[0] = gamma[0]
     ends = np.empty((blocks, n))
-    ends[-1] = ones
+    ends[-1] = 1.0
     # every block but the last needs its forward operator: block b maps
-    # the alpha at position b*L to the one at (b + 1)*L
-    ops, log_scale = _operators(transitions, factors, steps[:-1].T, factor_first=False)
+    # the alpha at position b*L to the one at (b + 1)*L; the true operator
+    # is exp(log_scale[b])[:, None] * ops[b]
+    ops = np.broadcast_to(np.eye(n), (blocks - 1, n, n)).copy()
+    log_scale = np.zeros((blocks - 1, n))
+    for _, part, totals in _sweep(ops, transitions, stacked, steps[:-1].T, [blocks - 1] * span):
+        log_scale[:len(part)] += np.log(totals)
     for b in range(blocks - 1):
         starts[b + 1] = _push(starts[b], log_scale[b], ops[b])
-    del ops
     # every block but the first needs its backward operator: block b maps
     # the beta at its last position to the one before its first
-    ops, log_scale = _operators(backward, factors, steps[1:, ::-1].T, factor_first=True,
-                                skip=span - ragged)
+    ops[:] = np.eye(n)
+    log_scale[:] = 0.0
+    for _, part, totals in _sweep(ops, backward, stacked, steps[1:, ::-1].T, active[::-1] - 1,
+                                  factor_first=True):
+        log_scale[:len(part)] += np.log(totals)
     for b in range(blocks - 1, 0, -1):
         ends[b - 1] = _push(ends[b], log_scale[b - 1], ops[b - 1])
-    del ops
 
-    alpha = starts
-    for j in range(span):
-        alpha = alpha[:active(j)].dot(transitions)
-        alpha *= factors[steps[:len(alpha), j]]
-        totals = alpha.dot(ones)
-        if not totals.min() > 0.0:
-            raise ZeroEvidence(_ZERO_EVIDENCE)
-        alpha /= totals[:, None]
-        gamma[1 + j::span] = alpha
+    for j, part, totals in _sweep(starts, transitions, factors, steps.T, active):
+        gamma[1 + j::span] = part
         scales[1 + j::span] = totals
-
-    beta = ends
-    for j in range(span - 1, -1, -1):
-        state = beta[:active(j)]
-        np.dot(factors[steps[:len(state), j]] * state, backward, out=state)
-        totals = state.dot(ones)
-        if not totals.min() > 0.0:
-            raise ZeroEvidence(_ZERO_EVIDENCE)
-        state /= totals[:, None]
-        rows_j = gamma[j::span][:len(state)]
-        rows_j *= state
+    for j, part, _ in _sweep(ends, backward, factors, steps.T[::-1], active[::-1], factor_first=True):
+        rows_j = gamma[span - 1 - j::span][:len(part)]
+        rows_j *= part
 
 
-def _operators(transitions, factors, steps, factor_first, skip=0):
-    """Transfer operators of the blocks that are the columns of ``steps``.
+def _sweep(state, matrix, factors, steps, active, factor_first=False):
+    """Advance the first ``active[j]`` blocks of ``state`` by one step for
+    each row ``j`` of ``steps``, in place, yielding ``(j, part, totals)``.
 
-    Row ``i`` of ``steps`` holds each block's factor row at its ``i``-th
-    step; the last block takes part only from row ``skip`` on.  Each
-    operator starts as the identity and takes one ``(X @ M) * f`` step per
-    row, or ``(X * f) @ M`` with ``factor_first``, all blocks in one product
-    on their ``(blocks*N, N)`` stack.  Every operator row is divided by its
-    total, floored at the smallest normal float so that a row of zeros (its
-    start cannot reach the step) stays zero, and the log of that divisor is
-    added to the row's entry in ``log_scale``: the true operator of block
-    ``b`` is ``exp(log_scale[b])[:, None] * ops[b]``.
+    ``state`` is a ``(blocks, N)`` state or a ``(blocks, N, N)`` operator
+    stack, and row ``j`` of ``steps`` holds each block's factor row at that
+    step: ``factors[k]`` must broadcast against one block, so an operator
+    stack takes ``factors[:, None, :]``.  Each step is ``(X @ M) * f``, or
+    ``(X * f) @ M`` with ``factor_first``, one product on the flattened
+    ``part = state[:active[j]]``.  Every row of ``part`` is then divided by
+    its total, floored at the smallest normal float so that a row of zeros
+    (its start cannot reach the step) stays zero; ``totals`` holds the
+    divisors.
     """
-    count, n = steps.shape[1], len(transitions)
-    ops = np.broadcast_to(np.eye(n), (count, n, n)).copy()
-    log_scale = np.zeros((count, n))
+    n = len(matrix)
     ones = np.ones(n)
-    for i, row in enumerate(steps):
-        part = ops[:count - 1] if i < skip else ops
-        f = factors[row[:len(part)]][:, None, :]
+    for j, (row, count) in enumerate(zip(steps, active)):
+        part = state[:count]
+        f = factors[row[:count]]
         flat = part.reshape(-1, n)
         if factor_first:
-            np.dot((part * f).reshape(-1, n), transitions, out=flat)
+            np.dot((part * f).reshape(-1, n), matrix, out=flat)
         else:
-            np.multiply(flat.dot(transitions).reshape(part.shape), f, out=part)
+            np.multiply(flat.dot(matrix).reshape(part.shape), f, out=part)
         totals = np.maximum(part.dot(ones), _TINY)
-        log_scale[:len(part)] += np.log(totals)
-        part /= totals[:, :, None]
-    return ops, log_scale
+        part /= totals[..., None]
+        yield j, part, totals
 
 
 def _push(vector, log_scale, op):

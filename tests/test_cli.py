@@ -393,6 +393,17 @@ class TestPredict:
         assert main(["predict", str(model_path), obs]) == 2
         assert "hmm-posterior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["generative", "discriminative"])
+    @pytest.mark.parametrize("kind", ["disc_nb", "logreg"])
+    def test_route_on_a_real_valued_model_exits_2(self, tmp_path, capsys, kind, route):
+        model = random_discriminative_nb(np.random.default_rng(31), n_labels=3, t_len=2)
+        model_path, out = tmp_path / "m.json", tmp_path / "pred.csv"
+        save_model(model if kind == "disc_nb" else nb_to_lr(model), model_path)
+        obs = _write(tmp_path / "obs.csv", "f0,f1\n0.5,-1.0\n")
+        assert main(["predict", "--route", route, str(model_path), obs, "-o", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: --route applies only to naive_bayes models\n")
+        assert not out.exists()
+
 
 class TestRealValuedParse:
     """``fit --discriminative`` and real-valued ``predict`` read numbers as
@@ -683,11 +694,13 @@ class TestHmmPosterior:
         assert sum(line.startswith("efb t=") for line in lines) == 10_000
         assert float(lines[-1].split("=")[1]) <= 1e-10
 
-    def test_rows_are_the_library_gamma_in_17_digits(self, tmp_path, capsys):
-        # N=32 over several output blocks and a remainder
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_rows_are_the_library_gamma_in_17_digits(self, tmp_path, capsys, n):
+        # several output blocks and a remainder, T >= 512: the blocked
+        # recursion at N=8 and the plain loop at N=32
         rng = np.random.default_rng(23)
         path = tmp_path / "hmm.json"
-        save_model(random_hmm(rng, 32, 6, derive=True), path)
+        save_model(random_hmm(rng, n, 6, derive=True), path)
         model = load_model(path)
         obs = random_hmm_observation(rng, model, 3 * HMM_OUTPUT_BLOCK + 17)
         assert main(["hmm-posterior", str(path), "--algorithm", "both",

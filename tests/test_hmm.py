@@ -424,6 +424,14 @@ class TestSmoothKernel:
             np.testing.assert_array_equal(out.gamma, expected.gamma)
             assert out.log_evidence == expected.log_evidence
 
+    @pytest.mark.parametrize("size", SIZES, ids=["plain", "blocked"])
+    def test_rows_as_an_index_array_give_the_list_result(self, size):
+        init, transitions, log_factors, rows = self._inputs(np.random.default_rng(61), **size)
+        listed = _smooth(init, transitions, log_factors, [int(k) for k in rows])
+        indexed = _smooth(init, transitions, log_factors, np.array(rows, dtype=np.intp))
+        np.testing.assert_array_equal(indexed.gamma, listed.gamma)
+        assert indexed.log_evidence == listed.log_evidence
+
     @pytest.mark.parametrize("rows", [[], np.array([], dtype=int)], ids=["list", "array"])
     def test_no_rows_is_an_error(self, rows):
         init, transitions, log_factors, _ = self._inputs(np.random.default_rng(59))
@@ -495,7 +503,7 @@ class TestAdversarialKernel:
     zeros and entries down to 1e-300 in the transitions and emissions."""
 
     @pytest.mark.parametrize("t_len", [1, 2, 8, 10_000])
-    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("n", [2, 8, 16, 32])
     def test_matches_the_plain_loop(self, n, t_len):
         rng = np.random.default_rng(1000 * n + t_len)
         alphabet_sizes = (1, 5) if t_len == 10_000 else (1, 2, 5) * 6
