@@ -5,8 +5,9 @@ normalize".  This module owns the two conventions that make that safe:
 
 * weight accumulation happens in log space, with ``-inf`` as the canonical
   log of a zero weight (never NaN, never a signed zero sentinel);
-  :func:`normalize_log` turns one such vector into probabilities and
-  raises :class:`AllZeroWeights` when every weight is zero;
+  :func:`log_softmax_last` normalizes such rows in every batch kernel,
+  and :func:`normalize_log` turns one vector into probabilities through
+  it, raising :class:`AllZeroWeights` when every weight is zero;
 * probabilities only appear at API boundaries, as validated
   :class:`ProbabilityVector` values.
 
@@ -309,14 +310,22 @@ class ProbabilityVector:
         return self.entries[index]
 
 
-def logsumexp_last(arr: np.ndarray) -> np.ndarray:
-    """Max-shifted log-sum-exp along the last axis, keeping dims.
+def as_probability_vector(values) -> ProbabilityVector:
+    """``values`` as a :class:`ProbabilityVector`; ``ValueError`` off the simplex."""
+    if isinstance(values, ProbabilityVector):
+        return values
+    return ProbabilityVector(values)
 
-    Assumes every slice has at least one finite entry (true for the
-    softmax-style logits this is used on).
+
+def log_softmax_last(arr: np.ndarray) -> np.ndarray:
+    """Shift each slice of ``arr`` along the last axis by its maximum, then
+    by the log of its summed exponentials, in place, and return ``arr``.
+
+    ``arr`` is a float array the caller owns, each slice with a finite entry.
     """
-    peak = arr.max(axis=-1, keepdims=True)
-    return peak + np.log(np.exp(arr - peak).sum(axis=-1, keepdims=True))
+    arr -= arr.max(axis=-1, keepdims=True)
+    arr -= np.log(np.exp(arr).sum(axis=-1, keepdims=True))
+    return arr
 
 
 def normalize_log(weights) -> ProbabilityVector:
@@ -325,17 +334,17 @@ def normalize_log(weights) -> ProbabilityVector:
     ``weights`` is a nonempty vector in ``[-inf, +inf)``, where ``-inf``
     marks a zero weight; NaN or ``+inf`` raises ``ValueError`` and an
     all-``-inf`` vector raises :class:`AllZeroWeights`.  The output is
-    ``exp(weights - logsumexp_last(weights))``, which is invariant under adding
-    a constant to every entry.
+    ``exp(log_softmax_last(weights))`` on a copy, which is invariant under
+    adding a constant to every entry.
     """
-    arr = np.asarray(weights, dtype=float)
+    arr = np.array(weights, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("log weights must form a nonempty vector")
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):
         raise ValueError("log weights must lie in [-inf, +inf)")
     if not np.any(np.isfinite(arr)):
         raise AllZeroWeights("every weight is zero")
-    return ProbabilityVector(np.exp(arr - logsumexp_last(arr)))
+    return ProbabilityVector(np.exp(log_softmax_last(arr)))
 
 
 def usable_cpus() -> int:

@@ -69,6 +69,7 @@ from .core import (
     ProbabilityVector,
     ZeroEvidence,
     ZeroPrior,
+    as_probability_vector,
     bayes_invert,
     check_simplex_rows,
     parameter_array,
@@ -96,8 +97,10 @@ class HmmModel:
 
     def __post_init__(self):
         n, m = self.labels.n, self.alphabet.m
-        if len(self.prior) != n:
+        prior = as_probability_vector(self.prior)
+        if len(prior) != n:
             raise ValueError("prior length does not match the label count")
+        object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "transitions", parameter_array(
             self.transitions, "transition matrix", (n, n), simplex_rows=True))
 

@@ -1,6 +1,11 @@
 """Multinomial logistic regression and its exact conversion to and from
 the discriminative Naive Bayes parameterization.
 
+Logistic regression is Naive Bayes used discriminatively: its inference is
+the Naive Bayes fold of :mod:`~dualbayes.naive_bayes` with prior term
+``biases`` and one column ``y_t * weights[:, t]`` per position, normalized
+once.  :func:`lr_log_posterior_batch` only builds those inputs.
+
 Converting in either direction preserves posteriors pointwise.  Collapsing
 a discriminative model is canonical: the weights are the per-position
 slopes and each bias absorbs the prior exponent plus the summed
@@ -19,11 +24,12 @@ from .core import (
     LabelSpace,
     ProbabilityVector,
     ZeroPrior,
+    as_probability_vector,
     parameter_array,
     real_observation,
     real_observations,
 )
-from .naive_bayes import DiscriminativeNBModel
+from .naive_bayes import DiscriminativeNBModel, _nb_log_posterior
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,56 +52,24 @@ class LogisticRegressionModel:
 
 def lr_posterior(model: LogisticRegressionModel, observation) -> ProbabilityVector:
     """Softmax posterior at one observation; a batch of one through
-    :func:`lr_log_posterior_batch`'s kernel.
+    :func:`lr_log_posterior_batch`.
 
     Every entry is strictly positive as long as the logit spread stays
     within double-precision exponent range.
     """
     y = real_observation(observation, model.n_positions)
-    log_post = _log_softmax_linear(y[:, None], model.weights, model.biases)
-    return ProbabilityVector(np.exp(log_post[0]))
+    return ProbabilityVector(np.exp(lr_log_posterior_batch(model, y[None, :])[0]))
 
 
 def lr_log_posterior_batch(model: LogisticRegressionModel, observations) -> np.ndarray:
     """Log posterior matrix for a batch of observations, shape ``(S, N)``."""
     obs = real_observations(observations, model.n_positions)
-    return _log_softmax_linear(np.ascontiguousarray(obs.T), model.weights, model.biases)
-
-
-def _log_softmax_linear(columns, weights, biases) -> np.ndarray:
-    # Row-wise log softmax of columns.T @ weights.T + biases, where columns
-    # is the (T, S) position-major transpose of the observations.  This is
-    # the inference kernel, whose rows must not depend on the batch they sit
-    # in (predict evaluates blocks, lr_posterior a batch of one), so
-    # positions are added one at a time in a fixed order, never by a matrix
-    # product: BLAS takes a different kernel and summation order for one
-    # row (gemv) than for many (gemm), and the results differ in the last
-    # bits.  Each step is one elementwise operation over all rows.
+    # one column per position, built when the fold reaches it, never a matrix
+    # product: BLAS sums one row and many rows in different orders, and a row
+    # must not depend on its batch.  Overflowing logits give NaN rows, which
+    # the callers detect (a failed probe or simplex check).
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = weights[:, 0, None] * columns[0]
-        logits += biases[:, None]
-        term = np.empty_like(logits)
-        for t in range(1, len(columns)):
-            logits += np.multiply(weights[:, t, None], columns[t], out=term)
-        del term  # the softmax allocates its own buffer
-        return _log_softmax_label_major(logits)
-
-
-def _log_softmax_label_major(logits) -> np.ndarray:
-    # Log softmax over the labels of a label-major (N, S) logit array,
-    # computed in place and returned as an (S, N) view.  Labels are summed
-    # one at a time in a fixed order, so a row's value depends only on its
-    # own logits.  Overflowing logits give non-finite rows, which every
-    # caller detects (DivergedLoss, a failed probe or simplex check), so
-    # callers run this under np.errstate(over="ignore", invalid="ignore")
-    # and no warning is raised.
-    logits -= logits.max(axis=0)
-    exp_logits = np.exp(logits)
-    total = exp_logits[0].copy()
-    for row in exp_logits[1:]:
-        total += row
-    logits -= np.log(total)
-    return logits.T
+        return _nb_log_posterior(model.biases, map(np.multiply.outer, obs.T, model.weights.T))
 
 
 def _collapsed_biases(log_prior, intercepts) -> np.ndarray:
@@ -126,8 +100,7 @@ def lr_to_nb(model: LogisticRegressionModel, prior=None) -> DiscriminativeNBMode
     """
     if prior is None:
         prior = ProbabilityVector.uniform(model.labels.n)
-    elif not isinstance(prior, ProbabilityVector):
-        prior = ProbabilityVector(prior)
+    prior = as_probability_vector(prior)
     if len(prior) != model.labels.n:
         raise ValueError(
             f"prior has {len(prior)} entries, expected {model.labels.n} (one per label)"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .core import LabelSpace, ObservationAlphabet, ProbabilityVector, is_integer
+from .core import LabelSpace, ObservationAlphabet, is_integer
 from .hmm import HmmModel
 from .logreg import LogisticRegressionModel
 from .naive_bayes import DiscriminativeNBModel, NaiveBayesModel
@@ -89,7 +89,7 @@ def model_from_dict(data: dict):
                 labels=LabelSpace(_names(data["labels"], "'labels'")),
                 alphabets=tuple(ObservationAlphabet(_names(symbols, "'alphabets' entry"))
                                 for symbols in alphabets),
-                prior=ProbabilityVector(data["prior"]),
+                prior=data["prior"],
                 emissions=emissions,
             )
         elif kind == "disc_nb":
@@ -98,7 +98,7 @@ def model_from_dict(data: dict):
                 raise ValueError("model JSON 'params' must be an object")
             model = DiscriminativeNBModel(
                 labels=LabelSpace(_names(data["labels"], "'labels'")),
-                prior=ProbabilityVector(data["prior"]),
+                prior=data["prior"],
                 slopes=params["a"],
                 intercepts=params["c"],
             )
@@ -112,7 +112,7 @@ def model_from_dict(data: dict):
             return HmmModel(
                 labels=LabelSpace(_names(data["labels"], "'labels'")),
                 alphabet=ObservationAlphabet(_names(data["alphabet"], "'alphabet'")),
-                prior=ProbabilityVector(data["prior"]),
+                prior=data["prior"],
                 transitions=data["transitions"],
                 emissions=data.get("emissions"),
                 posteriors=data.get("posteriors"),

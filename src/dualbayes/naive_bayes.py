@@ -14,7 +14,8 @@ Every route normalizes ``c * log prior + sum_t log column_t`` in one
 private fold: ``c = 1`` with columns gathered from the emission tables by
 symbol code (:func:`nb_encode`), ``c = 1 - T`` with columns gathered from
 posterior-column tables or, on real values, per-position log softmax
-columns.  The per-row functions are a batch of one through it, bit for bit.
+columns; logistic regression is the fold with prior term ``biases``.  The
+per-row functions are a batch of one through it, bit for bit.
 
 The two routes agree exactly whenever the posterior columns are the Bayes
 inversion of the same prior and emissions, which :func:`nb_to_discriminative`
@@ -42,8 +43,9 @@ from .core import (
     ZeroEvidence,
     ZeroPrior,
     _float_array,
+    as_probability_vector,
     bayes_invert,
-    logsumexp_last,
+    log_softmax_last,
     parameter_array,
     real_observation,
     real_observations,
@@ -70,7 +72,8 @@ class NaiveBayesModel:
         alphabets = tuple(self.alphabets)
         if not alphabets:
             raise ValueError("need at least one observation position")
-        if len(self.prior) != self.labels.n:
+        prior = as_probability_vector(self.prior)
+        if len(prior) != self.labels.n:
             raise ValueError("prior length does not match the label count")
         if len(self.emissions) != len(alphabets):
             raise ValueError("need one emission table per observation position")
@@ -80,6 +83,7 @@ class NaiveBayesModel:
             for t, (table, alphabet) in enumerate(zip(self.emissions, alphabets))
         )
         object.__setattr__(self, "alphabets", alphabets)
+        object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "emissions", tables)
 
     @property
@@ -103,11 +107,13 @@ class DiscriminativeNBModel:
     intercepts: np.ndarray
 
     def __post_init__(self):
-        if len(self.prior) != self.labels.n:
+        prior = as_probability_vector(self.prior)
+        if len(prior) != self.labels.n:
             raise ValueError("prior length does not match the label count")
-        if np.any(self.prior.entries == 0.0):
+        if np.any(prior.entries == 0.0):
             raise ZeroPrior("prior must be strictly positive")
         slopes = parameter_array(self.slopes, "slopes", (self.labels.n, None))
+        object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts",
                            parameter_array(self.intercepts, "intercepts", slopes.shape))
@@ -280,15 +286,15 @@ def _gathered_log_columns(tables, codes):
 
 def _nb_log_posterior(log_prior_term, log_columns, error=None) -> np.ndarray:
     # normalized log_prior_term + sum_t log_columns[t] for (S, N) columns, the
-    # one fold of every NB route; columns are added one at a time in a fixed
-    # order, so a row does not depend on its batch.  ``error`` is raised when
-    # some row gives every label weight zero; without it that row is NaN.
+    # one fold of every NB route and of LR; columns are added one at a time in
+    # a fixed order, so a row does not depend on its batch.  ``error`` is raised
+    # when some row gives every label weight zero; without it that row is NaN.
     log_weights = log_prior_term
     for column in log_columns:
         log_weights = log_weights + column
     if error is not None and not np.isfinite(log_weights).any(axis=1).all():
         raise error
-    return log_weights - logsumexp_last(log_weights)
+    return log_softmax_last(log_weights)
 
 
 def nb_generative_log_posterior_batch(model: NaiveBayesModel, codes) -> np.ndarray:
@@ -348,8 +354,7 @@ def nb_discriminative_log_posterior_batch(prior, tables, codes) -> np.ndarray:
     :class:`AllZeroWeights` if every label of some row scores zero and
     :class:`UnknownSymbol` for a non-integer code or one outside its table.
     """
-    if not isinstance(prior, ProbabilityVector):
-        prior = ProbabilityVector(prior)
+    prior = as_probability_vector(prior)
     if np.any(prior.entries == 0.0):
         raise ZeroPrior("the discriminative combination needs a strictly positive prior")
     tables = [_float_array(table) for table in tables]
@@ -395,8 +400,8 @@ def disc_nb_log_posterior_batch(model: DiscriminativeNBModel, observations) -> n
     and each row is the log of :func:`disc_nb_posterior` for that
     observation.  The log softmax columns of ``y_t * slopes[:, t] +
     intercepts[:, t]`` go through the symbolic routes' fold with prior term
-    ``(1 - T) * log prior``, independently of the logistic-regression
-    collapse, which is what lets the conversion checks compare the two.
+    ``(1 - T) * log prior``; the logistic-regression collapse feeds it other
+    columns, which is what lets the conversion checks compare the two.
     """
     obs = real_observations(observations, model.n_positions)
     # extreme parameters overflow the logits into NaN rows, which the callers
@@ -404,6 +409,5 @@ def disc_nb_log_posterior_batch(model: DiscriminativeNBModel, observations) -> n
     with np.errstate(over="ignore", invalid="ignore"):
         # logits[s, t, i] = slopes[i, t] * obs[s, t] + intercepts[i, t]
         logits = obs[:, :, None] * model.slopes.T + model.intercepts.T
-        logits -= logsumexp_last(logits)
         return _nb_log_posterior((1.0 - model.n_positions) * np.log(model.prior.entries),
-                                 logits.transpose(1, 0, 2))
+                                 log_softmax_last(logits).transpose(1, 0, 2))

@@ -29,11 +29,12 @@ from .core import (
     EmptyDataset,
     LabelSpace,
     is_integer,
+    log_softmax_last,
     normalize_log,
     real_observation,
     real_observations,
 )
-from .logreg import _collapsed_biases, _log_softmax_label_major
+from .logreg import _collapsed_biases
 from .naive_bayes import DiscriminativeNBModel, disc_nb_log_posterior_batch
 
 #: Central finite-difference step used by the gradient checks.
@@ -107,16 +108,18 @@ def _log_posterior(slopes, intercepts, log_prior, columns) -> np.ndarray:
     the same for every label, so the per-column normalizers cancel and the
     posterior is the log softmax of ``obs @ slopes.T + biases`` with
     :func:`~dualbayes.logreg.nb_to_lr`'s biases.  The label-major logits
-    are one BLAS product, ``slopes @ columns``.  Unlike inference, which
-    adds positions one at a time so that a row does not depend on its batch,
-    the trainer needs no such guarantee: its gradient is already a BLAS sum
-    over rows.  Extreme parameters can overflow the logits; the resulting
-    non-finite loss raises :class:`DivergedLoss`.
+    are one BLAS product, ``slopes @ columns``, normalized in place by
+    :func:`~dualbayes.core.log_softmax_last` through their ``(S, N)``
+    transposed view.  Unlike inference, which adds positions one at a time
+    so that a row does not depend on its batch, the trainer needs no such
+    guarantee: its gradient is already a BLAS sum over rows.  Extreme
+    parameters can overflow the logits; the resulting non-finite loss
+    raises :class:`DivergedLoss`.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         logits = slopes @ columns
         logits += _collapsed_biases(log_prior, intercepts)[:, None]
-        return _log_softmax_label_major(logits)
+        return log_softmax_last(logits.T)
 
 
 def parameter_loss(slopes, intercepts, log_prior, dataset, labels: LabelSpace) -> float:

@@ -1,6 +1,7 @@
 """Foundational numerics: log-sum-exp, log-domain normalization, and the
 validated simplex / label-space types."""
 
+import decimal
 import math
 import re
 
@@ -17,13 +18,18 @@ from dualbayes.core import (
     SIMPLEX_TOL,
     UnknownSymbol,
     check_simplex_rows,
-    logsumexp_last,
+    log_softmax_last,
     normalize_log,
     parameter_array,
 )
-from dualbayes.hmm import HmmModel, PosteriorMarginals
+from dualbayes.hmm import HmmModel, PosteriorMarginals, forward_backward
 from dualbayes.logreg import LogisticRegressionModel
-from dualbayes.naive_bayes import DiscriminativeNBModel, NaiveBayesModel
+from dualbayes.naive_bayes import (
+    DiscriminativeNBModel,
+    NaiveBayesModel,
+    disc_nb_posterior,
+    nb_generative_posterior,
+)
 
 finite_vectors = st.lists(
     st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=8
@@ -31,39 +37,74 @@ finite_vectors = st.lists(
 
 
 class TestLogSumExp:
-    """``logsumexp_last``, the row-wise log-sum-exp under every batch kernel."""
+    """``log_softmax_last``, which subtracts each row's log-sum-exp in place:
+    the one row normalizer under every batch kernel."""
 
     def test_two_equal_entries(self):
-        assert logsumexp_last(np.array([0.0, 0.0])) == math.log(2.0)
+        out = log_softmax_last(np.array([0.0, 0.0]))
+        np.testing.assert_array_equal(out, [-math.log(2.0), -math.log(2.0)])
 
     def test_minus_inf_is_absorbing(self):
-        assert logsumexp_last(np.array([-np.inf, 0.0])) == 0.0
+        np.testing.assert_array_equal(log_softmax_last(np.array([-np.inf, 0.0])), [-np.inf, 0.0])
 
     def test_matches_direct_sum_at_moderate_magnitudes(self):
         values = [3.0, 4.0, 5.0]
         direct = math.log(sum(math.exp(v) for v in values))
-        assert logsumexp_last(np.array(values)) == pytest.approx(direct, abs=1e-12)
+        np.testing.assert_allclose(log_softmax_last(np.array(values)),
+                                   [v - direct for v in values], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("peak", [0.0, -5.0, 100.0, -250.0])
     def test_dominant_entry_wins_beyond_forty_nats(self, peak):
-        assert logsumexp_last(np.array([peak, peak - 41.0])) == peak
+        np.testing.assert_array_equal(log_softmax_last(np.array([peak, peak - 41.0])), [0.0, -41.0])
 
     @given(finite_vectors, st.floats(min_value=-100.0, max_value=100.0))
     def test_shift_invariance(self, values, shift):
         arr = np.array(values)
-        lhs = logsumexp_last(arr + shift)
-        rhs = logsumexp_last(arr) + shift
+        lhs = log_softmax_last(arr + shift)
+        rhs = log_softmax_last(arr.copy())
         assert abs(lhs - rhs).max() <= 1e-12
 
     def test_rows_are_reduced_independently_keeping_dims(self):
         rows = np.array([[0.0, 0.0], [-np.inf, 3.0], [100.0, 59.0]])
-        out = logsumexp_last(rows)
-        assert out.shape == (3, 1)
-        for row, value in zip(rows, out[:, 0]):
-            assert value == logsumexp_last(row)[0]
+        out = log_softmax_last(rows.copy())
+        assert out.shape == (3, 2)
+        for row, values in zip(rows, out):
+            np.testing.assert_array_equal(values, log_softmax_last(row.copy()))
+
+    def test_normalizes_in_place_and_returns_its_argument(self):
+        rows = np.array([[1.0, 2.0, 3.0], [0.0, -np.inf, 5.0]])
+        expected = log_softmax_last(rows.copy())
+        assert log_softmax_last(rows) is rows
+        np.testing.assert_array_equal(rows, expected)
+        # the trainer normalizes the (S, N) transposed view of label-major logits
+        label_major = np.array([[1.0, 0.0], [2.0, -np.inf], [3.0, 5.0]])
+        log_softmax_last(label_major.T)
+        np.testing.assert_array_equal(label_major.T, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 32])
+    def test_matches_fifty_digit_reference_far_from_zero(self, n):
+        # rows offset by up to +-700, next to exp's overflow limit; numpy sums
+        # fewer than 8 entries in order and 8 or more pairwise
+        rng = np.random.default_rng(700 + n)
+        offsets = rng.uniform(-700.0, 700.0, size=(16, 1))
+        rows = offsets + rng.uniform(-30.0, 30.0, size=(16, n))
+        got = np.exp(log_softmax_last(rows.copy()))
+        with decimal.localcontext() as context:
+            context.prec = 50
+            for row, values in zip(got, rows.tolist()):
+                exps = [decimal.Decimal(v).exp() for v in values]
+                total = sum(exps)
+                np.testing.assert_allclose(row, [float(e / total) for e in exps],
+                                           rtol=0.0, atol=1e-15)
 
 
 class TestNormalizeLog:
+    def test_leaves_its_input_array_unchanged(self):
+        # the normalizer works in place, so normalize_log must copy
+        weights = np.array([1.0, 2.0, -np.inf])
+        normalize_log(weights)
+        np.testing.assert_array_equal(weights, [1.0, 2.0, -np.inf])
+
     def test_equal_weights(self):
         out = normalize_log([0.0, 0.0])
         np.testing.assert_allclose(out.entries, [0.5, 0.5], atol=1e-15)
@@ -280,6 +321,34 @@ class TestParameterArray:
                       [True, False], [True, 0.0], np.array([True, False]), "1.0"):
             with pytest.raises(ValueError, match="^entries must be an array of numbers$"):
                 ProbabilityVector(value)
+
+
+# every model with a prior: a constructor from the prior, and its posteriors
+_PRIOR_MODELS = {
+    "naive_bayes": (lambda prior: NaiveBayesModel(_LABELS, _ALPHABETS, prior, _TABLES),
+                    lambda model: nb_generative_posterior(model, ["y", "w"]).entries),
+    "disc_nb": (lambda prior: DiscriminativeNBModel(_LABELS, prior, _REAL, _REAL),
+                lambda model: disc_nb_posterior(model, [0.3, -1.2]).entries),
+    "hmm": (lambda prior: HmmModel(_LABELS, _ALPHABETS[0], prior, _STEP, emissions=_STEP),
+            lambda model: forward_backward(model, ["x", "y", "y"]).gamma),
+}
+
+
+class TestModelPrior:
+    """A model converts a prior given as a plain list when it is built."""
+
+    @pytest.mark.parametrize("kind", sorted(_PRIOR_MODELS))
+    def test_list_prior_gives_the_same_posteriors(self, kind):
+        build, posteriors = _PRIOR_MODELS[kind]
+        model = build([0.4, 0.6])
+        assert isinstance(model.prior, ProbabilityVector)
+        np.testing.assert_array_equal(posteriors(model), posteriors(build(_PRIOR)))
+
+    @pytest.mark.parametrize("kind", sorted(_PRIOR_MODELS))
+    def test_prior_off_the_simplex_is_rejected_when_built(self, kind):
+        build, _ = _PRIOR_MODELS[kind]
+        with pytest.raises(ValueError, match="^entries sum to 1.8, not 1$"):
+            build([0.9, 0.9])
 
 
 class TestLogWeightVector:

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dualbayes.core import (
+    EQUALITY_TOL,
     DimensionMismatch,
     LabelSpace,
     ProbabilityVector,
@@ -77,12 +78,38 @@ class TestPosterior:
             lr_posterior(model, [1.0])
 
     def test_batch_matches_single_calls(self):
+        # numpy sums fewer than 8 labels in order and 8 or more pairwise
         rng = np.random.default_rng(41)
-        model = random_logreg(rng, n_labels=4, t_len=3)
-        batch = rng.normal(size=(20, 3))
-        rows = np.exp(lr_log_posterior_batch(model, batch))
-        for row, y in zip(rows, batch):
-            np.testing.assert_allclose(row, lr_posterior(model, y).entries, atol=1e-14)
+        for n_labels in (4, 8, 32):
+            model = random_logreg(rng, n_labels=n_labels, t_len=3)
+            batch = rng.normal(size=(20, 3))
+            rows = np.exp(lr_log_posterior_batch(model, batch))
+            for row, y in zip(rows, batch):
+                np.testing.assert_array_equal(row, lr_posterior(model, y).entries)
+
+    def test_matches_plain_math_reference_near_overflow(self):
+        # the definition in plain floats: math.fsum over the bias and the
+        # position terms, then a max-shifted softmax
+        def reference(weights, biases, y):
+            logits = [math.fsum([bias] + [w * v for w, v in zip(row, y)])
+                      for row, bias in zip(weights, biases)]
+            peak = max(logits)
+            norm = peak + math.log(math.fsum(math.exp(z - peak) for z in logits))
+            return [math.exp(z - norm) for z in logits]
+
+        rng = np.random.default_rng(43)
+        for t_len in (1, 2, 7, 20, 50):
+            n = int(rng.integers(2, 33))
+            # logits spread up to about +-700, next to exp's overflow limit
+            weights = rng.uniform(-1.0, 1.0, size=(n, t_len)) * 700.0 / (3.0 * t_len)
+            biases = rng.uniform(-350.0, 350.0, n)
+            model = LogisticRegressionModel(
+                LabelSpace(tuple(f"l{i}" for i in range(n))), weights, biases)
+            batch = rng.normal(size=(8, t_len))
+            got = np.exp(lr_log_posterior_batch(model, batch))
+            for row, y in zip(got, batch.tolist()):
+                want = reference(weights.tolist(), biases.tolist(), y)
+                np.testing.assert_allclose(row, want, rtol=0.0, atol=EQUALITY_TOL)
 
     @given(st.floats(min_value=-50.0, max_value=50.0))
     def test_bias_shift_invariance(self, kappa):

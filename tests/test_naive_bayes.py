@@ -34,7 +34,7 @@ from dualbayes.naive_bayes import (
     nb_sufficient_statistics,
     nb_to_discriminative,
 )
-from dualbayes.logreg import lr_posterior, nb_to_lr
+from dualbayes.logreg import lr_log_posterior_batch, lr_posterior, nb_to_lr
 from dualbayes.oracle import joint_enumeration_nb
 from dualbayes.verify import (
     random_discriminative_nb,
@@ -386,15 +386,18 @@ class TestSoftmaxParameterization:
 
     def test_rows_do_not_depend_on_their_batch(self):
         # predict evaluates blocks of PREDICT_BLOCK rows: a row's bits must
-        # not change with the block it lands in or its place there
+        # not change with the block it lands in or its place there, on the
+        # model and on its logistic-regression collapse
         rng = np.random.default_rng(20)
         model = random_discriminative_nb(rng, n_labels=8, t_len=20)
         batch = rng.normal(0.0, 2.0, size=(PREDICT_BLOCK + 3, 20))
-        whole = disc_nb_log_posterior_batch(model, batch)
-        for split in (1, 2, 500, PREDICT_BLOCK, PREDICT_BLOCK + 2):
-            parts = [disc_nb_log_posterior_batch(model, batch[:split]),
-                     disc_nb_log_posterior_batch(model, batch[split:])]
-            np.testing.assert_array_equal(np.concatenate(parts), whole)
+        for kernel, kernel_model in ((disc_nb_log_posterior_batch, model),
+                                     (lr_log_posterior_batch, nb_to_lr(model))):
+            whole = kernel(kernel_model, batch)
+            for split in (1, 2, 500, PREDICT_BLOCK, PREDICT_BLOCK + 2):
+                parts = [kernel(kernel_model, batch[:split]),
+                         kernel(kernel_model, batch[split:])]
+                np.testing.assert_array_equal(np.concatenate(parts), whole)
 
     def test_matches_plain_math_reference_near_overflow(self):
         # the definition in plain floats: a max-shifted log softmax per

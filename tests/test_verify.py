@@ -112,9 +112,9 @@ class TestSuites:
     def test_default_verify_output_is_pinned(self, capsys):
         assert main(["verify", "--seed", "0"]) == 0
         assert capsys.readouterr().out == (
-            "suite=nb-generative-vs-discriminative cases=1000 max_discrepancy=1.110e-15"
+            "suite=nb-generative-vs-discriminative cases=1000 max_discrepancy=8.327e-16"
             " tolerance=1.0e-10 PASS\n"
-            "suite=logreg-equivalence cases=500 max_discrepancy=1.998e-15 tolerance=1.0e-10 PASS\n"
+            "suite=logreg-equivalence cases=500 max_discrepancy=2.331e-15 tolerance=1.0e-10 PASS\n"
             "suite=fb-vs-efb cases=500 max_discrepancy=3.331e-16 tolerance=1.0e-10 PASS\n"
             "suite=fb-vs-enumeration cases=60 max_discrepancy=6.661e-16 tolerance=1.0e-10 PASS\n"
             "4/4 suites passed\n"
