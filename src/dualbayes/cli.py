@@ -44,6 +44,7 @@ from .naive_bayes import (
     NaiveBayesModel,
     _infer_spaces,
     _model_from_statistics,
+    _smoothing_alpha,
     disc_nb_log_posterior_batch,
     nb_discriminative_log_posterior_batch,
     nb_encode,
@@ -240,10 +241,11 @@ def _read_observations(path, real_mode: bool, expected: int):
 
 def _cmd_fit(args) -> int:
     if args.generative:
+        alpha = _smoothing_alpha(args.alpha)  # checked before the dataset is read
         data = list(zip(*_read_dataset(args.dataset, real_mode=False)))
         labels, alphabets = _infer_spaces(data)
         stats = nb_sufficient_statistics(data, labels, alphabets)
-        model = _model_from_statistics(stats, labels, alphabets, args.alpha)
+        model = _model_from_statistics(stats, labels, alphabets, alpha)
         save_model(model, args.output)
         print(f"samples={stats.sample_count}")
         for name, count in zip(model.labels.names, stats.label_counts):
@@ -264,9 +266,8 @@ def _cmd_fit(args) -> int:
     labels = LabelSpace(tuple(sorted(set(row_labels))))
     real_observations(features, features.shape[1])  # raises for a non-finite field
     codes = np.array([labels.index(label) for label in row_labels], dtype=np.intp)
-    columns = np.ascontiguousarray(features.T)
-    del row_labels, features  # the trainer's arrays are then the only copy of the data
-    model, report = _gradient_descent(columns, codes, labels, config)
+    del row_labels  # only their codes are kept while training
+    model, report = _gradient_descent(features, codes, labels, config)
     for epoch, loss in enumerate(report.loss_curve):
         print("epoch=%d loss=%.17g" % (epoch, loss))
     print(json.dumps({

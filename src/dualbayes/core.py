@@ -186,8 +186,8 @@ def check_simplex_rows(rows: np.ndarray, what: str = "row") -> None:
             raise ValueError(f"{what} {row}: {exc}") from None
 
 
-def real_observation(observation, t_len: int) -> np.ndarray:
-    """One real-valued observation as a finite float vector of length ``t_len``."""
+def real_observation(observation, t_len: int) -> None:
+    """Check that one real-valued observation is ``t_len`` finite numbers."""
     y = np.asarray(observation, dtype=float)
     if y.ndim != 1 or y.size != t_len:
         raise DimensionMismatch(
@@ -195,13 +195,21 @@ def real_observation(observation, t_len: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(y)):
         raise ValueError("observation coordinates must be finite")
-    return y
 
 
 def real_observations(observations, t_len: int) -> np.ndarray:
-    """A batch of real-valued observations as a finite ``(S, t_len)`` float array."""
-    obs = np.asarray(observations, dtype=float)
-    if obs.ndim != 2 or obs.shape[1] != t_len:
+    """A batch of real-valued observations as a finite ``(S, t_len)`` float array.
+
+    A batch that does not form one is checked row by row, so that the error
+    names the first bad row as :func:`real_observation` does.
+    """
+    try:
+        obs = np.asarray(observations, dtype=float)
+    except ValueError:  # ragged rows, or a field that is not a number
+        obs = None
+    if obs is None or obs.ndim != 2 or obs.shape[1] != t_len:
+        for observation in observations if obs is None else np.atleast_1d(obs):
+            real_observation(observation, t_len)  # raises for the first bad row
         raise DimensionMismatch(
             f"observations must have shape (S, {t_len}), got {obs.shape}"
         )

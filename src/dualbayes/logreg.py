@@ -26,7 +26,6 @@ from .core import (
     ZeroPrior,
     as_probability_vector,
     parameter_array,
-    real_observation,
     real_observations,
 )
 from .naive_bayes import DiscriminativeNBModel, _nb_log_posterior
@@ -57,8 +56,7 @@ def lr_posterior(model: LogisticRegressionModel, observation) -> ProbabilityVect
     Every entry is strictly positive as long as the logit spread stays
     within double-precision exponent range.
     """
-    y = real_observation(observation, model.n_positions)
-    return ProbabilityVector(np.exp(lr_log_posterior_batch(model, y[None, :])[0]))
+    return ProbabilityVector(np.exp(lr_log_posterior_batch(model, [observation])[0]))
 
 
 def lr_log_posterior_batch(model: LogisticRegressionModel, observations) -> np.ndarray:

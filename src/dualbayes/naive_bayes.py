@@ -47,7 +47,6 @@ from .core import (
     bayes_invert,
     log_softmax_last,
     parameter_array,
-    real_observation,
     real_observations,
     safe_log,
 )
@@ -215,15 +214,21 @@ def nb_fit_mle(dataset, smoothing_alpha: float = 0.0, *, labels=None, alphabets=
         alphabets = alphabets if alphabets is not None else inferred_alphabets
     alphabets = tuple(alphabets)
     stats = nb_sufficient_statistics(dataset, labels, alphabets)
-    return _model_from_statistics(stats, labels, alphabets, smoothing_alpha)
+    return _model_from_statistics(stats, labels, alphabets, _smoothing_alpha(smoothing_alpha))
+
+
+def _smoothing_alpha(value) -> float:
+    # one check for nb_fit_mle and for fit --generative, which runs it before
+    # it reads the dataset
+    if not 0.0 <= value < np.inf:  # NaN fails too
+        raise ValueError("smoothing_alpha must be finite and nonnegative")
+    return float(value)
 
 
 def _model_from_statistics(stats: SufficientStatistics, labels: LabelSpace, alphabets,
-                           smoothing_alpha: float) -> NaiveBayesModel:
-    """The (smoothed) count-ratio model of :func:`nb_fit_mle` from its counts."""
-    if not 0.0 <= smoothing_alpha < np.inf:  # NaN fails too
-        raise ValueError("smoothing_alpha must be finite and nonnegative")
-    alpha = float(smoothing_alpha)
+                           alpha: float) -> NaiveBayesModel:
+    """The (smoothed) count-ratio model of :func:`nb_fit_mle` from its counts,
+    with ``alpha`` checked by :func:`_smoothing_alpha`."""
     counts = stats.label_counts.astype(float)
     prior = ProbabilityVector((counts + alpha) / (stats.sample_count + alpha * labels.n))
 
@@ -389,8 +394,7 @@ def nb_discriminative_posterior(prior, l_columns) -> ProbabilityVector:
 def disc_nb_posterior(model: DiscriminativeNBModel, observation) -> ProbabilityVector:
     """Posterior of a softmax-parameterized model at one real observation;
     a batch of one through :func:`disc_nb_log_posterior_batch`."""
-    y = real_observation(observation, model.n_positions)
-    return ProbabilityVector(np.exp(disc_nb_log_posterior_batch(model, y[None, :])[0]))
+    return ProbabilityVector(np.exp(disc_nb_log_posterior_batch(model, [observation])[0]))
 
 
 def disc_nb_log_posterior_batch(model: DiscriminativeNBModel, observations) -> np.ndarray:

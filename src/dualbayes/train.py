@@ -15,7 +15,7 @@ defining formula.
 
 Training is deterministic for a fixed config: mini-batch order comes only
 from the seeded generator, and all per-sample contributions are reduced by
-fixed-order array sums.
+fixed-order array sums, whatever the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .core import (
     is_integer,
     log_softmax_last,
     normalize_log,
-    real_observation,
     real_observations,
 )
 from .logreg import _collapsed_biases
@@ -88,36 +87,28 @@ def _prepare(dataset, labels: LabelSpace, t_len: int):
     if len(dataset) == 0:
         raise EmptyDataset("empty dataset")
     indices = np.array([labels.index(label) for label, _ in dataset], dtype=np.intp)
-    try:
-        obs = np.array([observation for _, observation in dataset], dtype=float)
-    except ValueError:  # ragged rows, or a field that is not a number
-        obs = None
-    if obs is None or obs.ndim != 2 or obs.shape[1] != t_len:
-        for _, observation in dataset:
-            real_observation(observation, t_len)  # raises for the first bad row
-    return real_observations(obs, t_len), indices
+    return real_observations([observation for _, observation in dataset], t_len), indices
 
 
-def _log_posterior(slopes, intercepts, log_prior, columns) -> np.ndarray:
+def _log_posterior(slopes, intercepts, log_prior, obs, out=None) -> np.ndarray:
     """The model's log posterior through its exact logistic-regression collapse.
-
-    ``columns`` is the ``(T, S)`` transpose of the observations, so that a
-    caller looping over epochs transposes once, not once per evaluation.
 
     ``sum_t log softmax(z_t)`` differs from ``sum_t z_t`` by a term that is
     the same for every label, so the per-column normalizers cancel and the
     posterior is the log softmax of ``obs @ slopes.T + biases`` with
     :func:`~dualbayes.logreg.nb_to_lr`'s biases.  The label-major logits
-    are one BLAS product, ``slopes @ columns``, normalized in place by
+    are one BLAS product, ``slopes @ obs.T``, normalized in place by
     :func:`~dualbayes.core.log_softmax_last` through their ``(S, N)``
     transposed view.  Unlike inference, which adds positions one at a time
-    so that a row does not depend on its batch, the trainer needs no such
-    guarantee: its gradient is already a BLAS sum over rows.  Extreme
-    parameters can overflow the logits; the resulting non-finite loss
-    raises :class:`DivergedLoss`.
+    so that a row does not depend on its batch, the trainer only needs its
+    output not to depend on the BLAS thread count: a logit sums the ``T``
+    positions of one row, and the gradient sums rows in fixed-size chunks.
+    Extreme parameters can overflow the logits; the resulting non-finite
+    loss raises :class:`DivergedLoss`.  ``out``, if given, is an ``(N, S)``
+    buffer that receives the logits and then the result.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = slopes @ columns
+        logits = np.matmul(slopes, obs.T, out=out)
         logits += _collapsed_biases(log_prior, intercepts)[:, None]
         return log_softmax_last(logits.T)
 
@@ -147,17 +138,25 @@ def loss_cross_entropy(model: DiscriminativeNBModel, dataset) -> float:
     return float(-log_post[np.arange(idx.size), idx].mean())
 
 
-def _loss_and_gradients(slopes, intercepts, log_prior, columns, idx):
-    log_post = _log_posterior(slopes, intercepts, log_prior, columns)
+def _loss_and_gradients(slopes, intercepts, log_prior, obs, idx, out=None):
+    log_post = _log_posterior(slopes, intercepts, log_prior, obs, out)
     n_samples = idx.size
     loss = float(-log_post[np.arange(n_samples), idx].mean())
     # residual g = posterior - onehot sums to zero over labels, which
     # collapses the softmax chain rule to the three expressions below
-    residual = np.exp(log_post)
+    residual = np.exp(log_post, out=log_post)
     residual[np.arange(n_samples), idx] -= 1.0
     residual /= n_samples
     t_len = slopes.shape[1]
-    grad_slopes = residual.T @ columns.T
+    # a BLAS product over many rows may split its sums differently with a
+    # different number of threads (OpenBLAS 0.3.31 did beyond 256 rows), so
+    # products over 256 rows at most are added in a fixed order: one stacked
+    # product per whole 256-row block, summed in block order, plus the rest
+    whole = n_samples - n_samples % 256
+    grad_slopes = residual[whole:].T @ obs[whole:]
+    if whole:
+        blocks = residual[:whole].T.reshape(-1, whole // 256, 256).transpose(1, 0, 2)
+        grad_slopes += (blocks @ obs[:whole].reshape(-1, 256, t_len)).sum(axis=0)
     mean_residual = residual.sum(axis=0)
     grad_intercepts = np.repeat(mean_residual[:, None], t_len, axis=1)
     grad_log_prior = (1.0 - t_len) * mean_residual
@@ -174,7 +173,7 @@ def gradient(model: DiscriminativeNBModel, dataset) -> Gradients:
     """
     obs, idx = _prepare(dataset, model.labels, model.n_positions)
     _, grads = _loss_and_gradients(
-        model.slopes, model.intercepts, np.log(model.prior.entries), obs.T, idx
+        model.slopes, model.intercepts, np.log(model.prior.entries), obs, idx
     )
     return grads
 
@@ -189,22 +188,26 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
     any recorded loss stops being finite.
     """
     obs, idx = _prepare(dataset, labels, n_positions)
-    return _gradient_descent(np.ascontiguousarray(obs.T), idx, labels, config)
+    return _gradient_descent(obs, idx, labels, config)
 
 
-def _gradient_descent(columns, idx, labels: LabelSpace,
+def _gradient_descent(obs, idx, labels: LabelSpace,
                       config: TrainConfig) -> tuple[DiscriminativeNBModel, TrainReport]:
-    # The loop of fit_discriminative on checked arrays: the C-contiguous
-    # (T, S) transpose of finite observations, and their label codes.  The
-    # caller transposes once and may drop its (S, T) array, so the loop
-    # holds the only copy of the data.  The shuffling generator, whose first
-    # use imports numpy.random, is built only when there are mini-batches.
-    n_positions, n_samples = columns.shape
+    # The loop of fit_discriminative on checked arrays: finite (S, T)
+    # observations and their label codes.  The loop reads the caller's
+    # array as it is, so the data is held once.  A full batch computes every
+    # epoch's logits and residuals in one (N, S) buffer: with fresh arrays,
+    # glibc's malloc handed their memory back to the system after every
+    # epoch and faulted it in again (about 300 page faults an epoch at
+    # S = 10^4, N = 8).  The shuffling generator, whose first use imports
+    # numpy.random, is built only when there are mini-batches.
+    n_samples, n_positions = obs.shape
     slopes = np.zeros((labels.n, n_positions))
     intercepts = np.zeros((labels.n, n_positions))
     prior_logits = np.zeros(labels.n)
     batch = n_samples if config.batch_size == "full" else min(config.batch_size, n_samples)
     rng = np.random.default_rng(config.seed) if batch < n_samples else None
+    logits = np.empty((labels.n, n_samples)) if rng is None else None
     lr = config.learning_rate
 
     curve = []
@@ -218,7 +221,7 @@ def _gradient_descent(columns, idx, labels: LabelSpace,
         for chosen in chunks:
             chunk_idx = idx[chosen]
             loss, grads = _loss_and_gradients(
-                slopes, intercepts, prior_logits, columns[:, chosen], chunk_idx
+                slopes, intercepts, prior_logits, obs[chosen], chunk_idx, logits
             )
             if not np.isfinite(loss):
                 raise DivergedLoss(f"loss became non-finite ({loss!r})")
@@ -234,6 +237,6 @@ def _gradient_descent(columns, idx, labels: LabelSpace,
         raise DivergedLoss("parameters became non-finite")
     prior = normalize_log(prior_logits)
     model = DiscriminativeNBModel(labels, prior, slopes, intercepts)
-    log_post = _log_posterior(slopes, intercepts, np.log(prior.entries), columns)
+    log_post = _log_posterior(slopes, intercepts, np.log(prior.entries), obs, logits)
     accuracy = float((log_post.argmax(axis=1) == idx).mean())
     return model, TrainReport(tuple(curve), accuracy)

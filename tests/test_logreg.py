@@ -77,6 +77,11 @@ class TestPosterior:
         with pytest.raises(DimensionMismatch):
             lr_posterior(model, [1.0])
 
+    def test_ragged_batch_names_the_bad_row(self):
+        model = LogisticRegressionModel(LabelSpace(("a", "b")), np.ones((2, 2)), np.zeros(2))
+        with pytest.raises(DimensionMismatch, match=r"got shape \(1,\)$"):
+            lr_log_posterior_batch(model, [[1.0, 2.0], [1.0]])
+
     def test_batch_matches_single_calls(self):
         # numpy sums fewer than 8 labels in order and 8 or more pairwise
         rng = np.random.default_rng(41)

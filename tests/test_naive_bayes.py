@@ -442,6 +442,13 @@ class TestSoftmaxParameterization:
         with pytest.raises(DimensionMismatch):
             disc_nb_posterior(model, [1.0, 2.0])
 
+    def test_ragged_batch_names_the_bad_row(self):
+        from dualbayes.core import DimensionMismatch
+
+        model = random_discriminative_nb(np.random.default_rng(23), n_labels=2, t_len=2)
+        with pytest.raises(DimensionMismatch, match=r"got shape \(1,\)$"):
+            disc_nb_log_posterior_batch(model, [[1.0, 2.0], [1.0]])
+
     def test_zero_prior_rejected_at_construction(self):
         with pytest.raises(ZeroPrior):
             DiscriminativeNBModel(

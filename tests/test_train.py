@@ -152,7 +152,7 @@ class TestCollapsedPosterior:
             model = random_discriminative_nb(rng)
             obs = rng.normal(0.0, 2.0, size=(n_rows, model.n_positions))
             trainer = _log_posterior(
-                model.slopes, model.intercepts, np.log(model.prior.entries), obs.T
+                model.slopes, model.intercepts, np.log(model.prior.entries), obs
             )
             np.testing.assert_allclose(
                 trainer, disc_nb_log_posterior_batch(model, obs), rtol=0.0, atol=EQUALITY_TOL
