@@ -33,7 +33,6 @@ from .core import (
     EQUALITY_TOL,
     LabelSpace,
     check_simplex_rows,
-    real_observations,
     usable_cpus,
 )
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
@@ -52,7 +51,7 @@ from .naive_bayes import (
     nb_sufficient_statistics,
     nb_to_discriminative,
 )
-from .train import TrainConfig, _gradient_descent
+from .train import TrainConfig, _gradient_descent, _prepare
 from .verify import run_all_suites
 
 EXIT_OK = 0
@@ -264,8 +263,7 @@ def _cmd_fit(args) -> int:
     )
     row_labels, features = _read_dataset(args.dataset, real_mode=True)
     labels = LabelSpace(tuple(sorted(set(row_labels))))
-    real_observations(features, features.shape[1])  # raises for a non-finite field
-    codes = np.array([labels.index(label) for label in row_labels], dtype=np.intp)
+    features, codes = _prepare(row_labels, features, labels, features.shape[1])
     del row_labels  # only their codes are kept while training
     model, report = _gradient_descent(features, codes, labels, config)
     for epoch, loss in enumerate(report.loss_curve):

@@ -105,7 +105,8 @@ def _holds_str_or_bool(values) -> bool:
         return values.dtype.kind in "bSU" or (
             values.dtype.kind == "O" and _holds_str_or_bool(values.tolist()))
     if isinstance(values, (list, tuple)):
-        return any(map(_holds_str_or_bool, values))
+        # a list of plain numbers, every row of a list batch, takes no call per entry
+        return not set(map(type, values)) <= {float, int} and any(map(_holds_str_or_bool, values))
     return isinstance(values, (str, bytes, bool, np.bool_))
 
 
@@ -186,30 +187,24 @@ def check_simplex_rows(rows: np.ndarray, what: str = "row") -> None:
             raise ValueError(f"{what} {row}: {exc}") from None
 
 
-def real_observation(observation, t_len: int) -> None:
-    """Check that one real-valued observation is ``t_len`` finite numbers."""
-    y = np.asarray(observation, dtype=float)
-    if y.ndim != 1 or y.size != t_len:
-        raise DimensionMismatch(
-            f"observation must have {t_len} coordinates, got shape {y.shape}"
-        )
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observation coordinates must be finite")
-
-
 def real_observations(observations, t_len: int) -> np.ndarray:
     """A batch of real-valued observations as a finite ``(S, t_len)`` float array.
 
-    A batch that does not form one is checked row by row, so that the error
-    names the first bad row as :func:`real_observation` does.
+    A float array is returned without a copy; strings and booleans raise
+    ``ValueError``.  A batch that does not form one array is checked row by
+    row, so that the error names the first row that is not ``t_len`` numbers.
     """
+    if _holds_str_or_bool(observations):
+        raise ValueError("observation coordinates must be numbers, not strings or booleans")
     try:
         obs = np.asarray(observations, dtype=float)
-    except ValueError:  # ragged rows, or a field that is not a number
+    except ValueError:  # ragged rows
         obs = None
     if obs is None or obs.ndim != 2 or obs.shape[1] != t_len:
         for observation in observations if obs is None else np.atleast_1d(obs):
-            real_observation(observation, t_len)  # raises for the first bad row
+            if np.shape(observation) != (t_len,):
+                raise DimensionMismatch(f"observation must have {t_len} coordinates, "
+                                        f"got shape {np.shape(observation)}")
         raise DimensionMismatch(
             f"observations must have shape (S, {t_len}), got {obs.shape}"
         )

@@ -35,11 +35,11 @@ of temporal parallelization of Bayesian smoothers (Särkkä & García-Fernández
 IEEE TAC 2021).  The T - 1 transition steps are cut into about sqrt(T)
 blocks, and one block step advances every block at once with one matrix
 product: on a ``(blocks, N, N)`` stack it builds each block's transfer
-operator, the product of its steps, forward and backward; a short
-sequential pass carries ``alpha`` and ``beta`` across the block boundaries
-through those operators; and on a ``(blocks, N)`` state the same step then
+operator, the product of its steps, once; a short sequential pass carries
+``alpha`` forward and ``beta`` backward across the block boundaries through
+those same operators; and on a ``(blocks, N)`` state the same step then
 runs one forward and one backward sweep of every block from its boundary.
-That is about 6 sqrt(T) Python-level steps instead of 2T, for N times the
+That is about 5 sqrt(T) Python-level steps instead of 2T, for N times the
 arithmetic, so the kernel takes this route only with at most 16 labels and
 at least 512 steps, and the step-by-step loop otherwise.  The two agree to
 rounding.  The block step floors each total at the smallest normal float
@@ -165,13 +165,13 @@ _ZERO_EVIDENCE = "zero evidence: the observation sequence has probability zero u
 
 
 # The blocked recursion replaces about 2T Python-level steps by about
-# 6 sqrt(T) batched ones at N times the arithmetic, so it wins only where
+# 5 sqrt(T) batched ones at N times the arithmetic, so it wins only where
 # the per-step overhead outweighs the N^3 products.  Measured in process on
-# a shared 2-vCPU x86-64 host (OpenBLAS, M=20), best of 7: at T=10^4 it took
-# 17/28/60 ms against 94/119/115 ms for the plain loop at N=2/8/16, and
-# 105/171 ms against 91/98 ms at N=24/32; at T=1024 it won at every N up to
-# 24; at T=512 it won at N=2 and 8 and roughly tied at N=16; at T=256 the
-# gain was at most 0.7 ms.
+# a shared 2-vCPU x86-64 host (OpenBLAS, M=20), best of 15 alternating runs:
+# at T=10^4 it took 13/20/32 ms against 118/100/118 ms for the plain loop
+# at N=2/8/16, and 68/110 ms against 125/118 ms at N=24/32; at T=1024 and
+# T=512 it won at every N up to 24 and roughly tied at N=32; at T=256 the
+# gain was at most 1.4 ms.
 _BLOCKED_MAX_LABELS = 16
 _BLOCKED_MIN_STEPS = 512
 _TINY = np.finfo(float).tiny
@@ -261,15 +261,14 @@ def _blocked_recursion(transitions, factors, rows, gamma, scales):
     """The steps ``1..T-1`` cut into B blocks of ``L = isqrt(T - 1)`` (the last
     one ragged), every block advanced at once by :func:`_sweep`.
 
-    1. Transfer operators: each block's product of ``A diag(f)`` steps,
-       swept for all blocks together from the identity on a ``(B, N, N)``
-       stack, with the log of every row's total kept.  The backward pass
-       builds the same products transposed, as ``diag(f) A.T`` steps taken
-       from the block's end, so that their columns are normalized, in the
-       forward stack's buffer once the forward pushes are done.
-    2. Boundaries: B sequential steps push the normalized ``alpha`` through
-       the forward operators, in log space, to each block's start, and
-       ``beta`` through the backward ones to each block's end.
+    1. Transfer operators: each block's product ``M_b`` of ``A diag(f)``
+       steps, swept for all blocks together from the identity on one
+       ``(B, N, N)`` stack, with the log of every row's total kept.
+    2. Boundaries: B sequential steps push the normalized ``alpha`` forward
+       through the operators, ``alpha @ M_b``, to each block's start, and
+       ``beta`` backward through the same ones, ``M_b @ beta``, to each
+       block's end; both in log space, so that the row scales cannot
+       underflow.
     3. One forward and one backward sweep of L steps run every block from
        its boundary on a ``(B, N)`` state, as :func:`_plain_recursion` runs
        the whole sequence: ``alpha`` and its totals are written into
@@ -283,32 +282,28 @@ def _blocked_recursion(transitions, factors, rows, gamma, scales):
     steps.reshape(-1)[:len(rows) - 1] = rows[1:]
     active = np.full(span, blocks)  # active[j] blocks have a step j
     active[ragged:] -= 1
-    backward = np.ascontiguousarray(transitions.T)  # a product with a transposed view is slower
-    stacked = factors[:, None, :]  # one factor row per operator, broadcast over its rows
 
-    starts = np.empty((blocks, n))
-    starts[0] = gamma[0]
-    ends = np.empty((blocks, n))
-    ends[-1] = 1.0
-    # every block but the last needs its forward operator: block b maps
-    # the alpha at position b*L to the one at (b + 1)*L; the true operator
-    # is exp(log_scale[b])[:, None] * ops[b]
-    ops = np.broadcast_to(np.eye(n), (blocks - 1, n, n)).copy()
-    log_scale = np.zeros((blocks - 1, n))
-    for _, part, totals in _sweep(ops, transitions, stacked, steps[:-1].T, [blocks - 1] * span):
+    # block b's operator maps the alpha at position b*L to the one at its
+    # last position, and the beta there back to the one at b*L; the true
+    # operator is exp(log_scale[b])[:, None] * ops[b].  Each block takes one
+    # factor row per step, broadcast over its operator's rows
+    ops = np.broadcast_to(np.eye(n), (blocks, n, n)).copy()
+    log_scale = np.zeros((blocks, n))
+    for _, part, totals in _sweep(ops, transitions, factors[:, None, :], steps.T, active):
         log_scale[:len(part)] += np.log(totals)
+    starts = np.tile(gamma[0], (blocks, 1))  # starts[b] is the alpha at position b*L
     for b in range(blocks - 1):
         starts[b + 1] = _push(starts[b], log_scale[b], ops[b])
-    # every block but the first needs its backward operator: block b maps
-    # the beta at its last position to the one before its first
-    ops[:] = np.eye(n)
-    log_scale[:] = 0.0
-    for _, part, totals in _sweep(ops, backward, stacked, steps[1:, ::-1].T, active[::-1] - 1,
-                                  factor_first=True):
-        log_scale[:len(part)] += np.log(totals)
+    ends = np.ones((blocks, n))  # ends[b] is the beta at block b's last position
     for b in range(blocks - 1, 0, -1):
-        ends[b - 1] = _push(ends[b], log_scale[b - 1], ops[b - 1])
+        weights = safe_log(ops[b].dot(ends[b])) + log_scale[b]
+        top = weights.max()
+        if not top > -np.inf:
+            raise ZeroEvidence(_ZERO_EVIDENCE)
+        out = np.exp(weights - top)
+        ends[b - 1] = out / out.sum()
 
+    backward = np.ascontiguousarray(transitions.T)  # a product with a transposed view is slower
     for j, part, totals in _sweep(starts, transitions, factors, steps.T, active):
         gamma[1 + j::span] = part
         scales[1 + j::span] = totals

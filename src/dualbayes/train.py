@@ -83,11 +83,16 @@ class Gradients:
     log_prior: np.ndarray
 
 
-def _prepare(dataset, labels: LabelSpace, t_len: int):
-    if len(dataset) == 0:
+def _prepare(row_labels, observations, labels: LabelSpace, t_len: int):
+    """The trainer's checked ``(S, t_len)`` rows (a float array is not copied) and label codes."""
+    if len(row_labels) == 0:
         raise EmptyDataset("empty dataset")
-    indices = np.array([labels.index(label) for label, _ in dataset], dtype=np.intp)
-    return real_observations([observation for _, observation in dataset], t_len), indices
+    codes = np.array([labels.index(label) for label in row_labels], dtype=np.intp)
+    return real_observations(observations, t_len), codes
+
+
+def _columns(dataset):
+    return [label for label, _ in dataset], [observation for _, observation in dataset]
 
 
 def _log_posterior(slopes, intercepts, log_prior, obs, out=None) -> np.ndarray:
@@ -133,7 +138,7 @@ def loss_cross_entropy(model: DiscriminativeNBModel, dataset) -> float:
     Finite unless the logits overflow (slopes near 1e308 give NaN), because
     softmax posterior columns are strictly positive.
     """
-    obs, idx = _prepare(dataset, model.labels, model.n_positions)
+    obs, idx = _prepare(*_columns(dataset), model.labels, model.n_positions)
     log_post = disc_nb_log_posterior_batch(model, obs)
     return float(-log_post[np.arange(idx.size), idx].mean())
 
@@ -171,7 +176,7 @@ def gradient(model: DiscriminativeNBModel, dataset) -> Gradients:
     intercept gradient ``mean(g[i])``, and the prior-logit gradient
     ``(1 - T) * mean(g[i])``.
     """
-    obs, idx = _prepare(dataset, model.labels, model.n_positions)
+    obs, idx = _prepare(*_columns(dataset), model.labels, model.n_positions)
     _, grads = _loss_and_gradients(
         model.slopes, model.intercepts, np.log(model.prior.entries), obs, idx
     )
@@ -187,7 +192,7 @@ def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
     losses seen during the epoch.  Raises :class:`DivergedLoss` the moment
     any recorded loss stops being finite.
     """
-    obs, idx = _prepare(dataset, labels, n_positions)
+    obs, idx = _prepare(*_columns(dataset), labels, n_positions)
     return _gradient_descent(obs, idx, labels, config)
 
 

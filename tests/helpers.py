@@ -46,3 +46,14 @@ def finite_difference_max_rel_error(model, dataset) -> float:
 
         probe(grads.log_prior[i], bump_prior)
     return worst
+
+
+#: Two-coordinate rows that ``np.asarray(row, dtype=float)`` accepts as numbers
+#: although they hold strings or booleans; every real-valued entry point
+#: refuses them.
+NON_NUMERIC_ROWS = {
+    "str": ["1.5", 2.0],
+    "bool": [True, 2.0],
+    "str-array": np.array(["0", "1e0"]),
+    "bool-array": np.array([True, False]),
+}

@@ -604,6 +604,19 @@ class TestAdversarialKernel:
         model, obs = self._near_underflow_case()
         assert np.allclose(_decimal_gamma(model, obs)[2:5], 0.5, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_blocked_gamma_matches_the_decimal_reference(self, n):
+        # T = 600 takes the blocked path.  The route-against-loop tests compare
+        # at EQUALITY_TOL, which would pass an operator scaled along the wrong
+        # axis; here every entry must be within a few ulps of 50 digits
+        rng = np.random.default_rng(600 + n)
+        for _ in range(3):
+            model = random_hmm(rng, n, 20, derive=True)
+            obs = random_hmm_observation(rng, model, 600)
+            reference = _decimal_gamma(model, obs)
+            for route in (forward_backward, entropic_forward_backward):
+                assert np.abs(route(model, obs).gamma - reference).max() <= 1e-15
+
     @pytest.mark.xfail(strict=True, reason="per-step normalization drops entries more than "
                                            "1e-308 below the largest one")
     def test_gamma_near_underflow_matches_a_50_digit_recursion(self):

@@ -29,6 +29,8 @@ from dualbayes.verify import (
     random_probability_vector,
 )
 
+from helpers import NON_NUMERIC_ROWS
+
 
 def _naive_softmax(weights, biases, y):
     scores = np.exp(weights @ y + biases)
@@ -81,6 +83,16 @@ class TestPosterior:
         model = LogisticRegressionModel(LabelSpace(("a", "b")), np.ones((2, 2)), np.zeros(2))
         with pytest.raises(DimensionMismatch, match=r"got shape \(1,\)$"):
             lr_log_posterior_batch(model, [[1.0, 2.0], [1.0]])
+
+    @pytest.mark.parametrize("row", NON_NUMERIC_ROWS.values(), ids=NON_NUMERIC_ROWS.keys())
+    @pytest.mark.parametrize("call", [
+        lambda model, row: lr_posterior(model, row),
+        lambda model, row: lr_log_posterior_batch(model, [row]),
+    ], ids=["lr_posterior", "lr_log_posterior_batch"])
+    def test_strings_and_booleans_are_not_numbers(self, call, row):
+        model = LogisticRegressionModel(LabelSpace(("a", "b")), np.ones((2, 2)), np.zeros(2))
+        with pytest.raises(ValueError, match="^observation coordinates must be numbers"):
+            call(model, row)
 
     def test_batch_matches_single_calls(self):
         # numpy sums fewer than 8 labels in order and 8 or more pairwise

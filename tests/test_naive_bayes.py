@@ -42,6 +42,8 @@ from dualbayes.verify import (
     random_nb_observation,
 )
 
+from helpers import NON_NUMERIC_ROWS
+
 
 def _two_label_model(p_first=0.9):
     labels = LabelSpace(("a", "b"))
@@ -448,6 +450,16 @@ class TestSoftmaxParameterization:
         model = random_discriminative_nb(np.random.default_rng(23), n_labels=2, t_len=2)
         with pytest.raises(DimensionMismatch, match=r"got shape \(1,\)$"):
             disc_nb_log_posterior_batch(model, [[1.0, 2.0], [1.0]])
+
+    @pytest.mark.parametrize("row", NON_NUMERIC_ROWS.values(), ids=NON_NUMERIC_ROWS.keys())
+    @pytest.mark.parametrize("call", [
+        lambda model, row: disc_nb_posterior(model, row),
+        lambda model, row: disc_nb_log_posterior_batch(model, [row]),
+    ], ids=["disc_nb_posterior", "disc_nb_log_posterior_batch"])
+    def test_strings_and_booleans_are_not_numbers(self, call, row):
+        model = random_discriminative_nb(np.random.default_rng(23), n_labels=2, t_len=2)
+        with pytest.raises(ValueError, match="^observation coordinates must be numbers"):
+            call(model, row)
 
     def test_zero_prior_rejected_at_construction(self):
         with pytest.raises(ZeroPrior):

@@ -43,7 +43,7 @@ def _flat_model(n_labels=3, t_len=2):
     )
 
 
-from helpers import finite_difference_max_rel_error
+from helpers import NON_NUMERIC_ROWS, finite_difference_max_rel_error
 
 
 def _random_dataset(rng, labels, t_len, size):
@@ -98,6 +98,17 @@ class TestLoss:
         dataset = [("l0", [1.0, 2.0]), ("l1", [np.nan, 0.0])]
         with pytest.raises(ValueError, match="must be finite"):
             loss_cross_entropy(_flat_model(t_len=2), dataset)
+
+    @pytest.mark.parametrize("row", NON_NUMERIC_ROWS.values(), ids=NON_NUMERIC_ROWS.keys())
+    @pytest.mark.parametrize("call", [
+        loss_cross_entropy,
+        gradient,
+        lambda model, dataset: fit_discriminative(dataset, 2, model.labels, TrainConfig(0.1, 1)),
+    ], ids=["loss_cross_entropy", "gradient", "fit_discriminative"])
+    def test_strings_and_booleans_are_not_numbers(self, call, row):
+        dataset = [("l0", [1.0, 2.0]), ("l1", row)]
+        with pytest.raises(ValueError, match="^observation coordinates must be numbers"):
+            call(_flat_model(t_len=2), dataset)
 
 
 class TestGradient:
