@@ -98,6 +98,12 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer or float; a bool is not a number."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def _holds_str_or_bool(values) -> bool:
     """Whether ``values`` or any entry of its nested lists is a string or a
     boolean, which ``np.array(values, dtype=float)`` would turn into a number."""
@@ -314,10 +320,14 @@ class ProbabilityVector:
 
 
 def as_probability_vector(values) -> ProbabilityVector:
-    """``values`` as a :class:`ProbabilityVector`; ``ValueError`` off the simplex."""
+    """A model's prior ``values`` as a :class:`ProbabilityVector`; off the
+    simplex, a ``ValueError`` that starts with ``prior: ``."""
     if isinstance(values, ProbabilityVector):
         return values
-    return ProbabilityVector(values)
+    try:
+        return ProbabilityVector(values)
+    except ValueError as error:
+        raise ValueError(f"prior: {error}") from None
 
 
 def log_softmax_last(arr: np.ndarray) -> np.ndarray:
@@ -334,13 +344,15 @@ def log_softmax_last(arr: np.ndarray) -> np.ndarray:
 def normalize_log(weights) -> ProbabilityVector:
     """Normalize log-domain weights into a probability vector.
 
-    ``weights`` is a nonempty vector in ``[-inf, +inf)``, where ``-inf``
-    marks a zero weight; NaN or ``+inf`` raises ``ValueError`` and an
-    all-``-inf`` vector raises :class:`AllZeroWeights`.  The output is
-    ``exp(log_softmax_last(weights))`` on a copy, which is invariant under
-    adding a constant to every entry.
+    ``weights`` is a nonempty vector of numbers in ``[-inf, +inf)``, where
+    ``-inf`` marks a zero weight; strings, booleans, NaN or ``+inf`` raise
+    ``ValueError`` and an all-``-inf`` vector raises :class:`AllZeroWeights`.
+    The output is ``exp(log_softmax_last(weights))`` on a copy, which is
+    invariant under adding a constant to every entry.
     """
-    arr = np.array(weights, dtype=float)
+    arr = _float_array(weights)
+    if arr is None:
+        raise ValueError("log weights must be an array of numbers")
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("log weights must form a nonempty vector")
     if np.any(np.isnan(arr)) or np.any(arr == np.inf):

@@ -24,7 +24,7 @@ only initial weights, transitions, that table and that row index.  It
 divides every forward and backward vector by its total (Rabiner, "A
 tutorial on hidden Markov models", Proc. IEEE 1989, section V.A), so long
 sequences neither underflow nor accumulate rounding; the totals are taken
-as ``v.dot(ones)`` and any total that is not > 0 is zero evidence.  Each
+as ``v.dot(ones)``, and a total that is not > 0 leaves its vector zero.  Each
 factor row is shifted by its own maximum, which keeps it in ``[0, 1]``
 with at least one entry equal to one.  The forward vectors are stored as
 the rows of ``gamma``, the backward pass multiplies its vector into each
@@ -42,9 +42,12 @@ runs one forward and one backward sweep of every block from its boundary.
 That is about 5 sqrt(T) Python-level steps instead of 2T, for N times the
 arithmetic, so the kernel takes this route only with at most 16 labels and
 at least 512 steps, and the step-by-step loop otherwise.  The two agree to
-rounding.  The block step floors each total at the smallest normal float
-instead of raising, so a block that cannot reach a step carries zeros into
-its rows of ``gamma``, and the final check on those rows raises.
+rounding.  The block step floors each total at the smallest normal float,
+so a block that cannot reach a step carries zeros into its rows of
+``gamma``, and a zero vector at a block boundary turns into NaN.  Either
+recursion thus leaves a row of ``gamma`` that is not > 0 wherever the
+sequence has probability zero, and the one check on those rows, after the
+recursion, raises :class:`ZeroEvidence`.
 
 The forward totals ``c_t`` also give the log-evidence for free:
 ``log_evidence = sum_t log c_t + sum_t peak[k_t]``, where ``k_t`` is the
@@ -161,9 +164,6 @@ class PosteriorMarginals:
         return marginals
 
 
-_ZERO_EVIDENCE = "zero evidence: the observation sequence has probability zero under the model"
-
-
 # The blocked recursion replaces about 2T Python-level steps by about
 # 5 sqrt(T) batched ones at N times the arithmetic, so it wins only where
 # the per-step overhead outweighs the N^3 products.  Measured in process on
@@ -188,8 +188,10 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
     stores it as ``gamma[t]``; the backward vector ``beta`` is divided by its
     total at each step and multiplied into ``gamma[t]`` without
     renormalizing.  The rows are normalized once, vectorized, at the end.
-    Every total, the rows' included, must be > 0, or :class:`ZeroEvidence`
-    is raised.
+    A forward or backward total that is not > 0 leaves its vector zero, and
+    every later ``alpha`` or earlier ``beta`` with it, so the rows of
+    ``gamma`` it reaches are zero; every row total must be > 0, or
+    :class:`ZeroEvidence` is raised.  That check is the kernel's only raise.
 
     Step 0, ``alpha = init * f_0``, is taken here for both recursions.  The
     rest is chosen from the input's size alone.  With at most
@@ -197,9 +199,9 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
     :func:`_blocked_recursion` runs the steps in about ``sqrt(T)`` time
     blocks at once; otherwise :func:`_plain_recursion` runs them one by one.
     Both store the same normalized ``alpha`` in ``gamma`` and the same
-    ``c_t`` in ``scales``, up to rounding.  The plain loop raises at the
-    first zero total; the blocked one floors it, so that block's later rows
-    of ``gamma`` are zero and the check on the rows raises.
+    ``c_t`` in ``scales``, up to rounding.  The plain loop divides by one
+    where a total is zero, the blocked one floors it, and both leave zero
+    (or, past a block boundary, NaN) rows of ``gamma`` for the check to find.
 
     ``log_evidence = sum_t log c_t + sum_t peak[rows[t]]`` is the log of the
     sequence's total weight under the unshifted factors; the forward totals
@@ -215,9 +217,7 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
     scales = np.empty(len(rows))
     ones = np.ones(len(init))
     alpha = init * factors[rows[0]]
-    total = alpha.dot(ones)
-    if not total > 0.0:
-        raise ZeroEvidence(_ZERO_EVIDENCE)
+    total = alpha.dot(ones) or 1.0
     gamma[0] = alpha / total
     scales[0] = total
     if len(init) <= _BLOCKED_MAX_LABELS and len(rows) >= _BLOCKED_MIN_STEPS:
@@ -228,7 +228,8 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
     log_evidence = float(np.log(scales).sum() + peak[rows].sum())
     totals = gamma.dot(ones, out=scales)  # the scales are spent; reuse their buffer
     if not np.all(totals > 0.0):
-        raise ZeroEvidence(_ZERO_EVIDENCE)
+        raise ZeroEvidence(
+            "zero evidence: the observation sequence has probability zero under the model")
     gamma /= totals[:, None]
     return PosteriorMarginals._adopt(gamma, log_evidence)
 
@@ -239,9 +240,7 @@ def _plain_recursion(transitions, factors, rows, gamma, scales):
     alpha = gamma[0]
     for t in range(1, len(rows)):
         alpha = alpha.dot(transitions) * factors[rows[t]]
-        total = alpha.dot(ones)
-        if not total > 0.0:
-            raise ZeroEvidence(_ZERO_EVIDENCE)
+        total = alpha.dot(ones) or 1.0
         alpha /= total
         gamma[t] = alpha
         scales[t] = total
@@ -249,10 +248,7 @@ def _plain_recursion(transitions, factors, rows, gamma, scales):
     beta = ones
     for t in range(len(rows) - 2, -1, -1):
         beta = transitions.dot(factors[rows[t + 1]] * beta)
-        total = beta.dot(ones)
-        if not total > 0.0:
-            raise ZeroEvidence(_ZERO_EVIDENCE)
-        beta /= total
+        beta /= beta.dot(ones) or 1.0
         row = gamma[t]  # a view: multiplying it in place skips the write-back
         row *= beta
 
@@ -268,7 +264,8 @@ def _blocked_recursion(transitions, factors, rows, gamma, scales):
        through the operators, ``alpha @ M_b``, to each block's start, and
        ``beta`` backward through the same ones, ``M_b @ beta``, to each
        block's end; both in log space, so that the row scales cannot
-       underflow.
+       underflow.  A zero vector has no finite log to shift by, so it turns
+       into NaN, which the sweeps carry into its block's rows of ``gamma``.
     3. One forward and one backward sweep of L steps run every block from
        its boundary on a ``(B, N)`` state, as :func:`_plain_recursion` runs
        the whole sequence: ``alpha`` and its totals are written into
@@ -292,16 +289,16 @@ def _blocked_recursion(transitions, factors, rows, gamma, scales):
     for _, part, totals in _sweep(ops, transitions, factors[:, None, :], steps.T, active):
         log_scale[:len(part)] += np.log(totals)
     starts = np.tile(gamma[0], (blocks, 1))  # starts[b] is the alpha at position b*L
-    for b in range(blocks - 1):
-        starts[b + 1] = _push(starts[b], log_scale[b], ops[b])
     ends = np.ones((blocks, n))  # ends[b] is the beta at block b's last position
-    for b in range(blocks - 1, 0, -1):
-        weights = safe_log(ops[b].dot(ends[b])) + log_scale[b]
-        top = weights.max()
-        if not top > -np.inf:
-            raise ZeroEvidence(_ZERO_EVIDENCE)
-        out = np.exp(weights - top)
-        ends[b - 1] = out / out.sum()
+    with np.errstate(invalid="ignore"):  # a zero vector turns into NaN here
+        for b in range(blocks - 1):
+            weights = safe_log(starts[b]) + log_scale[b]
+            out = np.exp(weights - weights.max()).dot(ops[b])
+            starts[b + 1] = out / out.sum()
+        for b in range(blocks - 1, 0, -1):
+            weights = safe_log(ops[b].dot(ends[b])) + log_scale[b]
+            out = np.exp(weights - weights.max())
+            ends[b - 1] = out / out.sum()
 
     backward = np.ascontiguousarray(transitions.T)  # a product with a transposed view is slower
     for j, part, totals in _sweep(starts, transitions, factors, steps.T, active):
@@ -339,20 +336,6 @@ def _sweep(state, matrix, factors, steps, active, factor_first=False):
         totals = np.maximum(part.dot(ones), _TINY)
         part /= totals[..., None]
         yield j, part, totals
-
-
-def _push(vector, log_scale, op):
-    """``vector @ (exp(log_scale)[:, None] * op)`` normalized, shifted in log
-    space so that neither the vector nor the operator's scales underflow."""
-    weights = safe_log(vector) + log_scale
-    top = weights.max()
-    if not top > -np.inf:
-        raise ZeroEvidence(_ZERO_EVIDENCE)
-    out = np.exp(weights - top).dot(op)
-    total = out.sum()
-    if not total > 0.0:
-        raise ZeroEvidence(_ZERO_EVIDENCE)
-    return out / total
 
 
 def forward_backward(model: HmmModel, observations) -> PosteriorMarginals:

@@ -45,6 +45,7 @@ from .core import (
     _float_array,
     as_probability_vector,
     bayes_invert,
+    is_real,
     log_softmax_last,
     parameter_array,
     real_observations,
@@ -220,7 +221,7 @@ def nb_fit_mle(dataset, smoothing_alpha: float = 0.0, *, labels=None, alphabets=
 def _smoothing_alpha(value) -> float:
     # one check for nb_fit_mle and for fit --generative, which runs it before
     # it reads the dataset
-    if not 0.0 <= value < np.inf:  # NaN fails too
+    if not is_real(value) or not 0.0 <= value < np.inf:  # NaN fails too
         raise ValueError("smoothing_alpha must be finite and nonnegative")
     return float(value)
 

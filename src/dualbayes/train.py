@@ -29,6 +29,7 @@ from .core import (
     EmptyDataset,
     LabelSpace,
     is_integer,
+    is_real,
     log_softmax_last,
     normalize_log,
     real_observations,
@@ -51,8 +52,7 @@ class TrainConfig:
 
     def __post_init__(self):
         rate = self.learning_rate
-        if (isinstance(rate, bool) or not isinstance(rate, (int, float, np.integer, np.floating))
-                or not 0 < rate < np.inf):
+        if not is_real(rate) or not 0 < rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if not is_integer(self.epochs):
             raise ValueError("epochs must be an integer")

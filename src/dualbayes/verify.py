@@ -246,7 +246,9 @@ def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]
     The suites draw from independent substreams, so they run at the same
     time in forked workers, at most one per suite and capped at the usable
     CPUs; the results equal a serial run's and come back in suite order.
-    With one CPU, or no fork start method, they run in this process.
+    With one CPU, or no fork start method, they run in this process, and so
+    they do when a worker cannot be started or dies: the workers this call
+    started are stopped and reaped first.
     """
     # checked here, so a bad value never reaches a worker
     if not is_integer(seed) or seed < 0:
@@ -255,13 +257,24 @@ def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]
         _check_cases(cases)
     # imported here: every command imports this module, and only verify forks
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     run = partial(_run_suite, seed, cases)
     streams = range(len(SUITES))
     workers = min(len(SUITES), usable_cpus())
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        # fork, not spawn: a worker starts with numpy and this module already imported
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            return list(pool.map(run, streams))
+        before = multiprocessing.active_children()
+        try:
+            # fork, not spawn: a worker starts with numpy and this module already imported
+            with ProcessPoolExecutor(workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(run, streams))
+        except (OSError, BrokenProcessPool):
+            # a pool whose later fork failed never started the thread that
+            # would stop its earlier workers, and they would block this
+            # interpreter's exit
+            for worker in multiprocessing.active_children():
+                if worker not in before:
+                    worker.terminate()
+                    worker.join()
     return list(map(run, streams))

@@ -1,8 +1,17 @@
 """Shared test utilities."""
 
+import os
+
 import numpy as np
+import pytest
 
 from dualbayes.train import FD_STEP, gradient, parameter_loss
+
+
+def assert_no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def finite_difference_max_rel_error(model, dataset) -> float:

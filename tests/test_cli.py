@@ -43,6 +43,8 @@ from dualbayes.verify import (
     random_nb_observation,
 )
 
+from helpers import assert_no_child_left
+
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
@@ -605,7 +607,7 @@ class TestConvert:
         assert "prior must be strictly positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n_labels, prior, message", [
-        (2, "0,0.5", "entries sum to 0.5, not 1"),
+        (2, "0,0.5", "prior: entries sum to 0.5, not 1"),
         (3, "0.5,0.5", "prior has 2 entries, expected 3 (one per label)"),
         (2, "", "--prior must be a comma-separated list of numbers"),
     ])
@@ -880,9 +882,25 @@ class TestModuleEntryPoint:
         assert one.returncode == default.returncode == 0, one.stderr + default.stderr
         assert one.stdout == default.stdout
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no os.sched_setaffinity to pin a child to one CPU")
+    @pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+                        reason="fewer than two usable CPUs: verify runs in process anyway")
+    @pytest.mark.parametrize("options", [["--seed", "0"], ["--seed", "5"], ["--cases", "7"]],
+                             ids=["seed-0", "seed-5", "cases-7"])
+    def test_verify_prints_the_same_bytes_on_one_cpu_or_many(self, options):
+        # the options of CI's step of the same aim: pinned to one CPU, verify
+        # runs its suites in process instead of in forked workers
+        pinned = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                  "os.execv(sys.executable, [sys.executable, '-m', 'dualbayes.cli', *sys.argv[1:]])")
+        one = self._run_python("-c", pinned, "verify", *options)
+        many = self._run("verify", *options)
+        assert one.returncode == many.returncode == 0, one.stderr + many.stderr
+        assert one.stdout == many.stdout
+
     @pytest.mark.parametrize("command, code, message", [
         (["convert", "{dir}/lr.json", "-o", "{dir}/out.json", "--prior", "1e308,1e308"],
-         2, "entries sum to inf, not 1"),
+         2, "prior: entries sum to inf, not 1"),
         (["fit", "--generative", "--alpha", "inf", "{dir}/data.csv", "-o", "{dir}/out.json"],
          2, "smoothing_alpha must be finite and nonnegative"),
         (["fit", "--generative", "--alpha", "nan", "{dir}/data.csv", "-o", "{dir}/out.json"],
@@ -906,7 +924,8 @@ class TestModuleEntryPoint:
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("make, key, value, message", [
-        (random_discriminative_nb, "prior", {"a": 1}, "entries must be an array of numbers"),
+        (random_discriminative_nb, "prior", {"a": 1},
+         "prior: entries must be an array of numbers"),
         (random_logreg, "weights", {"x": 1}, "weights must be an array of numbers"),
         (random_naive_bayes, "emissions", 5, "model JSON 'emissions' must be a list of tables"),
         (random_logreg, "T", "1", "model JSON 'T' must be an integer"),
@@ -934,11 +953,6 @@ class TestModuleEntryPoint:
         done = self._run("verify", "--cases", "0")
         assert done.returncode == 2
         assert done.stdout == ""
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -1001,7 +1015,7 @@ class TestOutputParts:
             assert main(argv) == 0
             outputs.append(capsys.readouterr())
             made.append(len(forks))
-            _assert_no_child_left()
+            assert_no_child_left()
         assert outputs[1:] == outputs[:1] * 3
         assert outputs[0].out.count("\n") == 2 * 1000 + 1
         assert made == [0, 2, 6, 10]  # two tables, each in min(cpus, 3) parts
@@ -1015,7 +1029,7 @@ class TestOutputParts:
             assert main(argv) == 0
             assert main(argv + ["-o", str(out)]) == 0
             outputs.append((capsys.readouterr(), out.read_bytes()))
-            _assert_no_child_left()
+            assert_no_child_left()
         assert outputs[1:] == outputs[:1] * 3
         assert outputs[0][1].count(b"\r\n") == 5001
         assert len(forks) == 2 * (1 + 2 + 3)
@@ -1033,7 +1047,7 @@ class TestOutputParts:
         cli._write_parts(_numbered_rows(calls), count, block, out)
         assert out.getvalue() == "".join(f"row {i}\n" for i in range(count))
         assert calls == here
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_a_table_of_fewer_than_two_blocks_never_forks(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -1064,7 +1078,7 @@ class TestOutputParts:
         assert out.getvalue() == "".join(f"row {i}\n" for i in range(10))
         assert calls == [(0, 3), (6, 9), (9, 10)]
         assert len(forks) == 2
-        _assert_no_child_left()
+        assert_no_child_left()
 
     def test_a_part_without_a_file_is_formatted_here(self, monkeypatch, forks):
         def no_file(*args, **kwargs):
@@ -1147,5 +1161,5 @@ class TestOutputParts:
             assert main(argv) == 0
         assert capsys.readouterr() == expected
         assert len(forks) == 2
-        _assert_no_child_left()
+        assert_no_child_left()
 

@@ -347,7 +347,7 @@ class TestModelPrior:
     @pytest.mark.parametrize("kind", sorted(_PRIOR_MODELS))
     def test_prior_off_the_simplex_is_rejected_when_built(self, kind):
         build, _ = _PRIOR_MODELS[kind]
-        with pytest.raises(ValueError, match="^entries sum to 1.8, not 1$"):
+        with pytest.raises(ValueError, match="^prior: entries sum to 1.8, not 1$"):
             build([0.9, 0.9])
 
 
@@ -367,6 +367,13 @@ class TestLogWeightVector:
     def test_all_minus_inf_raises_all_zero_weights(self):
         with pytest.raises(AllZeroWeights):
             normalize_log([-np.inf, -np.inf])
+
+    @pytest.mark.parametrize("weights", [["0", "1"], [True, False], np.array([True, False])],
+                             ids=["strings", "booleans", "boolean-array"])
+    def test_rejects_strings_and_booleans(self, weights):
+        # float conversion would read them as numbers
+        with pytest.raises(ValueError, match="^log weights must be an array of numbers$"):
+            normalize_log(weights)
 
 
 class TestSpaces:

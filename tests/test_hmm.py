@@ -5,6 +5,7 @@ the kernel against a plain per-step loop on adversarial models."""
 
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -33,6 +34,11 @@ from dualbayes.hmm import (
 )
 from dualbayes.oracle import joint_enumeration_hmm
 from dualbayes.verify import random_hmm, random_hmm_observation
+
+# Zero evidence is decided by one check on the rows of gamma, which the
+# recursions reach through zero and NaN vectors; none of that may warn,
+# whatever warning filters the run is given.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _doubly_stochastic(rng, n):
@@ -545,6 +551,23 @@ class TestAdversarialKernel:
             model = derive_hmm_posteriors(model)
         for obs in (["s1"], ["s1"] + ["s0"] * 9):
             assert _compare_with_plain_loop(model, obs) == [eps == 0.0] * (2 if eps else 1)
+
+    # T = 1 and 2 run the plain loop, 600 and 10^4 the blocked recursion,
+    # which starts every block from the zero alpha of step 0
+    @pytest.mark.parametrize("t_len", [1, 2, 600, 10_000])
+    def test_a_first_symbol_that_init_cannot_emit(self, t_len):
+        # only label l1 emits "s1", and it has prior 0.  The entropic route
+        # cannot meet this: its first alpha, prior * L[:, y] / prior, is a
+        # posterior column, which sums to one
+        model = HmmModel(
+            LabelSpace(("l0", "l1")), ObservationAlphabet(("s0", "s1")),
+            ProbabilityVector([1.0, 0.0]), np.full((2, 2), 0.5), emissions=np.eye(2),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroEvidence, match="^zero evidence: the observation "
+                               "sequence has probability zero under the model$"):
+                forward_backward(model, ["s1"] + ["s0"] * (t_len - 1))
 
     @pytest.mark.parametrize("eps", [0.0, 1e-300])
     @pytest.mark.parametrize("t_len", [2, 8, 10_000])

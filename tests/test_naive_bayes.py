@@ -95,7 +95,7 @@ class TestFitMle:
         with pytest.raises(UnknownSymbol):
             nb_fit_mle([("c", ["x"])], labels=labels, alphabets=alphabets)
 
-    @pytest.mark.parametrize("alpha", [-1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("alpha", [-1.0, np.inf, np.nan, True, np.True_, "1", None])
     def test_smoothing_must_be_finite_and_nonnegative(self, alpha):
         with pytest.raises(ValueError, match="^smoothing_alpha must be finite and nonnegative$"):
             nb_fit_mle([("a", ["x"]), ("b", ["y"])], smoothing_alpha=alpha)

@@ -169,8 +169,9 @@ class TestMalformedInput:
         (partial(random_logreg, t_len=1), "weights", [["1.5"], [True]],
          "weights must be an array of numbers"),
         (random_logreg, "biases", ["0.1", False], "biases must be an array of numbers"),
-        (random_hmm, "prior", ["0.5", "0.5"], "entries must be an array of numbers"),
-        (random_discriminative_nb, "prior", [True, 0.5], "entries must be an array of numbers"),
+        (random_hmm, "prior", ["0.5", "0.5"], "prior: entries must be an array of numbers"),
+        (random_discriminative_nb, "prior", [True, 0.5],
+         "prior: entries must be an array of numbers"),
         (random_hmm, "transitions", [[True, False], [0.5, "0.5"]],
          "transition matrix must be an array of numbers"),
     ], ids=["params-list", "labels-number", "labels-nested", "labels-string",

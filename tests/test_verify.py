@@ -1,10 +1,13 @@
 """The verification suites themselves: determinism, scaling, and the
 ability to fail when an algorithm is deliberately broken."""
 
+import errno
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +29,8 @@ from dualbayes.verify import (
     run_all_suites,
     random_naive_bayes,
 )
+
+from helpers import assert_no_child_left
 
 
 def _nan_nb_batch(prior, tables, codes):
@@ -212,6 +217,66 @@ class TestRunner:
         assert main(["verify", "--cases", "2"]) == 2
         assert capsys.readouterr() == ("", "error: x\n")
         assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _verify(monkeypatch, capsys, cpus):
+        """What ``verify --cases 3`` prints with ``cpus`` usable CPUs."""
+        monkeypatch.setattr(dualbayes.verify, "usable_cpus", lambda: cpus)
+        assert main(["verify", "--cases", "3"]) == 0
+        return capsys.readouterr()
+
+    def test_no_worker_can_be_started(self, monkeypatch, capsys):
+        def failing_fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        serial = self._verify(monkeypatch, capsys, 1)
+        monkeypatch.setattr(os, "fork", failing_fork)
+        assert self._verify(monkeypatch, capsys, 4) == serial
+        assert_no_child_left()
+
+    def test_a_worker_dies_mid_suite(self, monkeypatch, capsys):
+        # a worker is killed in the enumeration suite; this process runs it
+        parent = os.getpid()
+
+        def killed_in_a_worker(model, observations):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return joint_enumeration_hmm(model, observations)
+
+        serial = self._verify(monkeypatch, capsys, 1)
+        monkeypatch.setattr(dualbayes.verify, "joint_enumeration_hmm", killed_in_a_worker)
+        assert self._verify(monkeypatch, capsys, 4) == serial
+        assert_no_child_left()
+
+    def test_the_second_worker_cannot_be_started(self, monkeypatch, capsys):
+        # the first worker is up when the second fork fails; left running, it
+        # would keep a fresh interpreter from exiting
+        script = textwrap.dedent("""
+            import errno, os, sys
+            import dualbayes.verify
+            from dualbayes.cli import main
+            dualbayes.verify.usable_cpus = lambda: 4
+            forks, fork = [], os.fork
+            def second_fails():
+                forks.append(None)
+                if len(forks) == 2:
+                    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+                return fork()
+            os.fork = second_fails
+            code = main(["verify", "--cases", "3"])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                left = "a child left"
+            except ChildProcessError:
+                left = "no child left"
+            print(code, len(forks), left, file=sys.stderr)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.stdout, done.stderr) == (self._verify(monkeypatch, capsys, 1).out,
+                                              "0 2 no child left\n")
+        assert done.returncode == 0
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "3", None, True, False])
     def test_bad_seed_rejected_before_any_suite_runs(self, seed):
