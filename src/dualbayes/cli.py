@@ -14,14 +14,10 @@ import argparse
 import csv
 import io
 import json
-import os
 import shutil
 import sys
-import tempfile
-import warnings
 from array import array
-from contextlib import ExitStack
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +29,7 @@ from .core import (
     EQUALITY_TOL,
     LabelSpace,
     check_simplex_rows,
+    forked_parts,
     usable_cpus,
 )
 from .hmm import HmmModel, derive_hmm_posteriors, entropic_forward_backward, forward_backward
@@ -91,63 +88,28 @@ def _write_parts(lines, count: int, block: int, out) -> None:
 
     ``lines(start, stop)`` returns the text of rows ``[start, stop)``.  The
     rows are cut into contiguous parts of whole blocks, one per usable CPU
-    and at most one per whole block.  A forked child formats each part after
-    the first into its own temporary file while this process writes the
-    first part; the files are then copied to ``out`` in order.  A part whose
-    file could not be made, or whose child failed, is formatted here instead,
-    so ``out`` always gets a serial run's bytes.  Every child is reaped and
-    every file closed before this returns or raises.
+    and at most one per whole block.  Forked children format each part
+    after the first into their own files (:func:`.core.forked_parts`) while
+    this process writes the first part; the files are then copied to ``out``
+    in order.  A part whose file could not be made, or whose child failed,
+    is formatted here instead, so ``out`` always gets a serial run's bytes.
     """
     blocks = -(-count // block)
-    parts = max(1, min(usable_cpus(), count // block)) if hasattr(os, "fork") else 1
+    parts = max(1, min(usable_cpus(), count // block))
     edges = [min(count, block * (blocks * k // parts)) for k in range(parts + 1)]
+    first, *rest = [range(start, stop, block) for start, stop in zip(edges, edges[1:])]
 
-    def write(start, stop, to):
-        for first in range(start, stop, block):
-            to.write(lines(first, min(first + block, stop)))
+    def write(part, to):
+        for start in part:
+            to.write(lines(start, min(start + block, part.stop)))
 
-    with ExitStack() as stack:
-        reap = cache(lambda pid: os.waitpid(pid, 0)[1])  # the wait status, once per child
-        children = [(start, stop, *_fork_part(stack, reap, write, start, stop))
-                    for start, stop in zip(edges[1:-1], edges[2:])]
-        write(edges[0], edges[1], out)
-        for start, stop, pid, spool in children:
-            if pid is not None and reap(pid) == 0:
-                spool.seek(0)
-                shutil.copyfileobj(spool, out)
+    with forked_parts(write, rest) as files:
+        write(first, out)
+        for part, spool in zip(rest, files):
+            if spool is None:
+                write(part, out)
             else:
-                write(start, stop, out)
-
-
-def _fork_part(stack: ExitStack, reap, write, start: int, stop: int):
-    """``(pid, file)`` of a forked child that writes rows ``[start, stop)`` into
-    ``file``, or ``(None, None)`` when no file or no child could be made.
-
-    ``stack`` closes the file and reaps the child on every way out.
-    """
-    try:
-        spool = stack.enter_context(
-            tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads (numpy's BLAS pool)
-            # forks.  The child is safe: it only formats rows already in memory,
-            # calls no BLAS, takes no lock another thread could hold, and leaves
-            # by os._exit, so it never runs this interpreter's shutdown.
-            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        return None, None
-    if pid == 0:
-        code = 1
-        try:
-            write(start, stop, spool)
-            spool.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    stack.callback(reap, pid)
-    return pid, spool
+                shutil.copyfileobj(spool, out)
 
 
 def _write_gamma(name: str, gamma: np.ndarray) -> None:

@@ -18,7 +18,11 @@ and imported everywhere else.
 from __future__ import annotations
 
 import os
+import tempfile
+import warnings
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -319,15 +323,19 @@ class ProbabilityVector:
         return self.entries[index]
 
 
-def as_probability_vector(values) -> ProbabilityVector:
-    """A model's prior ``values`` as a :class:`ProbabilityVector`; off the
-    simplex, a ``ValueError`` that starts with ``prior: ``."""
-    if isinstance(values, ProbabilityVector):
-        return values
-    try:
-        return ProbabilityVector(values)
-    except ValueError as error:
-        raise ValueError(f"prior: {error}") from None
+def as_probability_vector(values, n: int | None = None) -> ProbabilityVector:
+    """A model's prior ``values`` as a :class:`ProbabilityVector` of ``n``
+    entries (of any length when ``n`` is None).  Off the simplex, it raises a
+    ``ValueError`` that starts with ``prior: ``; of another length, one that
+    names both lengths."""
+    if not isinstance(values, ProbabilityVector):
+        try:
+            values = ProbabilityVector(values)
+        except ValueError as error:
+            raise ValueError(f"prior: {error}") from None
+    if n is not None and len(values) != n:
+        raise ValueError(f"prior has {len(values)} entries, expected {n} (one per label)")
+    return values
 
 
 def log_softmax_last(arr: np.ndarray) -> np.ndarray:
@@ -367,3 +375,59 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextmanager
+def forked_parts(write, parts):
+    """Run ``write(part, file)`` for every part of the sequence ``parts`` at
+    once, each in a forked child of its own that writes into a temporary
+    file of its own.
+
+    Yields an iterator over the parts' files, in order: each file is read
+    from its start once its child has exited 0; ``None`` stands for a part
+    whose file or child could not be made, or whose child failed, and which
+    the caller then does itself.  Every file is closed and every child
+    reaped on every way out.
+    """
+    with ExitStack() as stack:
+        reap = cache(lambda pid: os.waitpid(pid, 0)[1])  # the wait status, once per child
+        children = ([_fork(stack, reap, write, part) for part in parts]
+                    if hasattr(os, "fork") else [(None, None)] * len(parts))
+
+        def finished(pid, spool):
+            if pid is not None and reap(pid) == 0:
+                spool.seek(0)
+                return spool
+            return None
+
+        yield (finished(pid, spool) for pid, spool in children)
+
+
+def _fork(stack: ExitStack, reap, write, part):
+    """``(pid, file)`` of a forked child that runs ``write(part, file)``, or
+    ``(None, None)`` when no file or no child could be made."""
+    try:
+        spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads forks.  The only
+            # threads this package runs are those of the OpenBLAS that numpy
+            # bundles, which registers a pthread_atfork handler that shuts
+            # them down before each fork: no lock is held across the fork, and
+            # a child may call BLAS, as verify's children do (the table
+            # formatters' do not).  The child leaves by os._exit, so it never
+            # runs this interpreter's shutdown.
+            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None, None
+    if pid == 0:
+        code = 1
+        try:
+            write(part, spool)
+            spool.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    stack.callback(reap, pid)
+    return pid, spool

@@ -100,9 +100,7 @@ class HmmModel:
 
     def __post_init__(self):
         n, m = self.labels.n, self.alphabet.m
-        prior = as_probability_vector(self.prior)
-        if len(prior) != n:
-            raise ValueError("prior length does not match the label count")
+        prior = as_probability_vector(self.prior, n)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "transitions", parameter_array(
             self.transitions, "transition matrix", (n, n), simplex_rows=True))

@@ -98,11 +98,7 @@ def lr_to_nb(model: LogisticRegressionModel, prior=None) -> DiscriminativeNBMode
     """
     if prior is None:
         prior = ProbabilityVector.uniform(model.labels.n)
-    prior = as_probability_vector(prior)
-    if len(prior) != model.labels.n:
-        raise ValueError(
-            f"prior has {len(prior)} entries, expected {model.labels.n} (one per label)"
-        )
+    prior = as_probability_vector(prior, model.labels.n)
     if np.any(prior.entries == 0.0):
         raise ZeroPrior("prior must be strictly positive")
     t_len = model.n_positions

@@ -72,9 +72,7 @@ class NaiveBayesModel:
         alphabets = tuple(self.alphabets)
         if not alphabets:
             raise ValueError("need at least one observation position")
-        prior = as_probability_vector(self.prior)
-        if len(prior) != self.labels.n:
-            raise ValueError("prior length does not match the label count")
+        prior = as_probability_vector(self.prior, self.labels.n)
         if len(self.emissions) != len(alphabets):
             raise ValueError("need one emission table per observation position")
         tables = tuple(
@@ -107,9 +105,7 @@ class DiscriminativeNBModel:
     intercepts: np.ndarray
 
     def __post_init__(self):
-        prior = as_probability_vector(self.prior)
-        if len(prior) != self.labels.n:
-            raise ValueError("prior length does not match the label count")
+        prior = as_probability_vector(self.prior, self.labels.n)
         if np.any(prior.entries == 0.0):
             raise ZeroPrior("prior must be strictly positive")
         slopes = parameter_array(self.slopes, "slopes", (self.labels.n, None))
@@ -229,8 +225,16 @@ def _smoothing_alpha(value) -> float:
 def _model_from_statistics(stats: SufficientStatistics, labels: LabelSpace, alphabets,
                            alpha: float) -> NaiveBayesModel:
     """The (smoothed) count-ratio model of :func:`nb_fit_mle` from its counts,
-    with ``alpha`` checked by :func:`_smoothing_alpha`."""
+    with ``alpha`` checked by :func:`_smoothing_alpha`.
+
+    Raises ``ValueError`` for an ``alpha`` so large that a total the counts
+    are divided by overflows, which would zero every entry it divides.
+    """
     counts = stats.label_counts.astype(float)
+    largest = max(stats.sample_count + alpha * labels.n,
+                  *(float(counts.max()) + alpha * alphabet.m for alphabet in alphabets))
+    if largest == np.inf:
+        raise ValueError("smoothing_alpha is too large: the smoothed totals overflow")
     prior = ProbabilityVector((counts + alpha) / (stats.sample_count + alpha * labels.n))
 
     emissions = []

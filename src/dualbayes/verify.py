@@ -11,6 +11,7 @@ through the two batch kernels ``predict`` uses; the brute-force oracles of
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -21,6 +22,7 @@ from .core import (
     LabelSpace,
     ObservationAlphabet,
     ProbabilityVector,
+    forked_parts,
     is_integer,
     usable_cpus,
 )
@@ -225,16 +227,13 @@ def _sweep(name: str, default_cases: int, draw, rng, cases: int | None = None) -
 
 
 # One record per suite: its name, default case count and draw; SUITES lists
-# them longest first, so the shortest suites fill in behind the longest.
+# them longest first, so that dealing them in snake order to the children of
+# run_all_suites pairs the longest with the shortest.
 nb_agreement_suite = partial(_sweep, "nb-generative-vs-discriminative", 1000, _nb_agreement_gaps)
 logreg_equivalence_suite = partial(_sweep, "logreg-equivalence", 500, _logreg_equivalence_gaps)
 fb_efb_suite = partial(_sweep, "fb-vs-efb", 500, _fb_efb_gaps)
 fb_enumeration_suite = partial(_sweep, "fb-vs-enumeration", 60, _fb_enumeration_gaps)
 SUITES = (nb_agreement_suite, logreg_equivalence_suite, fb_efb_suite, fb_enumeration_suite)
-
-
-def _run_suite(seed: int, cases: int | None, stream: int) -> SuiteResult:
-    return SUITES[stream](np.random.default_rng([seed, stream]), cases=cases)
 
 
 def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]:
@@ -244,37 +243,31 @@ def run_all_suites(seed: int = 0, cases: int | None = None) -> list[SuiteResult]
     overrides all of them (handy for smoke runs).
 
     The suites draw from independent substreams, so they run at the same
-    time in forked workers, at most one per suite and capped at the usable
-    CPUs; the results equal a serial run's and come back in suite order.
-    With one CPU, or no fork start method, they run in this process, and so
-    they do when a worker cannot be started or dies: the workers this call
-    started are stopped and reaped first.
+    time in forked children (:func:`.core.forked_parts`), one per usable CPU
+    and at most one per suite.  The suites are dealt to the children in
+    snake order (0, 1, 1, 0 with two), so the longest and the shortest
+    share a child.  Each child prints one JSON line per suite it ran, which
+    round-trips every float, NaN included; a suite with no line, because
+    its child could not be started or failed, runs in this process.  The
+    results equal a serial run's and come back in suite order.
     """
-    # checked here, so a bad value never reaches a worker
+    # checked here, so a bad value never reaches a child
     if not is_integer(seed) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     if cases is not None:
         _check_cases(cases)
-    # imported here: every command imports this module, and only verify forks
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    run = partial(_run_suite, seed, cases)
+    def run(stream):
+        return SUITES[stream](np.random.default_rng([seed, stream]), cases=cases)
+
     streams = range(len(SUITES))
-    workers = min(len(SUITES), usable_cpus())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        before = multiprocessing.active_children()
-        try:
-            # fork, not spawn: a worker starts with numpy and this module already imported
-            with ProcessPoolExecutor(workers,
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(run, streams))
-        except (OSError, BrokenProcessPool):
-            # a pool whose later fork failed never started the thread that
-            # would stop its earlier workers, and they would block this
-            # interpreter's exit
-            for worker in multiprocessing.active_children():
-                if worker not in before:
-                    worker.terminate()
-                    worker.join()
-    return list(map(run, streams))
+    width = min(len(SUITES), usable_cpus())
+    seats = [*range(width), *reversed(range(width))]  # the snake: 0, 1, 1, 0 with two
+    hands = [[s for s in streams if seats[s % len(seats)] == child] for child in range(width)]
+
+    def write(hand, to):
+        to.writelines(json.dumps([stream, vars(run(stream))]) + "\n" for stream in hand)
+
+    with forked_parts(write, hands) as files:
+        done = dict(json.loads(line) for spool in files if spool is not None for line in spool)
+    return [SuiteResult(**done[stream]) if stream in done else run(stream) for stream in streams]

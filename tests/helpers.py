@@ -1,11 +1,22 @@
 """Shared test utilities."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualbayes.train import FD_STEP, gradient, parameter_loss
+
+
+def run_python(*args, **env):
+    """``python *args`` in a fresh interpreter that imports this checkout,
+    with ``env`` added to the environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env)
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def assert_no_child_left():

@@ -6,17 +6,15 @@ import csv
 import io
 import json
 import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualbayes import cli
+import dualbayes.verify
+from dualbayes import cli, core
 from dualbayes.cli import HMM_OUTPUT_BLOCK, PREDICT_BLOCK, main
 from dualbayes.core import (
     EQUALITY_TOL,
@@ -43,7 +41,7 @@ from dualbayes.verify import (
     random_nb_observation,
 )
 
-from helpers import assert_no_child_left
+from helpers import assert_no_child_left, run_python
 
 
 def _write(path, text):
@@ -422,6 +420,30 @@ class TestPredict:
         assert main(["predict", "--route", route, str(model_path), obs, "-o", str(out)]) == 2
         assert capsys.readouterr() == ("", "error: --route applies only to naive_bayes models\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("n_labels", [3, 8, 32])
+    def test_a_row_prints_the_same_whatever_file_it_sits_in(self, tmp_path, capsys, n_labels):
+        # the inputs of CI's step of the same aim: 1500 is not a multiple of
+        # PREDICT_BLOCK, so a row of the split files sits in a different block,
+        # at a different place, than in the whole file; numpy sums a row of
+        # fewer than 8 labels in order and one of 8 or more pairwise
+        rng = np.random.default_rng(35)
+        save_model(random_discriminative_nb(rng, n_labels=n_labels, t_len=20),
+                   tmp_path / "disc20.json")
+        header, *rows = _real_rows_csv(rng, 5000, 20).splitlines(keepends=True)
+        files = {name: _write(tmp_path / f"{name}.csv", header + "".join(part))
+                 for name, part in (("whole", rows), ("first", rows[:1500]),
+                                    ("rest", rows[1500:]))}
+        assert main(["convert", str(tmp_path / "disc20.json"),
+                     "-o", str(tmp_path / "lr20.json")]) == 0
+        for model in ("disc20.json", "lr20.json"):
+            tables = {}
+            for name, data in files.items():
+                out = tmp_path / f"{name}.out"
+                assert main(["predict", str(tmp_path / model), data, "-o", str(out)]) == 0
+                tables[name] = out.read_bytes().splitlines(keepends=True)
+            assert tables["whole"] == tables["first"] + tables["rest"][1:]
+        capsys.readouterr()
 
 
 class TestRealValuedParse:
@@ -810,15 +832,22 @@ class TestErrorPolicy:
         assert captured.err == f"error: field larger than field limit ({limit})\n"
 
 
+_PINNING = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="no os.sched_setaffinity to pin a child to one CPU, or fewer than two usable CPUs")
+
+
+def _real_rows_csv(rng, rows, t_len):
+    """A header and ``rows`` rows of ``t_len`` normal draws, as CI's steps write them."""
+    lines = [",".join(f"f{t}" for t in range(t_len))]
+    lines += [",".join(map(repr, row)) for row in rng.normal(0.0, 2.0, size=(rows, t_len)).tolist()]
+    return "\n".join(lines) + "\n"
+
+
 class TestModuleEntryPoint:
     """``python -m dualbayes.cli``, the documented equivalent of the console script."""
 
-    @staticmethod
-    def _run_python(*args, **env):
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-                   **env)
-        return subprocess.run([sys.executable, *args],
-                              capture_output=True, text=True, env=env, timeout=120)
+    _run_python = staticmethod(run_python)
 
     @classmethod
     def _run(cls, *args, **env):
@@ -882,21 +911,53 @@ class TestModuleEntryPoint:
         assert one.returncode == default.returncode == 0, one.stderr + default.stderr
         assert one.stdout == default.stdout
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                        reason="no os.sched_setaffinity to pin a child to one CPU")
-    @pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
-                        reason="fewer than two usable CPUs: verify runs in process anyway")
+    @classmethod
+    def _run_pinned(cls, *args):
+        """``_run(*args)`` pinned to one CPU before the interpreter starts."""
+        pinned = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+                  "os.execv(sys.executable, [sys.executable, '-m', 'dualbayes.cli', *sys.argv[1:]])")
+        return cls._run_python("-c", pinned, *args)
+
+    @_PINNING
     @pytest.mark.parametrize("options", [["--seed", "0"], ["--seed", "5"], ["--cases", "7"]],
                              ids=["seed-0", "seed-5", "cases-7"])
     def test_verify_prints_the_same_bytes_on_one_cpu_or_many(self, options):
         # the options of CI's step of the same aim: pinned to one CPU, verify
-        # runs its suites in process instead of in forked workers
-        pinned = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-                  "os.execv(sys.executable, [sys.executable, '-m', 'dualbayes.cli', *sys.argv[1:]])")
-        one = self._run_python("-c", pinned, "verify", *options)
+        # runs all its suites in one forked child instead of one per CPU
+        one = self._run_pinned("verify", *options)
         many = self._run("verify", *options)
         assert one.returncode == many.returncode == 0, one.stderr + many.stderr
         assert one.stdout == many.stdout
+
+    @_PINNING
+    def test_predict_and_hmm_posterior_print_the_same_bytes_on_one_cpu_or_many(self, tmp_path):
+        # the inputs of CI's step of the same aim: pinned to one CPU, both
+        # commands format their tables in one part instead of one per CPU
+        rng = np.random.default_rng(32)
+
+        def rows(n, m):
+            out = rng.uniform(0.05, 1.0, size=(n, m))
+            return (out / out.sum(axis=1, keepdims=True)).tolist()
+
+        model = _write(tmp_path / "hmm32.json", json.dumps({
+            "type": "hmm", "labels": [f"h{i}" for i in range(32)],
+            "alphabet": [f"o{k}" for k in range(20)],
+            "prior": rows(1, 32)[0], "transitions": rows(32, 32), "emissions": rows(32, 20)}))
+        obs = ",".join(f"o{k}" for k in np.random.default_rng(33).integers(0, 20, 10_000))
+        args = ("hmm-posterior", model, "--obs", obs, "--algorithm", "both")
+        one, many = self._run_pinned(*args), self._run(*args)
+        assert one.returncode == many.returncode == 0, one.stderr + many.stderr
+        assert one.stdout == many.stdout
+
+        rng = np.random.default_rng(34)
+        save_model(random_discriminative_nb(rng, n_labels=5, t_len=6), tmp_path / "disc.json")
+        data = _write(tmp_path / "rows.csv", _real_rows_csv(rng, 5000, 6))
+        outputs = []
+        for run, name in ((self._run_pinned, "one.csv"), (self._run, "many.csv")):
+            done = run("predict", str(tmp_path / "disc.json"), data, "-o", str(tmp_path / name))
+            assert done.returncode == 0, done.stderr
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command, code, message", [
         (["convert", "{dir}/lr.json", "-o", "{dir}/out.json", "--prior", "1e308,1e308"],
@@ -905,11 +966,14 @@ class TestModuleEntryPoint:
          2, "smoothing_alpha must be finite and nonnegative"),
         (["fit", "--generative", "--alpha", "nan", "{dir}/data.csv", "-o", "{dir}/out.json"],
          2, "smoothing_alpha must be finite and nonnegative"),
+        (["fit", "--generative", "--alpha", "1e308", "{dir}/data.csv", "-o", "{dir}/out.json"],
+         2, "smoothing_alpha is too large: the smoothed totals overflow"),
         (["fit", "--discriminative", "--lr", "inf", "{dir}/real.csv", "-o", "{dir}/out.json"],
          2, "learning_rate must be positive and finite"),
         (["fit", "--discriminative", "--epochs", "10", "{dir}/huge.csv", "-o", "{dir}/out.json"],
          3, "loss became non-finite (nan)"),
-    ], ids=["overflowing-prior", "alpha-inf", "alpha-nan", "lr-inf", "diverging-fit"])
+    ], ids=["overflowing-prior", "alpha-inf", "alpha-nan", "alpha-overflowing", "lr-inf",
+            "diverging-fit"])
     def test_bad_value_prints_one_error_line_and_no_warning(self, tmp_path, command, code,
                                                             message):
         # run outside pytest, whose filters would turn a numpy warning into an exception
@@ -1085,7 +1149,7 @@ class TestOutputParts:
             raise OSError(28, "No space left on device")
 
         self._cpus(monkeypatch, 3)
-        monkeypatch.setattr(cli.tempfile, "TemporaryFile", no_file)
+        monkeypatch.setattr(core.tempfile, "TemporaryFile", no_file)
         calls, out = [], io.StringIO()
         cli._write_parts(_numbered_rows(calls), 10, 3, out)
         assert out.getvalue() == "".join(f"row {i}\n" for i in range(10))
@@ -1099,7 +1163,7 @@ class TestOutputParts:
         # writes the first part in two writes before it copies the child's file
         script = textwrap.dedent(f"""
             import os, sys
-            from dualbayes import cli
+            from dualbayes import cli, core
             cli.usable_cpus = lambda: 2
             forks, fork = [], os.fork
             def counted():
@@ -1161,5 +1225,17 @@ class TestOutputParts:
             assert main(argv) == 0
         assert capsys.readouterr() == expected
         assert len(forks) == 2
+        assert_no_child_left()
+
+        # verify forks one child per usable CPU, here two
+        monkeypatch.setattr(dualbayes.verify, "usable_cpus", lambda: 1)
+        assert main(["verify", "--cases", "2"]) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(dualbayes.verify, "usable_cpus", lambda: 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--cases", "2"]) == 0
+        assert capsys.readouterr() == expected
+        assert len(forks) == 2 + 1 + 2
         assert_no_child_left()
 

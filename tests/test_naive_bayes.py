@@ -100,6 +100,20 @@ class TestFitMle:
         with pytest.raises(ValueError, match="^smoothing_alpha must be finite and nonnegative$"):
             nb_fit_mle([("a", ["x"]), ("b", ["y"])], smoothing_alpha=alpha)
 
+    def test_smoothing_whose_totals_overflow_is_refused(self):
+        # 30 symbols at one position: the emission total count + 30 * alpha
+        # overflows at alpha = 1e307, and would zero every emission entry;
+        # at 5e306 every total stays finite and the fit is near uniform
+        data = [(label, [f"s{k}"]) for label in "ab" for k in range(30)]
+        with pytest.raises(ValueError,
+                           match="^smoothing_alpha is too large: the smoothed totals overflow$"):
+            nb_fit_mle(data, 1e307)
+        with pytest.raises(ValueError, match="^smoothing_alpha is too large"):
+            nb_fit_mle([("a", ["x"]), ("b", ["y"])], 1e308)  # the prior total, 2 * alpha
+        model = nb_fit_mle(data, 5e306)
+        assert model.prior.entries.tolist() == [0.5, 0.5]
+        np.testing.assert_allclose(model.emissions[0], 1.0 / 30, rtol=1e-12)
+
     def test_sufficient_statistics_invariants(self):
         rng = np.random.default_rng(11)
         labels = LabelSpace(("a", "b", "c"))

@@ -188,6 +188,16 @@ class TestMalformedInput:
         with pytest.raises(ValueError):
             loads_model("[1, 2, 3]")
 
+    @pytest.mark.parametrize("make", [random_naive_bayes, random_discriminative_nb, random_hmm],
+                             ids=["naive_bayes", "disc_nb", "hmm"])
+    def test_a_prior_of_the_wrong_length_names_both_lengths(self, make):
+        # every model type checks it in core.as_probability_vector, as lr_to_nb does
+        data = model_to_dict(make(np.random.default_rng(43), n_labels=2))
+        data["prior"] = [0.25, 0.25, 0.5]
+        with pytest.raises(ValueError,
+                           match=r"^prior has 3 entries, expected 2 \(one per label\)$"):
+            model_from_dict(data)
+
     def test_invariants_still_enforced_on_load(self):
         rng = np.random.default_rng(37)
         data = model_to_dict(random_naive_bayes(rng, n_labels=2, t_len=1))

@@ -1,14 +1,11 @@
 """The verification suites themselves: determinism, scaling, and the
 ability to fail when an algorithm is deliberately broken."""
 
+import contextlib
 import errno
-import multiprocessing
 import os
 import signal
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +27,11 @@ from dualbayes.verify import (
     random_naive_bayes,
 )
 
-from helpers import assert_no_child_left
+from helpers import assert_no_child_left, run_python
+
+
+def _failing_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
 def _nan_nb_batch(prior, tables, codes):
@@ -186,9 +187,12 @@ class TestRunner:
                   for stream, suite in enumerate(self.SUITES)]
         assert run_all_suites(seed=seed, cases=6) == direct
 
-    @pytest.mark.parametrize("cpus, calls_here", [(1, 4), (2, 0)])
-    def test_both_paths_give_the_same_results(self, monkeypatch, cpus, calls_here):
-        # the oracle calls this process sees tell an in-process run from a forked one
+    @pytest.mark.parametrize("cpus, fork_fails, calls_here",
+                             [(1, False, 0), (2, False, 0), (2, True, 4)],
+                             ids=["one-child", "two-children", "in-process"])
+    def test_both_paths_give_the_same_results(self, monkeypatch, cpus, fork_fails, calls_here):
+        # the oracle calls this process sees tell an in-process run from a
+        # forked one; with one CPU every suite runs in one child
         expected = [suite(np.random.default_rng([7, stream]), cases=4)
                     for stream, suite in enumerate(self.SUITES)]
         calls = []
@@ -199,12 +203,34 @@ class TestRunner:
 
         monkeypatch.setattr(dualbayes.verify, "joint_enumeration_hmm", counted)
         monkeypatch.setattr(dualbayes.verify, "usable_cpus", lambda: cpus)
+        if fork_fails:
+            monkeypatch.setattr(os, "fork", _failing_fork)
         assert run_all_suites(seed=7, cases=4) == expected
         assert len(calls) == calls_here
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus, hands", [
+        (1, [[0, 1, 2, 3]]),
+        (2, [[0, 3], [1, 2]]),  # the longest suite and the shortest share a child
+        (3, [[0], [1], [2, 3]]),
+        (4, [[0], [1], [2], [3]]),
+        (8, [[0], [1], [2], [3]]),
+    ])
+    def test_suites_are_dealt_in_snake_order(self, monkeypatch, cpus, hands):
+        dealt = []
+
+        def forked_here(write, parts):
+            dealt.extend(parts)
+            return contextlib.nullcontext([None] * len(parts))
+
+        monkeypatch.setattr(dualbayes.verify, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(dualbayes.verify, "forked_parts", forked_here)
+        run_all_suites(seed=7, cases=1)
+        assert dealt == hands
 
     def test_no_worker_outlives_the_runner(self, monkeypatch, capsys):
         run_all_suites(seed=0, cases=2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
         def raising(model, observations):
             raise ZeroEvidence("x")
@@ -213,10 +239,10 @@ class TestRunner:
         with pytest.raises(ZeroEvidence, match="^x$") as failure:
             run_all_suites(seed=0, cases=2)
         assert failure.type is ZeroEvidence
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert main(["verify", "--cases", "2"]) == 2
         assert capsys.readouterr() == ("", "error: x\n")
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @staticmethod
     def _verify(monkeypatch, capsys, cpus):
@@ -226,13 +252,35 @@ class TestRunner:
         return capsys.readouterr()
 
     def test_no_worker_can_be_started(self, monkeypatch, capsys):
-        def failing_fork():
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
         serial = self._verify(monkeypatch, capsys, 1)
-        monkeypatch.setattr(os, "fork", failing_fork)
+        monkeypatch.setattr(os, "fork", _failing_fork)
         assert self._verify(monkeypatch, capsys, 4) == serial
         assert_no_child_left()
+
+    def test_a_failed_fork_leaves_no_open_file(self, monkeypatch, capsys):
+        # in a fresh interpreter under development mode, where an unclosed
+        # file is an error; every fork fails, so every suite runs in process
+        script = textwrap.dedent("""
+            import errno, os, sys
+            import dualbayes.verify
+            from dualbayes.cli import main
+            dualbayes.verify.usable_cpus = lambda: 4
+            def failing_fork():
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            os.fork = failing_fork
+            files = sorted(os.listdir("/dev/fd"))
+            code = main(["verify", "--cases", "3"])
+            try:
+                os.waitpid(-1, os.WNOHANG)
+                left = "a child left"
+            except ChildProcessError:
+                left = "no child left"
+            print(code, left, sorted(os.listdir("/dev/fd")) == files, file=sys.stderr)
+        """)
+        done = run_python("-X", "dev", "-W", "error::ResourceWarning", "-c", script)
+        assert (done.stdout, done.stderr) == (self._verify(monkeypatch, capsys, 1).out,
+                                              "0 no child left True\n")
+        assert done.returncode == 0
 
     def test_a_worker_dies_mid_suite(self, monkeypatch, capsys):
         # a worker is killed in the enumeration suite; this process runs it
@@ -249,8 +297,9 @@ class TestRunner:
         assert_no_child_left()
 
     def test_the_second_worker_cannot_be_started(self, monkeypatch, capsys):
-        # the first worker is up when the second fork fails; left running, it
-        # would keep a fresh interpreter from exiting
+        # the first child is up when the second fork fails; every other fork
+        # is still tried, this process runs the second suite, and left
+        # running, a child would keep a fresh interpreter from exiting
         script = textwrap.dedent("""
             import errno, os, sys
             import dualbayes.verify
@@ -271,11 +320,9 @@ class TestRunner:
                 left = "no child left"
             print(code, len(forks), left, file=sys.stderr)
         """)
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        done = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env, timeout=60)
+        done = run_python("-c", script)
         assert (done.stdout, done.stderr) == (self._verify(monkeypatch, capsys, 1).out,
-                                              "0 2 no child left\n")
+                                              "0 4 no child left\n")
         assert done.returncode == 0
 
     @pytest.mark.parametrize("seed", [-1, np.int64(-1), 1.5, "3", None, True, False])
@@ -284,10 +331,17 @@ class TestRunner:
             run_all_suites(seed=seed, cases=1)
 
     def test_importing_the_cli_does_not_import_the_pool(self):
-        # every command imports verify; only verify itself needs the pool modules
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        script = ("import sys, dualbayes.cli; "
-                  "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert done.stdout == "False False\n"
+        # nor does a forked verify, whose suites, and their numpy.random, run
+        # in the children only
+        script = textwrap.dedent("""
+            import sys, dualbayes.cli
+            def imported():
+                return [name in sys.modules
+                        for name in ("concurrent.futures", "multiprocessing", "numpy.random")]
+            print(*imported(), file=sys.stderr)
+            dualbayes.cli.main(["verify", "--cases", "1"])
+            print(*imported(), file=sys.stderr)
+        """)
+        done = run_python("-c", script)
+        assert done.stdout.endswith("4/4 suites passed\n")
+        assert done.stderr == "False False False\n" * 2
