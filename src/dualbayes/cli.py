@@ -5,7 +5,8 @@ is the in-process value formatted with 17 significant digits, which
 round-trips ``float`` exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 numerical
-failure.
+failure, 141 (128 + SIGPIPE, as a shell reports a process killed by it) a
+reader that closed the output pipe before the end, with no ``error:`` line.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import shutil
 import sys
 from array import array
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NUMERIC = 3
+EXIT_BROKEN_PIPE = 141
 
 # Fixed stream for the conversion probe set; independent of user seeds so
 # `convert` output is reproducible by itself.
@@ -200,9 +203,30 @@ def _read_observations(path, real_mode: bool, expected: int):
     return observations
 
 
+# Each mode's `fit` options and their defaults.  The parser leaves them None,
+# so that an option of the other mode can be refused rather than ignored.
+_FIT_OPTIONS = {
+    "generative": {"alpha": 0.0},
+    "discriminative": {"lr": 0.1, "epochs": 100, "batch_size": "full", "seed": 0},
+}
+
+
+def _fit_options(args) -> dict:
+    """The options of ``args``' mode, with their defaults where not given;
+    an option of the other mode raises ``ValueError``."""
+    mode, other = ("generative", "discriminative") if args.generative else (
+        "discriminative", "generative")
+    for name in _FIT_OPTIONS[other]:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} applies only to fit --{other}")
+    return {name: default if getattr(args, name) is None else getattr(args, name)
+            for name, default in _FIT_OPTIONS[mode].items()}
+
+
 def _cmd_fit(args) -> int:
+    options = _fit_options(args)  # before the dataset is read, however large it is
     if args.generative:
-        alpha = _smoothing_alpha(args.alpha)  # checked before the dataset is read
+        alpha = _smoothing_alpha(options["alpha"])
         data = list(zip(*_read_dataset(args.dataset, real_mode=False)))
         labels, alphabets = _infer_spaces(data)
         stats = nb_sufficient_statistics(data, labels, alphabets)
@@ -216,25 +240,23 @@ def _cmd_fit(args) -> int:
         return EXIT_OK
 
     try:
-        batch = int(args.batch_size)
+        batch = int(options["batch_size"])
     except ValueError:
-        batch = args.batch_size  # "full", or text that TrainConfig rejects in its own words
-    # options are checked before the dataset is read, however large it is
-    config = TrainConfig(
-        learning_rate=args.lr, epochs=args.epochs, batch_size=batch, seed=args.seed
-    )
+        batch = options["batch_size"]  # "full", or text that TrainConfig rejects in its own words
+    config = TrainConfig(learning_rate=options["lr"], epochs=options["epochs"],
+                         batch_size=batch, seed=options["seed"])
     row_labels, features = _read_dataset(args.dataset, real_mode=True)
     labels = LabelSpace(tuple(sorted(set(row_labels))))
     features, codes = _prepare(row_labels, features, labels, features.shape[1])
     del row_labels  # only their codes are kept while training
     model, report = _gradient_descent(features, codes, labels, config)
+    save_model(model, args.output)  # a model that cannot be saved prints no report
     for epoch, loss in enumerate(report.loss_curve):
         print("epoch=%d loss=%.17g" % (epoch, loss))
     print(json.dumps({
         "loss_curve": list(report.loss_curve),
         "final_accuracy": report.final_accuracy,
     }))
-    save_model(model, args.output)
     return EXIT_OK
 
 
@@ -376,13 +398,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="gradient-descent fit on real-valued features")
     fit.add_argument("dataset", help="CSV with a label column followed by feature columns")
     fit.add_argument("-o", "--output", required=True, help="where to write the model JSON")
-    fit.add_argument("--alpha", type=float, default=0.0,
+    fit.add_argument("--alpha", type=float,
                      help="additive smoothing for the generative fit (default 0)")
-    fit.add_argument("--lr", type=float, default=0.1, help="learning rate (default 0.1)")
-    fit.add_argument("--epochs", type=int, default=100, help="training epochs (default 100)")
-    fit.add_argument("--batch-size", default="full",
-                     help='mini-batch size or "full" (default full)')
-    fit.add_argument("--seed", type=int, default=0, help="seed for mini-batch shuffling")
+    fit.add_argument("--lr", type=float, help="learning rate (default 0.1)")
+    fit.add_argument("--epochs", type=int, help="training epochs (default 100)")
+    fit.add_argument("--batch-size", help='mini-batch size or "full" (default full)')
+    fit.add_argument("--seed", type=int, help="seed for mini-batch shuffling (default 0)")
     fit.set_defaults(handler=_cmd_fit)
 
     predict = commands.add_parser("predict", help="posterior table for a file of observations")
@@ -419,7 +440,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe fails here, not in the final flush
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, which is not bad input; stdout goes to
+        # os.devnull so that the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (DualBayesError, ValueError, OSError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if isinstance(exc, DivergedLoss) else EXIT_BAD_INPUT

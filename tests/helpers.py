@@ -13,8 +13,10 @@ from dualbayes.train import FD_STEP, gradient, parameter_loss
 
 def run_python(*args, **env):
     """``python *args`` in a fresh interpreter that imports this checkout,
-    with ``env`` added to the environment."""
+    with ``env`` added to the environment; a value of None removes the
+    variable."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env)
+    env = {name: value for name, value in env.items() if value is not None}
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
 

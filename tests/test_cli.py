@@ -1,6 +1,6 @@
-"""End-to-end CLI behaviour: command flows, output formats, determinism,
-and the exit-code contract (0 ok, 1 verify failure, 2 bad input, 3
-numerical failure)."""
+"""End-to-end CLI behaviour: command flows, output formats, per-seed
+determinism, and the exit-code contract (0 ok, 1 verify failure, 2 bad
+input, 3 numerical failure, 141 a reader that closed the pipe)."""
 
 import csv
 import io
@@ -153,6 +153,31 @@ class TestFit:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode, option, value", [
+        ("--generative", "--lr", "9"),
+        ("--generative", "--epochs", "5"),
+        ("--generative", "--batch-size", "7"),
+        ("--generative", "--seed", "1"),
+        ("--discriminative", "--alpha", "3"),
+    ], ids=["lr", "epochs", "batch-size", "seed", "alpha"])
+    def test_an_option_of_the_other_mode_is_refused_before_the_dataset_is_read(
+            self, tmp_path, capsys, mode, option, value):
+        # line 3 is too wide, which would be reported instead if it were read first
+        dataset = _write(tmp_path / "d.csv", "label,f0\na,0.5\nb,1,2\n")
+        out = tmp_path / "m.json"
+        assert main(["fit", mode, option, value, dataset, "-o", str(out)]) == 2
+        other = "discriminative" if mode == "--generative" else "generative"
+        assert capsys.readouterr() == ("", f"error: {option} applies only to fit --{other}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--generative", "--discriminative"])
+    def test_a_model_that_cannot_be_saved_prints_no_report(self, tmp_path, capsys, mode):
+        out = tmp_path / "missing" / "m.json"
+        assert main(["fit", mode, _separable_csv(tmp_path, per_class=10), "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
     @pytest.mark.parametrize("alpha", ["-1", "inf", "nan"])
     def test_bad_alpha_is_reported_before_the_dataset_is_read(self, tmp_path, capsys, alpha):
@@ -420,30 +445,6 @@ class TestPredict:
         assert main(["predict", "--route", route, str(model_path), obs, "-o", str(out)]) == 2
         assert capsys.readouterr() == ("", "error: --route applies only to naive_bayes models\n")
         assert not out.exists()
-
-    @pytest.mark.parametrize("n_labels", [3, 8, 32])
-    def test_a_row_prints_the_same_whatever_file_it_sits_in(self, tmp_path, capsys, n_labels):
-        # the inputs of CI's step of the same aim: 1500 is not a multiple of
-        # PREDICT_BLOCK, so a row of the split files sits in a different block,
-        # at a different place, than in the whole file; numpy sums a row of
-        # fewer than 8 labels in order and one of 8 or more pairwise
-        rng = np.random.default_rng(35)
-        save_model(random_discriminative_nb(rng, n_labels=n_labels, t_len=20),
-                   tmp_path / "disc20.json")
-        header, *rows = _real_rows_csv(rng, 5000, 20).splitlines(keepends=True)
-        files = {name: _write(tmp_path / f"{name}.csv", header + "".join(part))
-                 for name, part in (("whole", rows), ("first", rows[:1500]),
-                                    ("rest", rows[1500:]))}
-        assert main(["convert", str(tmp_path / "disc20.json"),
-                     "-o", str(tmp_path / "lr20.json")]) == 0
-        for model in ("disc20.json", "lr20.json"):
-            tables = {}
-            for name, data in files.items():
-                out = tmp_path / f"{name}.out"
-                assert main(["predict", str(tmp_path / model), data, "-o", str(out)]) == 0
-                tables[name] = out.read_bytes().splitlines(keepends=True)
-            assert tables["whole"] == tables["first"] + tables["rest"][1:]
-        capsys.readouterr()
 
 
 class TestRealValuedParse:
@@ -832,18 +833,6 @@ class TestErrorPolicy:
         assert captured.err == f"error: field larger than field limit ({limit})\n"
 
 
-_PINNING = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-    reason="no os.sched_setaffinity to pin a child to one CPU, or fewer than two usable CPUs")
-
-
-def _real_rows_csv(rng, rows, t_len):
-    """A header and ``rows`` rows of ``t_len`` normal draws, as CI's steps write them."""
-    lines = [",".join(f"f{t}" for t in range(t_len))]
-    lines += [",".join(map(repr, row)) for row in rng.normal(0.0, 2.0, size=(rows, t_len)).tolist()]
-    return "\n".join(lines) + "\n"
-
-
 class TestModuleEntryPoint:
     """``python -m dualbayes.cli``, the documented equivalent of the console script."""
 
@@ -868,96 +857,6 @@ class TestModuleEntryPoint:
                                     "--batch-size", batch, dataset,
                                     "-o", str(tmp_path / "m.json"))
             assert done.stdout.splitlines()[-1] == f"0 {imported}"
-
-    @pytest.mark.parametrize("n_labels", [4, 32])
-    def test_discriminative_fit_prints_the_same_bytes_with_one_blas_thread_or_two(
-            self, tmp_path, n_labels):
-        # the data of CI's step of the same aim; one BLAS product over all
-        # 3000 rows summed the 32-label gradient differently with two threads
-        rng = np.random.default_rng(12)
-        codes = rng.integers(0, n_labels, 3000)
-        rows = rng.normal(size=(n_labels, 20))[codes] + rng.normal(0.0, 1.5, size=(3000, 20))
-        lines = ["label," + ",".join(f"f{t}" for t in range(20))]
-        lines += [f"l{code}," + ",".join(map(repr, row)) for code, row in zip(codes, rows.tolist())]
-        dataset = _write(tmp_path / "real.csv", "\n".join(lines) + "\n")
-        runs = []
-        for threads in ("1", "2"):
-            model = tmp_path / f"{threads}.json"
-            done = self._run("fit", "--discriminative", "--epochs", "20", dataset,
-                             "-o", str(model), OPENBLAS_NUM_THREADS=threads)
-            assert done.returncode == 0, done.stderr
-            runs.append((done.stdout, model.read_bytes()))
-        assert runs[0] == runs[1]
-
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
-                        reason="one CPU gives OpenBLAS one thread by default as well")
-    @pytest.mark.parametrize("n", [2, 8, 16])
-    def test_hmm_posterior_prints_the_same_bytes_with_one_blas_thread_or_two(self, tmp_path, n):
-        # the inputs of CI's step of the same aim: at N <= 16 and T >= 512 the
-        # kernel advances its time blocks with BLAS products
-        obs = ",".join(f"o{k}" for k in np.random.default_rng(17).integers(0, 20, 10_000))
-        rng = np.random.default_rng(16)
-
-        def rows(n, m):
-            out = rng.uniform(0.05, 1.0, size=(n, m))
-            return (out / out.sum(axis=1, keepdims=True)).tolist()
-
-        model = _write(tmp_path / "hmm.json", json.dumps({
-            "type": "hmm", "labels": [f"h{i}" for i in range(n)],
-            "alphabet": [f"o{k}" for k in range(20)],
-            "prior": rows(1, n)[0], "transitions": rows(n, n), "emissions": rows(n, 20)}))
-        args = ("hmm-posterior", model, "--obs", obs, "--algorithm", "both")
-        one, default = self._run(*args, OPENBLAS_NUM_THREADS="1"), self._run(*args)
-        assert one.returncode == default.returncode == 0, one.stderr + default.stderr
-        assert one.stdout == default.stdout
-
-    @classmethod
-    def _run_pinned(cls, *args):
-        """``_run(*args)`` pinned to one CPU before the interpreter starts."""
-        pinned = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-                  "os.execv(sys.executable, [sys.executable, '-m', 'dualbayes.cli', *sys.argv[1:]])")
-        return cls._run_python("-c", pinned, *args)
-
-    @_PINNING
-    @pytest.mark.parametrize("options", [["--seed", "0"], ["--seed", "5"], ["--cases", "7"]],
-                             ids=["seed-0", "seed-5", "cases-7"])
-    def test_verify_prints_the_same_bytes_on_one_cpu_or_many(self, options):
-        # the options of CI's step of the same aim: pinned to one CPU, verify
-        # runs all its suites in one forked child instead of one per CPU
-        one = self._run_pinned("verify", *options)
-        many = self._run("verify", *options)
-        assert one.returncode == many.returncode == 0, one.stderr + many.stderr
-        assert one.stdout == many.stdout
-
-    @_PINNING
-    def test_predict_and_hmm_posterior_print_the_same_bytes_on_one_cpu_or_many(self, tmp_path):
-        # the inputs of CI's step of the same aim: pinned to one CPU, both
-        # commands format their tables in one part instead of one per CPU
-        rng = np.random.default_rng(32)
-
-        def rows(n, m):
-            out = rng.uniform(0.05, 1.0, size=(n, m))
-            return (out / out.sum(axis=1, keepdims=True)).tolist()
-
-        model = _write(tmp_path / "hmm32.json", json.dumps({
-            "type": "hmm", "labels": [f"h{i}" for i in range(32)],
-            "alphabet": [f"o{k}" for k in range(20)],
-            "prior": rows(1, 32)[0], "transitions": rows(32, 32), "emissions": rows(32, 20)}))
-        obs = ",".join(f"o{k}" for k in np.random.default_rng(33).integers(0, 20, 10_000))
-        args = ("hmm-posterior", model, "--obs", obs, "--algorithm", "both")
-        one, many = self._run_pinned(*args), self._run(*args)
-        assert one.returncode == many.returncode == 0, one.stderr + many.stderr
-        assert one.stdout == many.stdout
-
-        rng = np.random.default_rng(34)
-        save_model(random_discriminative_nb(rng, n_labels=5, t_len=6), tmp_path / "disc.json")
-        data = _write(tmp_path / "rows.csv", _real_rows_csv(rng, 5000, 6))
-        outputs = []
-        for run, name in ((self._run_pinned, "one.csv"), (self._run, "many.csv")):
-            done = run("predict", str(tmp_path / "disc.json"), data, "-o", str(tmp_path / name))
-            assert done.returncode == 0, done.stderr
-            outputs.append((tmp_path / name).read_bytes())
-        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command, code, message", [
         (["convert", "{dir}/lr.json", "-o", "{dir}/out.json", "--prior", "1e308,1e308"],
@@ -1172,14 +1071,14 @@ class TestOutputParts:
                     forks.append(pid)
                 return pid
             os.fork = counted
-            class Pipe:
+            class Full:
                 writes = 0
                 def write(self, text):
-                    Pipe.writes += 1
-                    if Pipe.writes == {failing_write}:
-                        raise BrokenPipeError(32, "Broken pipe")
+                    Full.writes += 1
+                    if Full.writes == {failing_write}:
+                        raise OSError(28, "No space left on device")
             files = sorted(os.listdir("/dev/fd"))
-            sys.stdout = Pipe()
+            sys.stdout = Full()
             code = cli.main(sys.argv[1:])
             sys.stdout = sys.__stdout__
             try:
@@ -1192,8 +1091,33 @@ class TestOutputParts:
         argv = self._hmm_argv(tmp_path, 4 * HMM_OUTPUT_BLOCK, algorithm="fb")
         done = TestModuleEntryPoint._run_python("-X", "dev", "-W", "error::ResourceWarning",
                                                 "-c", script, *argv)
-        assert done.stderr == "error: [Errno 32] Broken pipe\n"
+        assert done.stderr == "error: [Errno 28] No space left on device\n"
         assert done.stdout == "2 1 no child left True\n"
+
+    @pytest.mark.parametrize("command", ["predict", "hmm-posterior"])
+    def test_a_reader_that_closed_the_pipe_gets_exit_141_and_no_error_line(self, tmp_path,
+                                                                           command):
+        # in a fresh interpreter under development mode, with stdout a pipe
+        # whose reader has gone, as `| head` leaves it; four blocks in two
+        # parts, so a forked child formats the second part
+        argv = (self._predict_argv(tmp_path, 4 * PREDICT_BLOCK) if command == "predict"
+                else self._hmm_argv(tmp_path, 4 * HMM_OUTPUT_BLOCK))
+        script = textwrap.dedent(f"""
+            import os, sys
+            sys.path.insert(0, {os.path.dirname(__file__)!r})
+            from dualbayes import cli
+            from helpers import assert_no_child_left
+            cli.usable_cpus = lambda: 2
+            read, write = os.pipe()
+            os.close(read)
+            os.dup2(write, sys.stdout.fileno())
+            os.close(write)
+            code = cli.main(sys.argv[1:])
+            assert_no_child_left()
+            sys.exit(code)
+        """)
+        done = run_python("-X", "dev", "-W", "error::ResourceWarning", "-c", script, *argv)
+        assert (done.returncode, done.stderr) == (141, "")
 
     def test_the_fork_warning_of_python_3_12_does_not_escape(self, tmp_path, capsys,
                                                              monkeypatch, forks):

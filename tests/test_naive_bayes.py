@@ -1,6 +1,7 @@
 """Naive Bayes: counting fit, both inference routes, and their agreement."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,3 +484,12 @@ class TestSoftmaxParameterization:
                 np.zeros((2, 1)),
                 np.zeros((2, 1)),
             )
+
+
+def test_the_readme_library_quickstart_runs(capsys):
+    # its per-row routes (nb_generative_posterior, nb_discriminative_posterior,
+    # lr_posterior) run in no CLI command, so no other check would see it drift
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
