@@ -18,8 +18,10 @@ import json
 import os
 import shutil
 import sys
+import warnings
 from array import array
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -140,9 +142,12 @@ def _records(path):
 def _read_rows(records, width: int, real_mode: bool, labelled: bool):
     """``(labels, rows)`` of the records after a header, each of ``width`` fields.
 
-    The first field is the label when ``labelled``.  Real-valued fields go
-    straight into one float64 buffer, returned as an ``(S, width - labelled)``
-    array, so no row of field strings outlives its line.
+    The record loop: the only reader of symbol files, and of the real-valued
+    files that :func:`_parse_plain` refuses, and the only code that names a
+    bad line.  The first field is the label when ``labelled``.  Real-valued
+    fields go straight into one float64 buffer, returned as an
+    ``(S, width - labelled)`` array, so no row of field strings outlives its
+    line.
     """
     what = "feature fields" if labelled else "fields"
     labels, values = [], array("d") if real_mode else []
@@ -163,12 +168,62 @@ def _read_rows(records, width: int, real_mode: bool, labelled: bool):
     return labels, values
 
 
+def _plain_lines(handle):
+    """The lines of ``handle``, raising ``ValueError`` at one that ``csv`` might
+    split otherwise or raise on: one with a quote, a NUL, or more characters
+    than a field may hold."""
+    limit = csv.field_size_limit()
+    for line in handle:
+        if '"' in line or "\0" in line or len(line) > limit:
+            raise ValueError("not a plain line")
+        yield line
+
+
+def _parse_plain(path, skip: int, width: int, labelled: bool):
+    """:func:`_read_rows`' result for a real-valued file, parsed in C, or None.
+
+    The lines after the first ``skip`` (the header's, and any blank ones
+    before it) go through one ``np.loadtxt`` pass, split where ``csv``
+    splits them.  A label is its field's text.  Labelled rows are the
+    ``[:, 1:]`` view of the parsed table, so the features are not copied.
+    None means the record loop must read the file: a line
+    :func:`_plain_lines` refuses, a field numpy does not read as a number
+    (``1_0`` and non-ASCII digits among them, though ``float()`` reads
+    both), rows not ``width`` fields wide, or no rows at all.
+    """
+    codes = {}
+    converters = {0: lambda label: codes.setdefault(label, len(codes))} if labelled else None
+    with open(path, encoding="utf-8") as handle, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no rows: the record loop says so
+        try:
+            # encoding=None: numpy 1.x would otherwise pass the converter bytes
+            table = np.loadtxt(_plain_lines(islice(handle, skip, None)), delimiter=",",
+                               comments=None, converters=converters, ndmin=2, encoding=None)
+        except ValueError:
+            return None
+    if table.shape[0] == 0 or table.shape[1] != width:
+        return None
+    if not labelled:
+        return [], table
+    names = list(codes)
+    return [names[code] for code in table[:, 0].astype(np.intp).tolist()], table[:, 1:]
+
+
+def _read_body(path, records, skip: int, width: int, real_mode: bool, labelled: bool):
+    """``(labels, rows)`` after the header that ends on physical line ``skip``:
+    the fast pass for a real-valued file, else the record loop."""
+    parsed = _parse_plain(path, skip, width, labelled) if real_mode else None
+    return _read_rows(records, width, real_mode, labelled) if parsed is None else parsed
+
+
 def _read_dataset(path, real_mode: bool):
     """Parse a labelled CSV: header, then one label plus T feature fields per row.
 
     Returns ``(row_labels, features)``: the label of each row, and its
     features as a list of field lists, or as one ``(S, T)`` float64 array
-    when ``real_mode``.
+    when ``real_mode``.  A plain real-valued file is parsed in C, and the
+    array is then a view of the parsed ``(S, T + 1)`` table; any other file
+    is read record by record (:func:`_read_body`).
     """
     records = _records(path)
     lineno, header = next(records, (0, None))
@@ -178,7 +233,7 @@ def _read_dataset(path, real_mode: bool):
         raise ValueError(
             f"line {lineno}: header needs a label column and at least one feature column"
         )
-    labels, features = _read_rows(records, len(header), real_mode, labelled=True)
+    labels, features = _read_body(path, records, lineno, len(header), real_mode, labelled=True)
     if not labels:
         raise EmptyDataset("empty dataset")
     return labels, features
@@ -187,7 +242,9 @@ def _read_dataset(path, real_mode: bool):
 def _read_observations(path, real_mode: bool, expected: int):
     """Parse an unlabelled CSV of observations, one per row after the header.
 
-    Real-valued files come back as one ``(S, expected)`` float64 array.
+    Real-valued files come back as one ``(S, expected)`` float64 array,
+    parsed in C when the file is plain and record by record otherwise
+    (:func:`_read_body`).
     """
     records = _records(path)
     lineno, header = next(records, (0, None))
@@ -197,7 +254,7 @@ def _read_observations(path, real_mode: bool, expected: int):
         raise DimensionMismatch(
             f"line {lineno}: header has {len(header)} columns, model expects {expected}"
         )
-    _, observations = _read_rows(records, expected, real_mode, labelled=False)
+    _, observations = _read_body(path, records, lineno, expected, real_mode, labelled=False)
     if not len(observations):
         raise ValueError("observation file has no rows")
     return observations

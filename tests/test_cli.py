@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import textwrap
 import tracemalloc
 import warnings
@@ -447,6 +448,66 @@ class TestPredict:
         assert not out.exists()
 
 
+# Files that both real-valued readers must read alike.  "§" marks the
+# label's end on a line: the labelled file has "," there, and the unlabelled
+# one drops the line's text up to it.  Each file's header has two feature
+# columns.  The two flags say whether the fast pass, `cli._parse_plain`,
+# reads the labelled and the unlabelled file; a file it refuses goes to the
+# record loop.
+_LIMIT = csv.field_size_limit()
+_ROWS = "a§1,2\nb§3,4\n"
+_READER_CORPUS = [
+    pytest.param("label§f0,f1\n" + _ROWS, True, True, id="lf"),
+    pytest.param("label§f0,f1\r\na§1,2\r\nb§3,4\r\n", True, True, id="crlf"),
+    pytest.param("label§f0,f1\ra§1,2\rb§3,4\r", True, True, id="cr-only"),
+    pytest.param("label§f0,f1\na§1,2\nb§3,4", True, True, id="no-final-newline"),
+    pytest.param("\n\r\nlabel§f0,f1\n\na§1,2\r\n\n\rb§3,4\n\n", True, True, id="blank-lines"),
+    pytest.param("label§f0,f1\na§1,2\n \t \nb§3,4\n", False, False, id="whitespace-line"),
+    pytest.param("label§f0,f1\na§1,2\n\v\nb§3,4\n", False, False, id="vt-line"),
+    pytest.param("label§f0,f1\na§1,2\n\f\nb§3,4\n", False, False, id="ff-line"),
+    pytest.param("label§f0,f1\na§1,2,\nb§3,4\n", False, False, id="trailing-comma"),
+    pytest.param("label§f0,f1\na§1,2\nb§3,4,5\n", False, False, id="one-row-too-wide"),
+    pytest.param("label§f0,f1\na§1,2\nb§3\n", False, False, id="one-row-too-narrow"),
+    pytest.param("label§f0,f1\na§1,2,0\nb§3,4,0\n", False, False, id="every-row-too-wide"),
+    pytest.param("label§f0,f1\na§1\nb§3\n", False, False, id="every-row-too-narrow"),
+    pytest.param('label§f0,"f\n1"\n' + _ROWS, True, True, id="header-over-two-lines"),
+    pytest.param('label§f0,"f\r\n1"\r\n' + _ROWS, True, True, id="header-over-two-crlf-lines"),
+    pytest.param('label§f0,f1\na§"1.5",2\nb§3,"4"\n', False, False, id="quoted-numbers"),
+    pytest.param('label§f0,f1\n"a"§1,2\n"b""c"§3,4\n', False, True, id="quoted-labels"),
+    pytest.param('label§f0,f1\n"a,b"§1,2\nb§3,4\n', False, True, id="quoted-label-with-comma"),
+    pytest.param('label§f0,f1\na§"1\n",2\nb§3,4\n', False, False, id="record-over-two-lines"),
+    pytest.param("label§f0,f1\na§1_0,2\nb§3,4\n", False, False, id="underscore"),
+    pytest.param("label§f0,f1\na§١,2\nb§3,4\n", False, False, id="arabic-indic-digit"),
+    pytest.param("label§f0,f1\na§0x10,2\nb§3,4\n", False, False, id="hex"),
+    pytest.param("label§f0,f1\na§+1,nan\nb§1e400,-inf\n", True, True, id="sign-nan-inf"),
+    pytest.param("label§f0,f1\na§ 1.5 ,\t2\xa0\nb§ 3,4\x85\n", True, True,
+                 id="whitespace-around-numbers"),
+    pytest.param("label§f0,f1\na\0§1,2\nb§3,4\n", False, True, id="nul-in-label"),
+    pytest.param("label§f0,f1\na§1\0,2\nb§3,4\n", False, False, id="nul-in-number"),
+    pytest.param("label§f0,f1\na§1," + "0" * _LIMIT + "\n", False, False,
+                 id="field-at-the-csv-limit"),
+    pytest.param("label§f0,f1\na§1," + "0" * (_LIMIT + 1) + "\n", False, False,
+                 id="field-over-the-csv-limit"),
+    pytest.param("label§f0,f1\n" + "a" * (_LIMIT + 1) + "§1,2\n", False, True,
+                 id="label-over-the-csv-limit"),
+    pytest.param("\ufefflabel§f0,f1\n" + _ROWS, True, True, id="bom"),
+    pytest.param("label§f0,f1\n x §1,2\n§3,4\né§5,6\n日本§7,8\n", True, True,
+                 id="spaced-empty-and-non-ascii-labels"),
+    pytest.param("label§f0,f1\n#a§1,2\nb§3,4\n", True, True, id="hash-label"),
+    pytest.param("label§f0,f1\na§1,#2\nb§3,4\n", False, False, id="hash-number"),
+    pytest.param("label§f0,f1\na\t1\t2\nb§3,4\n", False, False, id="tab-separated"),
+    pytest.param("label§f0,f1\n", False, False, id="header-only"),
+    pytest.param("label§f0,f1\n\n\r\n", False, False, id="header-and-blank-lines"),
+    pytest.param("", False, False, id="empty"),
+    pytest.param("label§f0,f1\n" + 2000 * "a§1,2\n" + "b§3\udcff,4\n", False, False,
+                 id="invalid-utf8-after-the-first-chunk"),
+    pytest.param("label§f0,f1\n" + "".join(
+        f"c{k % 8}§{x!r},{y!r}\n"
+        for k, (x, y) in enumerate(np.random.default_rng(46).normal(size=(300, 2)).tolist())
+    ), True, True, id="17-digit-reprs"),
+]
+
+
 class TestRealValuedParse:
     """``fit --discriminative`` and real-valued ``predict`` read numbers as
     ``float()`` does and name the first bad line."""
@@ -563,14 +624,89 @@ class TestRealValuedParse:
         assert main(["fit", "--discriminative", "--epochs", "2", str(data), "-o", str(model)]) == 0
         assert load_model(model).labels.names == (" e ", "a\r\nb", 'c,"d"')
 
+    @staticmethod
+    def _read_outcome(path, labelled):
+        """The labels and array bytes that reading ``path`` gives, or its error;
+        a warning fails the test."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                if labelled:
+                    labels, values = cli._read_dataset(path, real_mode=True)
+                else:
+                    labels, values = [], cli._read_observations(path, real_mode=True,
+                                                                expected=2)
+            except (DualBayesError, ValueError, csv.Error) as exc:
+                return type(exc).__name__, str(exc)
+        return labels, values.dtype, values.shape, values.tobytes()
+
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+    @pytest.mark.parametrize("text, fast_labelled, fast_unlabelled", _READER_CORPUS)
+    def test_the_fast_pass_and_the_record_loop_read_a_file_alike(
+            self, tmp_path, monkeypatch, text, fast_labelled, fast_unlabelled, labelled):
+        if labelled:
+            text = text.replace("§", ",")
+        else:
+            text = "".join(part.split("§", 1)[-1] for part in re.split(r"(\r\n?|\n)", text))
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        parse_plain, parsed = cli._parse_plain, []
+        monkeypatch.setattr(cli, "_parse_plain",
+                            lambda *args: parsed.append(parse_plain(*args)) or parsed[-1])
+        fast = self._read_outcome(path, labelled)
+        monkeypatch.setattr(cli, "_parse_plain", lambda *args: None)
+        assert fast == self._read_outcome(path, labelled)
+        took_fast_pass = any(result is not None for result in parsed)
+        assert took_fast_pass == (fast_labelled if labelled else fast_unlabelled)
+
+    @pytest.mark.parametrize("kind", ["fit", "predict"])
+    def test_plain_numeric_files_take_the_fast_pass(self, tmp_path, monkeypatch, capsys, kind):
+        # disc-real's format: labels c<k>, header x<t>, repr() of each feature
+        read_rows = cli._read_rows
+
+        def no_real_valued_records(records, width, real_mode, labelled):
+            if real_mode:
+                raise AssertionError("the record loop read a real-valued file")
+            return read_rows(records, width, real_mode, labelled)
+
+        monkeypatch.setattr(cli, "_read_rows", no_real_valued_records)
+        rng = np.random.default_rng(47)
+        lines = [",".join(f"x{t}" for t in range(20))]
+        lines += [",".join(map(repr, row)) for row in rng.normal(size=(500, 20)).tolist()]
+        if kind == "fit":
+            lines = [f"c{k % 8},{line}" if k else f"label,{line}"
+                     for k, line in enumerate(lines)]
+            argv = ["fit", "--discriminative", "--epochs", "2", "-o", str(tmp_path / "m.json")]
+        else:
+            model = tmp_path / "lr.json"
+            save_model(random_logreg(rng, n_labels=8, t_len=20), model)
+            argv = ["predict", str(model)]
+        data = _write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        assert main(argv + [data]) == 0
+        capsys.readouterr()
+
+        lines[3] = '"' + lines[3].replace(",", '",', 1)  # one quoted field
+        data = _write(tmp_path / "d.csv", "\n".join(lines) + "\n")
+        with pytest.raises(AssertionError, match="the record loop read a real-valued file"):
+            main(argv + [data])
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "one-quoted-field"])
     @pytest.mark.parametrize("labelled", [True, False])
-    def test_fields_are_converted_as_the_records_are_read(self, tmp_path, labelled):
+    def test_fields_are_converted_as_the_records_are_read(
+            self, tmp_path, monkeypatch, labelled, quoted):
         # a list of every row's field strings would cost about 70 bytes per
-        # 17-digit field; converting record by record keeps the traced peak
-        # near the 8 bytes per field of the float64 result
+        # 17-digit field; the fast pass parses into one table, and the record
+        # loop, which reads the file with a quoted field, converts record by
+        # record, so either keeps the traced peak near the 8 bytes per field
+        # of the float64 result
+        read_rows, loops = cli._read_rows, []
+        monkeypatch.setattr(cli, "_read_rows",
+                            lambda *args: loops.append(args) or read_rows(*args))
         values = np.random.default_rng(44).normal(size=(2000, 20))
         lines = [",".join(f"f{t}" for t in range(20))]
         lines += [",".join(map(repr, row)) for row in values.tolist()]
+        if quoted:
+            lines[1] = '"' + lines[1].replace(",", '",', 1)
         if labelled:
             lines = [f"l{i % 3},{line}" for i, line in enumerate(lines)]
         path = _write(tmp_path / "d.csv", "\n".join(lines) + "\n")
@@ -583,9 +719,9 @@ class TestRealValuedParse:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(loops) == quoted
         assert np.array_equal(read, values)
         assert peak < 5 * values.nbytes
-
 
 class TestConvert:
     def test_round_trip(self, tmp_path, capsys):
