@@ -2,7 +2,9 @@
 
 All commands are thin wrappers over the library; any probability printed
 is the in-process value formatted with 17 significant digits, which
-round-trips ``float`` exactly.
+round-trips ``float`` exactly.  The ``predict`` and ``hmm-posterior``
+tables are printed by :mod:`.format17`, which builds a block's text with
+numpy integer arithmetic, byte for byte what ``'%.17g' % value`` prints.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 numerical
 failure, 141 (128 + SIGPIPE, as a shell reports a process killed by it) a
@@ -66,15 +68,16 @@ EXIT_BROKEN_PIPE = 141
 _PROBE_SEED = 181101
 _PROBE_COUNT = 100
 
-# Rows per batch-kernel call and per output write in `predict`; bounds the
-# (rows, T, N) temporaries of the disc_nb kernel whatever the file size.  A
-# table of at least two blocks is formatted in up to one part per usable CPU.
+# Rows per batch-kernel call in `predict`; bounds the (rows, T, N)
+# temporaries of the disc_nb kernel whatever the file size.
 PREDICT_BLOCK = 1024
 
-# Rows per write in `hmm-posterior`; bounds the Python floats and strings
-# alive at once, which a whole-table `tolist()` would make grow with T.  A
-# table of at least two blocks is formatted in up to one part per usable CPU.
-HMM_OUTPUT_BLOCK = 256
+# Values per formatting call and output write of a `predict` or
+# `hmm-posterior` table, in whole rows: bounds the formatter's temporaries
+# (a few dozen arrays of this many words) and is large enough that its
+# per-call cost is small at N=2.  A table of at least two blocks is
+# formatted in up to one part per usable CPU.
+TABLE_BLOCK = 2048
 
 # The batch kernel of each real-valued model type, for `predict` and `convert`.
 _REAL_VALUED_BATCH = {DiscriminativeNBModel: disc_nb_log_posterior_batch,
@@ -117,18 +120,22 @@ def _write_parts(lines, count: int, block: int, out) -> None:
                 shutil.copyfileobj(spool, out)
 
 
-def _write_gamma(name: str, gamma: np.ndarray) -> None:
-    """Print ``gamma`` as ``<name> t=<t> p_0 ... p_N-1`` lines.
+def _table_rows(width: int) -> int:
+    """Rows per block of a table of ``width`` values per row."""
+    return max(1, TABLE_BLOCK // width)
 
-    One template per row formats all of its values at once.
-    """
-    template = f"{name} t=%d " + " ".join(["%.17g"] * gamma.shape[1]) + "\n"
+
+def _write_gamma(name: str, gamma: np.ndarray) -> None:
+    """Print ``gamma`` as ``<name> t=<t> p_0 ... p_N-1`` lines."""
+    from . import format17  # here, so that a command with no table never loads it
+
+    end = format17.pieces(["\n"])
 
     def lines(start, stop):
-        rows = gamma[start:stop].tolist()
-        return "".join([template % (t, *row) for t, row in enumerate(rows, start)])
+        head = format17.counters(f"{name} t=", start, stop, " ")
+        return format17.rows(gamma[start:stop], " ", head, end)
 
-    _write_parts(lines, gamma.shape[0], HMM_OUTPUT_BLOCK, sys.stdout)
+    _write_parts(lines, gamma.shape[0], _table_rows(gamma.shape[1]), sys.stdout)
 
 
 def _records(path):
@@ -344,21 +351,22 @@ def _cmd_predict(args) -> int:
     best = probs.argmax(axis=1)
     ties = (probs == probs[np.arange(len(probs)), best][:, None]).sum(axis=1) > 1
 
+    from . import format17  # here, so that a command with no table never loads it
+
     names = model.labels.names
-    template = ",".join(["%.17g"] * len(names)) + ",%s,%d\r\n"
-    quoted = [_csv_field(name) for name in names]
+    # row 2k + tie: the argmax label k as csv quotes it, and the tie flag
+    tails = format17.pieces([f",{_csv_field(name)},{tie}\r\n"
+                             for name in names for tie in (0, 1)])
+    tail_rows = 2 * best + ties
+    no_head = format17.pieces([""])
 
     def lines(start, stop):
-        return "".join([
-            template % (*entries, quoted[k], tie)
-            for entries, k, tie in zip(probs[start:stop].tolist(), best[start:stop].tolist(),
-                                       ties[start:stop].tolist())
-        ])
+        return format17.rows(probs[start:stop], ",", no_head, tails[tail_rows[start:stop]])
 
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         csv.writer(out).writerow([f"p_{name}" for name in names] + ["argmax", "tie"])
-        _write_parts(lines, len(probs), PREDICT_BLOCK, out)
+        _write_parts(lines, len(probs), _table_rows(len(names)), out)
     finally:
         if args.output:
             out.close()
@@ -429,6 +437,7 @@ def _cmd_hmm_posterior(args) -> int:
         tables["fb"] = forward_backward(model, observation).gamma
     if needs_posteriors:
         tables["efb"] = entropic_forward_backward(model, observation).gamma
+    del observation  # T field strings, not needed while the tables print
     if derived:  # printed once both recursions have run, so a failed run prints nothing
         print("note: derived posterior columns from prior and emissions")
     for name, gamma in tables.items():

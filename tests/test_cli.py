@@ -16,7 +16,7 @@ import pytest
 
 import dualbayes.verify
 from dualbayes import cli, core
-from dualbayes.cli import HMM_OUTPUT_BLOCK, PREDICT_BLOCK, main
+from dualbayes.cli import PREDICT_BLOCK, TABLE_BLOCK, main
 from dualbayes.core import (
     EQUALITY_TOL,
     DivergedLoss,
@@ -880,7 +880,7 @@ class TestHmmPosterior:
         path = tmp_path / "hmm.json"
         save_model(random_hmm(rng, n, 6, derive=True), path)
         model = load_model(path)
-        obs = random_hmm_observation(rng, model, 3 * HMM_OUTPUT_BLOCK + 17)
+        obs = random_hmm_observation(rng, model, 3 * (TABLE_BLOCK // 8) + 17)
         assert main(["hmm-posterior", str(path), "--algorithm", "both",
                      "--obs", ",".join(obs)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -994,6 +994,24 @@ class TestModuleEntryPoint:
                                     "-o", str(tmp_path / "m.json"))
             assert done.stdout.splitlines()[-1] == f"0 {imported}"
 
+    def test_only_the_table_commands_import_the_formatter(self, tmp_path):
+        # the table formatter's module, and the numpy loops it runs, stay out
+        # of every command that prints no probability table
+        dataset = _separable_csv(tmp_path, per_class=10)
+        disc, lr = str(tmp_path / "disc.json"), str(tmp_path / "lr.json")
+        script = ("import sys; from dualbayes.cli import main; code = main(sys.argv[1:]); "
+                  "print(code, 'dualbayes.format17' in sys.modules)")
+        commands = [
+            (["fit", "--generative", dataset, "-o", str(tmp_path / "nb.json")], False),
+            (["fit", "--discriminative", "--epochs", "2", dataset, "-o", disc], False),
+            (["convert", disc, "-o", lr], False),
+            (["verify", "--cases", "1"], False),
+            (["predict", lr, _write(tmp_path / "obs.csv", "f0\n0.5\n")], True),
+        ]
+        for argv, imported in commands:
+            done = self._run_python("-c", script, *argv)
+            assert done.stdout.splitlines()[-1] == f"0 {imported}", argv
+
     @pytest.mark.parametrize("command, code, message", [
         (["convert", "{dir}/lr.json", "-o", "{dir}/out.json", "--prior", "1e308,1e308"],
          2, "prior: entries sum to inf, not 1"),
@@ -1084,6 +1102,9 @@ class TestOutputParts:
     forked children the others.  Each case is checked against a one-part
     run, byte for byte, and leaves no child behind."""
 
+    # rows per block of the 3-label hmm and of the 5-label disc_nb model below
+    HMM_ROWS, PREDICT_ROWS = TABLE_BLOCK // 3, TABLE_BLOCK // 5
+
     @staticmethod
     def _cpus(monkeypatch, cpus):
         monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
@@ -1106,8 +1127,9 @@ class TestOutputParts:
         return ["predict", str(tmp_path / "m.json"), obs]
 
     def test_hmm_posterior(self, tmp_path, capsys, monkeypatch, forks):
-        # T = 1000 is three whole blocks and a ragged one, so at most 3 parts
-        argv = self._hmm_argv(tmp_path, 1000)
+        # three whole blocks and a ragged one, so at most 3 parts
+        t_len = 3 * self.HMM_ROWS + 100
+        argv = self._hmm_argv(tmp_path, t_len)
         outputs, made = [], []
         for cpus in (1, 2, 3, 4):
             self._cpus(monkeypatch, cpus)
@@ -1116,11 +1138,12 @@ class TestOutputParts:
             made.append(len(forks))
             assert_no_child_left()
         assert outputs[1:] == outputs[:1] * 3
-        assert outputs[0].out.count("\n") == 2 * 1000 + 1
+        assert outputs[0].out.count("\n") == 2 * t_len + 1
         assert made == [0, 2, 6, 10]  # two tables, each in min(cpus, 3) parts
 
     def test_predict_to_stdout_and_to_a_file(self, tmp_path, capsys, monkeypatch, forks):
-        argv = self._predict_argv(tmp_path, 5000)  # four whole blocks and a ragged one
+        rows = 4 * self.PREDICT_ROWS + 37  # four whole blocks and a ragged one
+        argv = self._predict_argv(tmp_path, rows)
         outputs = []
         for cpus in (1, 2, 3, 4):
             self._cpus(monkeypatch, cpus)
@@ -1130,7 +1153,7 @@ class TestOutputParts:
             outputs.append((capsys.readouterr(), out.read_bytes()))
             assert_no_child_left()
         assert outputs[1:] == outputs[:1] * 3
-        assert outputs[0][1].count(b"\r\n") == 5001
+        assert outputs[0][1].count(b"\r\n") == rows + 1
         assert len(forks) == 2 * (1 + 2 + 3)
 
     @pytest.mark.parametrize("count, block, cpus, here", [
@@ -1155,11 +1178,11 @@ class TestOutputParts:
 
         self._cpus(monkeypatch, 4)
         monkeypatch.setattr(os, "fork", no_fork)
-        hmm_argv = self._hmm_argv(tmp_path, 2 * HMM_OUTPUT_BLOCK - 1)
+        hmm_argv = self._hmm_argv(tmp_path, 2 * self.HMM_ROWS - 1)
         assert main(hmm_argv) == 0
-        assert capsys.readouterr().out.count("\n") == 2 * (2 * HMM_OUTPUT_BLOCK - 1) + 1
-        assert main(self._predict_argv(tmp_path, 2 * PREDICT_BLOCK - 1)) == 0
-        assert capsys.readouterr().out.count("\r\n") == 2 * PREDICT_BLOCK
+        assert capsys.readouterr().out.count("\n") == 2 * (2 * self.HMM_ROWS - 1) + 1
+        assert main(self._predict_argv(tmp_path, 2 * self.PREDICT_ROWS - 1)) == 0
+        assert capsys.readouterr().out.count("\r\n") == 2 * self.PREDICT_ROWS
 
     def test_a_failed_child_is_formatted_here(self, monkeypatch, forks):
         # the child of the last part raises part-way; the first child succeeds
@@ -1224,7 +1247,7 @@ class TestOutputParts:
                 left = "no child left"
             print(code, len(forks), left, sorted(os.listdir("/dev/fd")) == files)
         """)
-        argv = self._hmm_argv(tmp_path, 4 * HMM_OUTPUT_BLOCK, algorithm="fb")
+        argv = self._hmm_argv(tmp_path, 4 * self.HMM_ROWS, algorithm="fb")
         done = TestModuleEntryPoint._run_python("-X", "dev", "-W", "error::ResourceWarning",
                                                 "-c", script, *argv)
         assert done.stderr == "error: [Errno 28] No space left on device\n"
@@ -1236,8 +1259,8 @@ class TestOutputParts:
         # in a fresh interpreter under development mode, with stdout a pipe
         # whose reader has gone, as `| head` leaves it; four blocks in two
         # parts, so a forked child formats the second part
-        argv = (self._predict_argv(tmp_path, 4 * PREDICT_BLOCK) if command == "predict"
-                else self._hmm_argv(tmp_path, 4 * HMM_OUTPUT_BLOCK))
+        argv = (self._predict_argv(tmp_path, 4 * self.PREDICT_ROWS) if command == "predict"
+                else self._hmm_argv(tmp_path, 4 * self.HMM_ROWS))
         script = textwrap.dedent(f"""
             import os, sys
             sys.path.insert(0, {os.path.dirname(__file__)!r})
@@ -1275,7 +1298,7 @@ class TestOutputParts:
                 os._exit(0)
         os.waitpid(forks.pop(), 0)
 
-        argv = self._hmm_argv(tmp_path, 1000)
+        argv = self._hmm_argv(tmp_path, 2 * self.HMM_ROWS)
         self._cpus(monkeypatch, 1)
         assert main(argv) == 0
         expected = capsys.readouterr()

@@ -3,7 +3,8 @@
 The CLI prints every probability to 17 significant digits, so each check
 compares whole outputs byte for byte: the same command with one BLAS thread
 or as many as OpenBLAS starts, pinned to one CPU or free to use every usable
-one, and a row in its whole file or in a part of it.
+one, a row in its whole file or in a part of it, and a table against the
+text of the per-row ``%`` templates that printed it before ``format17``.
 
 The sizes are part of the checks: T = 10⁴ crosses the blocked
 forward–backward threshold; 1500 rows is not a multiple of
@@ -14,13 +15,21 @@ summed the trainer's gradient differently.
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from dualbayes.cli import main
+from dualbayes.cli import PREDICT_BLOCK, TABLE_BLOCK, main
 from dualbayes.core import usable_cpus
-from dualbayes.model_io import save_model
+from dualbayes.hmm import derive_hmm_posteriors, entropic_forward_backward, forward_backward
+from dualbayes.model_io import load_model, save_model
+from dualbayes.naive_bayes import (
+    DiscriminativeNBModel,
+    disc_nb_log_posterior_batch,
+    nb_encode,
+    nb_generative_log_posterior_batch,
+)
 from dualbayes.verify import random_discriminative_nb
 
 from helpers import run_python
@@ -30,6 +39,14 @@ from helpers import run_python
 MANY_CPUS = pytest.mark.skipif(
     usable_cpus() < 2 or not hasattr(os, "sched_setaffinity"),
     reason=f"{usable_cpus()} usable CPU(s), or no os.sched_setaffinity to pin a run to one")
+
+# a run pinned to one CPU formats its table in one part, a free one in one
+# part per usable CPU
+ONE_CPU_OR_FREE = pytest.mark.parametrize("one_cpu", [
+    pytest.param(True, id="one-cpu", marks=pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity to pin a run")),
+    pytest.param(False, id="free"),
+])
 
 _PINNED = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
            "os.execv(sys.executable, [sys.executable, '-m', 'dualbayes.cli', *sys.argv[1:]])")
@@ -168,3 +185,104 @@ def test_a_row_prints_the_same_whatever_file_it_sits_in(tmp_path, capsys, n_labe
             tables[name] = out.read_bytes().splitlines(keepends=True)
         assert tables["whole"] == tables["first"] + tables["rest"][1:]
     capsys.readouterr()
+
+
+# The tables as the per-row `%` templates printed them before `format17`:
+# rows that straddle a value block and a part edge, with entries of exactly
+# 0 and 1 and entries in the exponent form.
+
+def _predict_text(names, probs):
+    """``predict``'s table of ``probs`` through its former row template."""
+    best = probs.argmax(axis=1)
+    ties = (probs == probs[np.arange(len(probs)), best][:, None]).sum(axis=1) > 1
+    template = ",".join(["%.17g"] * len(names)) + ",%s,%d\r\n"
+    header = ",".join(f"p_{name}" for name in names) + ",argmax,tie\r\n"
+    return header + "".join(template % (*row, names[k], tie) for row, k, tie
+                            in zip(probs.tolist(), best.tolist(), ties.tolist()))
+
+
+def _blockwise(kernel, rows):
+    """``exp(kernel)`` of ``rows``, ``PREDICT_BLOCK`` rows at a time as ``predict`` runs it."""
+    return np.concatenate([np.exp(kernel(rows[start:start + PREDICT_BLOCK]))
+                           for start in range(0, len(rows), PREDICT_BLOCK)])
+
+
+@ONE_CPU_OR_FREE
+def test_predict_with_steep_slopes_prints_its_former_bytes(tmp_path, one_cpu):
+    # slopes of up to 8 per position on inputs of spread 2: entries from
+    # exactly 1 down past 1e-10, many in the exponent form
+    rng = np.random.default_rng(36)
+    n_labels, rows = 5, 2 * (TABLE_BLOCK // 5) + 7
+    base = random_discriminative_nb(rng, n_labels=n_labels, t_len=6)
+    model = DiscriminativeNBModel(base.labels, base.prior, rng.uniform(-8.0, 8.0, (5, 6)),
+                                  base.intercepts)
+    save_model(model, tmp_path / "steep.json")
+    reals = rng.normal(0.0, 2.0, size=(rows, 6))
+    data = _write(tmp_path / "rows.csv", "f0,f1,f2,f3,f4,f5\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in reals.tolist()))
+    expected = _predict_text(model.labels.names,
+                             _blockwise(lambda block: disc_nb_log_posterior_batch(model, block),
+                                        reals))
+    assert "e-0" in expected and "e-1" in expected and re.search("^1,", expected, re.M)
+    out = tmp_path / "out.csv"
+    args = ("predict", str(tmp_path / "steep.json"), data)
+    # stdout is read as text, which turns each \r\n into \n
+    assert _printed(*args, one_cpu=one_cpu) == [expected.replace("\r\n", "\n")]
+    assert _printed(*args, "-o", str(out), one_cpu=one_cpu, files=[out]) == ["", expected.encode()]
+
+
+@ONE_CPU_OR_FREE
+def test_predict_with_unsmoothed_counts_prints_its_former_bytes(tmp_path, one_cpu):
+    # fitted with alpha = 0: the first symbol names its label, so every other
+    # label has posterior exactly 0 on a row that holds it
+    rng = np.random.default_rng(37)
+    n_labels, rows = 4, 2 * (TABLE_BLOCK // 4) + 9
+    codes = rng.integers(0, n_labels, 600)
+    lines = ["label,f0,f1,f2"]
+    lines += [f"l{c},s{c},u{rng.integers(3)},v{rng.integers(4)}" for c in codes]
+    lines += [f"l{c},t,u{rng.integers(3)},v{rng.integers(4)}" for c in codes]
+    train = _write(tmp_path / "train.csv", "\n".join(lines) + "\n")
+    assert main(["fit", "--generative", train, "-o", str(tmp_path / "nb.json")]) == 0
+    model = load_model(tmp_path / "nb.json")
+    observations = [[rng.choice(["t", "s0", "s1", "s2", "s3"]), f"u{rng.integers(3)}",
+                     f"v{rng.integers(4)}"] for _ in range(rows)]
+    data = _write(tmp_path / "rows.csv", "f0,f1,f2\n" + "".join(
+        ",".join(row) + "\n" for row in observations))
+    expected = _predict_text(model.labels.names, _blockwise(
+        lambda block: nb_generative_log_posterior_batch(model, block),
+        nb_encode(model, observations)))
+    assert re.search("(^|,)0,", expected, re.M) and re.search("(^|,)1,", expected, re.M)
+    out = tmp_path / "out.csv"
+    assert _printed("predict", str(tmp_path / "nb.json"), data, "-o", str(out), one_cpu=one_cpu,
+                    files=[out]) == ["", expected.encode()]
+
+
+@ONE_CPU_OR_FREE
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_hmm_posterior_with_a_certain_step_prints_its_former_bytes(tmp_path, n, one_cpu):
+    # state 0 alone emits o0 and always moves to state 1, so the steps at and
+    # after an o0 have gamma rows of exactly 0 and 1
+    rng = np.random.default_rng(38 + n)
+    transitions = rng.uniform(0.05, 1.0, size=(n, n))
+    transitions[0] = np.eye(n)[1]
+    emissions = rng.uniform(0.05, 1.0, size=(n, 20))
+    emissions[1:, 0] = 0.0
+    model = {"type": "hmm", "labels": [f"h{i}" for i in range(n)],
+             "alphabet": [f"o{k}" for k in range(20)], "prior": (np.ones(n) / n).tolist(),
+             "transitions": (transitions / transitions.sum(axis=1, keepdims=True)).tolist(),
+             "emissions": (emissions / emissions.sum(axis=1, keepdims=True)).tolist()}
+    path = _write(tmp_path / "hmm.json", json.dumps(model))
+    symbols = rng.integers(0, 20, 2 * (TABLE_BLOCK // n) + 5)
+    symbols[1:][symbols[:-1] == 0] = 1 + symbols[1:][symbols[:-1] == 0] % 19  # no o0 after o0
+    obs = [f"o{k}" for k in symbols]
+    derived = derive_hmm_posteriors(load_model(path))
+    tables = {"fb": forward_backward(derived, obs).gamma,
+              "efb": entropic_forward_backward(derived, obs).gamma}
+    expected = "note: derived posterior columns from prior and emissions\n"
+    for name, gamma in tables.items():
+        template = f"{name} t=%d " + " ".join(["%.17g"] * n) + "\n"
+        expected += "".join(template % (t, *row) for t, row in enumerate(gamma.tolist()))
+    expected += f"max_discrepancy={np.abs(tables['fb'] - tables['efb']).max():.3e}\n"
+    assert " 1 0" in expected or " 0 1" in expected
+    args = ("hmm-posterior", path, "--obs", ",".join(obs), "--algorithm", "both")
+    assert _printed(*args, one_cpu=one_cpu) == [expected]
