@@ -70,11 +70,6 @@ def lr_log_posterior_batch(model: LogisticRegressionModel, observations) -> np.n
         return _nb_log_posterior(model.biases, map(np.multiply.outer, obs.T, model.weights.T))
 
 
-def _collapsed_biases(log_prior, intercepts) -> np.ndarray:
-    # bias of the logistic regression that a discriminative model collapses to
-    return (1.0 - intercepts.shape[1]) * log_prior + intercepts.sum(axis=1)
-
-
 def nb_to_lr(model: DiscriminativeNBModel) -> LogisticRegressionModel:
     """Collapse a discriminative Naive Bayes into one softmax-linear layer.
 
@@ -82,7 +77,7 @@ def nb_to_lr(model: DiscriminativeNBModel) -> LogisticRegressionModel:
     ``biases[i] = (1 - T) * log(prior[i]) + sum_t intercepts[i, t]``;
     posteriors are preserved pointwise.
     """
-    biases = _collapsed_biases(np.log(model.prior.entries), model.intercepts)
+    biases = (1.0 - model.n_positions) * np.log(model.prior.entries) + model.intercepts.sum(axis=1)
     return LogisticRegressionModel(model.labels, model.slopes, biases)
 
 

@@ -162,9 +162,8 @@ class TestCollapsedPosterior:
         for _ in range(50):
             model = random_discriminative_nb(rng)
             obs = rng.normal(0.0, 2.0, size=(n_rows, model.n_positions))
-            trainer = _log_posterior(
-                model.slopes, model.intercepts, np.log(model.prior.entries), obs
-            )
+            collapsed = nb_to_lr(model)
+            trainer = _log_posterior(collapsed.weights, collapsed.biases, obs)
             np.testing.assert_allclose(
                 trainer, disc_nb_log_posterior_batch(model, obs), rtol=0.0, atol=EQUALITY_TOL
             )
@@ -255,6 +254,67 @@ class TestFit:
         assert TrainConfig(learning_rate=0.1, epochs=1, seed=np.uint32(7)).seed == 7
         report = TrainReport((1.0, 0.5), 0.75)
         assert report.final_accuracy == 0.75
+
+
+def _plain_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _plain_softmax_regression(obs, codes, n_labels, lr, epochs, batch, seed):
+    """Gradient descent on softmax regression ``(W, b)`` written out in plain
+    numpy: zero start, rows shuffled by ``default_rng(seed).permutation``
+    when there are mini-batches, and the bias stepping by ``lr * (T**2 -
+    T + 1)``.  Returns ``W``, ``b`` and the loss curve the trainer records."""
+    n_samples, t_len = obs.shape
+    weights, biases = np.zeros((n_labels, t_len)), np.zeros(n_labels)
+    onehot = np.eye(n_labels)[codes]
+    rng = np.random.default_rng(seed)
+    curve = []
+    for _ in range(epochs):
+        order = np.arange(n_samples) if batch >= n_samples else rng.permutation(n_samples)
+        total = 0.0
+        for start in range(0, n_samples, batch):
+            rows = order[start:start + batch]
+            log_post = _plain_log_softmax(obs[rows] @ weights.T + biases)
+            total -= (log_post * onehot[rows]).sum()
+            residual = (np.exp(log_post) - onehot[rows]) / rows.size
+            weights -= lr * (residual.T @ obs[rows])
+            biases -= lr * (t_len * t_len - t_len + 1) * residual.sum(axis=0)
+        curve.append(total / n_samples)
+    return weights, biases, curve
+
+
+class TestAgainstPlainSoftmaxRegression:
+    # the trainer is logistic regression on (W, b) with the bias step
+    # lr * (T^2 - T + 1), stored through lr_to_nb with a uniform prior
+    @pytest.mark.parametrize("n_labels, t_len, n_rows, lr, epochs, batch", [
+        (3, 5, 2000, 0.5, 200, "full"),
+        (4, 6, 500, 0.01, 30, 64),
+    ])
+    def test_trainer_is_plain_softmax_regression(self, n_labels, t_len, n_rows, lr, epochs,
+                                                 batch):
+        rng = np.random.default_rng(89)
+        labels = LabelSpace(tuple(f"l{k}" for k in range(n_labels)))
+        means = rng.normal(0.0, 1.0, size=(n_labels, t_len))
+        codes = rng.integers(0, n_labels, size=n_rows)
+        obs = means[codes] + rng.normal(0.0, 1.0, size=(n_rows, t_len))
+        dataset = [(labels.names[c], row) for c, row in zip(codes, obs)]
+        config = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch, seed=13)
+        model, report = fit_discriminative(dataset, t_len, labels, config)
+
+        weights, biases, curve = _plain_softmax_regression(
+            obs, codes, n_labels, lr, epochs, n_rows if batch == "full" else batch, seed=13
+        )
+        np.testing.assert_allclose(report.loss_curve, curve, rtol=0.0, atol=1e-12)
+        held_out = means[codes[:50]] + rng.normal(0.0, 1.0, size=(50, t_len))
+        expected = _plain_log_softmax(held_out @ weights.T + biases)
+        collapsed = nb_to_lr(model)
+        trained = _plain_log_softmax(held_out @ collapsed.weights.T + collapsed.biases)
+        np.testing.assert_allclose(trained, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(disc_nb_log_posterior_batch(model, held_out), expected,
+                                   rtol=0.0, atol=EQUALITY_TOL)
+        np.testing.assert_array_equal(model.prior.entries, np.full(n_labels, 1.0 / n_labels))
 
 
 class TestInvariances:
