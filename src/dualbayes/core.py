@@ -39,9 +39,6 @@ _min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 #: Tolerance for agreement between two algorithms computing the same posterior.
 EQUALITY_TOL = 1e-10
 
-#: Relative tolerance for analytic-vs-finite-difference gradient checks.
-GRAD_REL_TOL = 1e-5
-
 
 class DualBayesError(Exception):
     """Base class for all errors raised by this package."""

@@ -13,10 +13,11 @@ benchmark's defaults (N = 8, T = 20, lr 0.1, 100 full-batch epochs; seeds
 0-4) the loss climbs from log N = 2.08 to 4.5-8.3 within 8 epochs, rises
 in 19-53 of its 99 steps, and ends at 0.11-0.23.
 
-Gradients are closed form rather than autodiff.  :func:`gradient` spreads
-the bias gradient over the intercepts and the log prior, and the test suite
-checks every coordinate against central finite differences of the
-per-column definition, :func:`~dualbayes.naive_bayes.disc_nb_log_posterior_batch`.
+The gradient is closed form, not autodiff, and only in the ``(W, b)``
+coordinates the trainer steps on.  The test suite checks every weight and
+bias against central finite differences of the mean cross-entropy of
+:func:`~dualbayes.logreg.lr_log_posterior_batch`, the inference fold, which
+shares no product with the trainer's BLAS logits.
 
 Training is deterministic for a fixed config: mini-batch order comes only
 from the seeded generator, and all per-sample contributions are reduced by
@@ -36,14 +37,10 @@ from .core import (
     is_integer,
     is_real,
     log_softmax_last,
-    normalize_log,
     real_observations,
 )
-from .logreg import LogisticRegressionModel, lr_to_nb, nb_to_lr
+from .logreg import LogisticRegressionModel, lr_to_nb
 from .naive_bayes import DiscriminativeNBModel, disc_nb_log_posterior_batch
-
-#: Central finite-difference step used by the gradient checks.
-FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -79,15 +76,6 @@ class TrainReport:
     final_accuracy: float
 
 
-@dataclass(frozen=True, eq=False)
-class Gradients:
-    """Mean-loss gradients for every trainable coordinate."""
-
-    slopes: np.ndarray
-    intercepts: np.ndarray
-    log_prior: np.ndarray
-
-
 def _prepare(row_labels, observations, labels: LabelSpace, t_len: int):
     """The trainer's checked ``(S, t_len)`` rows (a float array is not copied) and label codes."""
     if len(row_labels) == 0:
@@ -118,20 +106,6 @@ def _log_posterior(weights, biases, obs, out=None) -> np.ndarray:
         logits = np.matmul(weights, obs.T, out=out)
         logits += biases[:, None]
         return log_softmax_last(logits.T)
-
-
-def parameter_loss(slopes, intercepts, log_prior, dataset, labels: LabelSpace) -> float:
-    """Mean cross-entropy at raw parameter values.
-
-    ``log_prior`` is renormalized into the model's prior (an entry that
-    underflows to zero raises :class:`~dualbayes.core.ZeroPrior`); the
-    posterior is invariant to adding a constant to it, so single coordinates
-    can be perturbed freely.  This is the function the finite-difference
-    gradient checks probe, and :func:`loss_cross_entropy` is its value at a
-    model's own parameters.
-    """
-    model = DiscriminativeNBModel(labels, normalize_log(log_prior), slopes, intercepts)
-    return loss_cross_entropy(model, dataset)
 
 
 def loss_cross_entropy(model: DiscriminativeNBModel, dataset) -> float:
@@ -165,25 +139,6 @@ def _loss_and_gradients(weights, biases, obs, idx, out=None):
         blocks = residual[:whole].T.reshape(-1, whole // 256, 256).transpose(1, 0, 2)
         grad_weights += (blocks @ obs[:whole].reshape(-1, 256, t_len)).sum(axis=0)
     return loss, grad_weights, residual.sum(axis=0)
-
-
-def gradient(model: DiscriminativeNBModel, dataset) -> Gradients:
-    """Closed-form gradient of :func:`loss_cross_entropy`.
-
-    With ``p`` the posterior matrix, ``e`` the one-hot labels, and
-    ``g = p - e``: the slope gradient is ``mean(g[i] * y[t])``, the
-    intercept gradient ``mean(g[i])``, and the prior-logit gradient
-    ``(1 - T) * mean(g[i])``, all evaluated at
-    :func:`~dualbayes.logreg.nb_to_lr`'s collapse.
-    """
-    obs, idx = _prepare(*_columns(dataset), model.labels, model.n_positions)
-    collapsed = nb_to_lr(model)
-    _, grad_weights, grad_biases = _loss_and_gradients(
-        collapsed.weights, collapsed.biases, obs, idx
-    )
-    t_len = model.n_positions
-    return Gradients(grad_weights, np.repeat(grad_biases[:, None], t_len, axis=1),
-                     (1.0 - t_len) * grad_biases)
 
 
 def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,

@@ -223,7 +223,7 @@ def _sweep(name: str, default_cases: int, draw, rng, cases: int | None = None) -
     for _ in range(cases):
         for gap in draw(rng):
             worst = np.maximum(worst, gap.max())
-    return SuiteResult(name, cases, float(worst))
+    return SuiteResult(name, int(cases), float(worst))  # json refuses numpy integers
 
 
 # One record per suite: its name, default case count and draw; SUITES lists

@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualbayes.train import FD_STEP, gradient, parameter_loss
+from dualbayes.logreg import LogisticRegressionModel, lr_log_posterior_batch
+from dualbayes.train import _loss_and_gradients
+
+#: Central finite-difference step of the gradient checks.
+FD_STEP = 1e-5
+
+#: Largest relative gap the gradient checks allow (see finite_difference_max_rel_error).
+GRAD_REL_TOL = 1e-5
 
 
 def run_python(*args, **env):
@@ -27,46 +34,32 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def finite_difference_max_rel_error(model, dataset) -> float:
-    """Worst relative deviation between the analytic gradient and central
-    finite differences, over every trainable coordinate.
+def finite_difference_max_rel_error(model, obs, idx) -> float:
+    """Worst relative deviation between the trainer's gradient,
+    ``_loss_and_gradients``, at the logistic regression ``model`` and
+    central finite differences, over every weight and bias.
 
+    ``obs`` holds the rows and ``idx`` their label codes.  The differences
+    are of the mean cross-entropy of :func:`lr_log_posterior_batch`, the
+    inference fold, which shares no product with the trainer's logits.
     Relative error uses the conventional unit floor,
     ``|a - b| / max(1, |a|, |b|)``, so coordinates whose true gradient is
     zero are compared absolutely.
     """
-    grads = gradient(model, dataset)
-    log_prior = np.log(model.prior.entries)
+    _, *analytic = _loss_and_gradients(model.weights, model.biases, obs, idx)
+    rows = np.arange(idx.size)
+
+    def loss(k, coord, step):
+        params = [model.weights.copy(), model.biases.copy()]
+        params[k][coord] += step
+        bumped = LogisticRegressionModel(model.labels, *params)
+        return -lr_log_posterior_batch(bumped, obs)[rows, idx].mean()
+
     worst = 0.0
-
-    def probe(analytic, build):
-        nonlocal worst
-        plus = parameter_loss(*build(FD_STEP), dataset, model.labels)
-        minus = parameter_loss(*build(-FD_STEP), dataset, model.labels)
-        numeric = (plus - minus) / (2.0 * FD_STEP)
-        worst = max(worst, abs(numeric - analytic) / max(1.0, abs(numeric), abs(analytic)))
-
-    for i in range(model.labels.n):
-        for t in range(model.n_positions):
-            def bump_slope(h, i=i, t=t):
-                slopes = model.slopes.copy()
-                slopes[i, t] += h
-                return slopes, model.intercepts, log_prior
-
-            def bump_intercept(h, i=i, t=t):
-                intercepts = model.intercepts.copy()
-                intercepts[i, t] += h
-                return model.slopes, intercepts, log_prior
-
-            probe(grads.slopes[i, t], bump_slope)
-            probe(grads.intercepts[i, t], bump_intercept)
-    for i in range(model.labels.n):
-        def bump_prior(h, i=i):
-            bumped = log_prior.copy()
-            bumped[i] += h
-            return model.slopes, model.intercepts, bumped
-
-        probe(grads.log_prior[i], bump_prior)
+    for k, grad in enumerate(analytic):
+        for coord in np.ndindex(grad.shape):
+            numeric = (loss(k, coord, FD_STEP) - loss(k, coord, -FD_STEP)) / (2.0 * FD_STEP)
+            worst = max(worst, abs(numeric - grad[coord]) / max(1.0, abs(numeric), abs(grad[coord])))
     return worst
 
 

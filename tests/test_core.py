@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dualbayes
 from dualbayes.core import (
     AllZeroWeights,
     LabelSpace,
@@ -402,3 +403,11 @@ class TestSpaces:
         alphabet = ObservationAlphabet(("z", "a", "m"))
         assert alphabet.code_of == {"z": 0, "a": 1, "m": 2}
         assert [alphabet.index(s) for s in ("m", "z")] == [2, 0]
+
+
+def test_public_names_resolve():
+    # a stale or repeated __all__ entry breaks "from dualbayes import *"
+    # without any import of a single name noticing
+    assert [name for name in dualbayes.__all__ if not hasattr(dualbayes, name)] == []
+    assert len(set(dualbayes.__all__)) == len(dualbayes.__all__)
+    exec("from dualbayes import *", {})

@@ -1,5 +1,6 @@
-"""Training the discriminative model: loss, closed-form gradients vs
-finite differences, and gradient-descent behaviour."""
+"""Training the discriminative model: loss, the trainer's closed-form
+gradient in the (W, b) coordinates it steps on vs finite differences of
+the inference fold, and gradient-descent behaviour."""
 
 import math
 
@@ -14,21 +15,24 @@ from dualbayes.core import (
     LabelSpace,
     ProbabilityVector,
 )
-from dualbayes.logreg import lr_posterior, nb_to_lr
+from dualbayes.logreg import (
+    LogisticRegressionModel,
+    lr_log_posterior_batch,
+    lr_posterior,
+    nb_to_lr,
+)
 from dualbayes.naive_bayes import (
     DiscriminativeNBModel,
     disc_nb_log_posterior_batch,
     disc_nb_posterior,
 )
 from dualbayes.train import (
-    FD_STEP,
     TrainConfig,
     TrainReport,
     _log_posterior,
+    _loss_and_gradients,
     fit_discriminative,
-    gradient,
     loss_cross_entropy,
-    parameter_loss,
 )
 from dualbayes.verify import random_discriminative_nb
 
@@ -43,7 +47,7 @@ def _flat_model(n_labels=3, t_len=2):
     )
 
 
-from helpers import NON_NUMERIC_ROWS, finite_difference_max_rel_error
+from helpers import FD_STEP, GRAD_REL_TOL, NON_NUMERIC_ROWS, finite_difference_max_rel_error
 
 
 def _random_dataset(rng, labels, t_len, size):
@@ -102,9 +106,8 @@ class TestLoss:
     @pytest.mark.parametrize("row", NON_NUMERIC_ROWS.values(), ids=NON_NUMERIC_ROWS.keys())
     @pytest.mark.parametrize("call", [
         loss_cross_entropy,
-        gradient,
         lambda model, dataset: fit_discriminative(dataset, 2, model.labels, TrainConfig(0.1, 1)),
-    ], ids=["loss_cross_entropy", "gradient", "fit_discriminative"])
+    ], ids=["loss_cross_entropy", "fit_discriminative"])
     def test_strings_and_booleans_are_not_numbers(self, call, row):
         dataset = [("l0", [1.0, 2.0]), ("l1", row)]
         with pytest.raises(ValueError, match="^observation coordinates must be numbers"):
@@ -112,44 +115,48 @@ class TestLoss:
 
 
 class TestGradient:
+    # the trainer's gradient, _loss_and_gradients, in the (W, b) coordinates
+    # it steps on
     def test_symmetric_stationary_point(self):
         # flat parameters, balanced labels, observations mirrored per label:
-        # every gradient block vanishes
-        model = _flat_model(n_labels=2, t_len=2)
-        dataset = [
-            ("l0", [0.5, -1.0]), ("l0", [-0.5, 1.0]),
-            ("l1", [2.0, 0.3]), ("l1", [-2.0, -0.3]),
-        ]
-        grads = gradient(model, dataset)
-        np.testing.assert_allclose(grads.intercepts, 0.0, atol=1e-15)
-        np.testing.assert_allclose(grads.log_prior, 0.0, atol=1e-15)
-        np.testing.assert_allclose(grads.slopes, 0.0, atol=1e-15)
+        # both gradient blocks vanish
+        model = nb_to_lr(_flat_model(n_labels=2, t_len=2))
+        obs = np.array([[0.5, -1.0], [-0.5, 1.0], [2.0, 0.3], [-2.0, -0.3]])
+        _, grad_weights, grad_biases = _loss_and_gradients(
+            model.weights, model.biases, obs, np.array([0, 0, 1, 1])
+        )
+        np.testing.assert_allclose(grad_weights, 0.0, atol=1e-15)
+        np.testing.assert_allclose(grad_biases, 0.0, atol=1e-15)
 
     def test_single_coordinate_against_central_difference(self):
         labels = LabelSpace(("a", "b"))
-        model = DiscriminativeNBModel(
+        model = nb_to_lr(DiscriminativeNBModel(
             labels, ProbabilityVector([0.3, 0.7]), [[0.5], [-0.2]], [[0.1], [0.4]]
-        )
-        dataset = [("a", [0.3])]
-        grads = gradient(model, dataset)
-        slopes_plus = np.array([[0.5 + FD_STEP], [-0.2]])
-        slopes_minus = np.array([[0.5 - FD_STEP], [-0.2]])
-        log_prior = np.log(model.prior.entries)
-        numeric = (
-            parameter_loss(slopes_plus, model.intercepts, log_prior, dataset, labels)
-            - parameter_loss(slopes_minus, model.intercepts, log_prior, dataset, labels)
-        ) / (2.0 * FD_STEP)
-        assert grads.slopes[0, 0] == pytest.approx(numeric, rel=1e-5)
+        ))
+        obs = np.array([[0.3]])
+        _, grad_weights, _ = _loss_and_gradients(model.weights, model.biases, obs, np.array([0]))
 
-    def test_every_coordinate_on_random_configs(self):
+        def loss(weight):
+            bumped = LogisticRegressionModel(labels, [[weight], [-0.2]], model.biases)
+            return -lr_log_posterior_batch(bumped, obs)[0, 0]
+
+        numeric = (loss(0.5 + FD_STEP) - loss(0.5 - FD_STEP)) / (2.0 * FD_STEP)
+        assert grad_weights[0, 0] == pytest.approx(numeric, rel=1e-5)
+
+    # five of the [600] case's ten draws pass 256 rows, where the weight
+    # gradient adds whole 256-row blocks in order
+    @pytest.mark.parametrize("max_rows", [7, 600])
+    def test_every_coordinate_on_random_configs(self, max_rows):
         rng = np.random.default_rng(67)
         for _ in range(10):
             n = int(rng.integers(2, 5))
             t_len = int(rng.integers(1, 5))
             model = random_discriminative_nb(rng, n_labels=n, t_len=t_len)
-            dataset = _random_dataset(rng, model.labels, t_len, int(rng.integers(1, 7)))
-            worst = finite_difference_max_rel_error(model, dataset)
-            assert worst <= 1e-5, f"max relative gradient error {worst:.3e}"
+            dataset = _random_dataset(rng, model.labels, t_len, int(rng.integers(1, max_rows)))
+            obs = np.array([row for _, row in dataset])
+            idx = np.array([model.labels.index(label) for label, _ in dataset])
+            worst = finite_difference_max_rel_error(nb_to_lr(model), obs, idx)
+            assert worst <= GRAD_REL_TOL, f"max relative gradient error {worst:.3e}"
 
 
 class TestCollapsedPosterior:

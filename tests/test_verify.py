@@ -209,6 +209,29 @@ class TestRunner:
         assert len(calls) == calls_here
         assert_no_child_left()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: every suite runs here")
+    def test_a_numpy_case_count_runs_in_the_children(self, monkeypatch):
+        # a child sends its results as JSON, which refuses a numpy count; a
+        # child that fails leaves its suites to run again in this process
+        expected = [suite(np.random.default_rng([7, stream]), cases=3)
+                    for stream, suite in enumerate(self.SUITES)]
+        parent, here = os.getpid(), []
+
+        def recorded(suite):
+            def run(rng, cases):
+                if os.getpid() == parent:
+                    here.append(suite)
+                return suite(rng, cases=cases)
+            return run
+
+        monkeypatch.setattr(dualbayes.verify, "SUITES", tuple(map(recorded, self.SUITES)))
+        monkeypatch.setattr(dualbayes.verify, "usable_cpus", lambda: 2)
+        results = run_all_suites(seed=7, cases=np.int64(3))
+        assert here == []
+        assert results == expected
+        assert all(type(result.cases) is int for result in results)
+        assert_no_child_left()
+
     @pytest.mark.parametrize("cpus, hands", [
         (1, [[0, 1, 2, 3]]),
         (2, [[0, 3], [1, 2]]),  # the longest suite and the shortest share a child
