@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import dualbayes
 from dualbayes.core import (
     AllZeroWeights,
+    DimensionMismatch,
     LabelSpace,
     ObservationAlphabet,
     ProbabilityVector,
@@ -22,6 +23,7 @@ from dualbayes.core import (
     log_softmax_last,
     normalize_log,
     parameter_array,
+    real_observations,
 )
 from dualbayes.hmm import HmmModel, PosteriorMarginals, forward_backward
 from dualbayes.logreg import LogisticRegressionModel
@@ -31,6 +33,8 @@ from dualbayes.naive_bayes import (
     disc_nb_posterior,
     nb_generative_posterior,
 )
+
+from helpers import NON_NUMERIC_ROWS
 
 finite_vectors = st.lists(
     st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=8
@@ -375,6 +379,25 @@ class TestLogWeightVector:
         # float conversion would read them as numbers
         with pytest.raises(ValueError, match="^log weights must be an array of numbers$"):
             normalize_log(weights)
+
+
+class TestRealObservations:
+    # the one check of real-valued rows behind the loss, the trainer and
+    # every real-valued posterior
+    def test_a_float_array_is_returned_without_a_copy(self):
+        obs = np.arange(6.0).reshape(3, 2)
+        assert real_observations(obs, 2) is obs
+        lists = real_observations([[1, 2], [3, 4]], 2)
+        assert lists.dtype == np.float64 and lists.shape == (2, 2)
+
+    @pytest.mark.parametrize("row", NON_NUMERIC_ROWS.values(), ids=NON_NUMERIC_ROWS.keys())
+    def test_strings_and_booleans_are_not_numbers(self, row):
+        with pytest.raises(ValueError, match="^observation coordinates must be numbers"):
+            real_observations([[1.0, 2.0], row], 2)
+
+    def test_ragged_rows_name_the_first_bad_row(self):
+        with pytest.raises(DimensionMismatch, match=r"got shape \(3,\)$"):
+            real_observations([[1.0, 2.0], [1.0, 2.0, 3.0], [1.0]], 2)
 
 
 class TestSpaces:
