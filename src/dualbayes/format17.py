@@ -6,35 +6,34 @@ module builds the same bytes for a whole block of a table with a few dozen
 numpy operations.
 
 The digits are exact (after Gay, "Correctly Rounded Binary-Decimal and
-Decimal-Binary Conversions", 1990).  A ``|x|`` in ``[1e-10, 1e16)`` is
-``m·2^q`` with an integer ``m < 2^53``.  Its decimal exponent
-``X = floor(log10 |x|)`` is read from two tables over the binary exponent,
-and its 17 digits are the integer ``D = round-half-even(|x|·10^s)``,
-``s = 16 - X``, computed as ``m·5^s·2^(q+s)``: a 128-bit product of 32-bit
-halves, shifted right, its discarded bits rounded.  No ``D`` rounds up to
-``10^17``, which would move ``X``: that takes a value within ``5e-18``
-(relative) below a power of ten, and the float64 closest below any of
-``1e-9 ... 1e16`` is at least ``4.5e-17`` below it.  Zero prints ``0``; any
-other value (NaN, an infinity, a magnitude outside that range) goes through
-``%`` one value at a time.
+Decimal-Binary Conversions", 1990).  An ``x`` in ``[1e-10, 10)``, which holds
+every posterior the CLI prints but the tiniest, is ``m·2^q`` with an integer
+``m < 2^53``.  Its decimal exponent ``X = floor(log10 x) <= 0`` is read from
+two tables over the binary exponent, and its 17 digits are the integer
+``D = round-half-even(x·10^s)``, ``s = 16 - X``, computed as
+``m·5^s·2^(q+s)``: a 128-bit product of 32-bit halves, shifted right, its
+discarded bits rounded.  No ``D`` rounds up to ``10^17``, which would move
+``X``: that takes a value within ``5e-18`` (relative) below a power of ten,
+and the float64 closest below any of ``1e-9 ... 10`` is at least ``4.5e-17``
+below it.  Zero prints ``0``; any other value (a negative, ``-0``, NaN, an
+infinity, a magnitude below ``1e-10`` or of 10 or more) goes through ``%``
+one value at a time.
 
 Each value then fills a 32-byte slot, ``d_j`` being its j-th digit and
 ``E`` the two digits of ``-X``.  In fixed point below 1 (here ``X = -3``),
-in fixed point from 1 up, and in the exponent form the slots are::
+in fixed point at ``X = 0``, and in the exponent form the slots are::
 
-    . . - 0 . 0 0 d0 | d1 ... d16 | sep . . . . . . .
-    . . . . . - d0 . | d1 ... d16 | sep . . . . . . .
-    . . . . . - d0 . | d1 ... d16 | e - E E sep . . .
+    . . . 0 . 0 0 d0 | d1 ... d16 | sep . . . . . . .
+    . . . . . . d0 . | d1 ... d16 | sep . . . . . . .
+    . . . . . . d0 . | d1 ... d16 | e - E E sep . . .
 
-A table keyed by sign, ``X``, the number of digits left once trailing zeros
-go, and whether the value ends its row turns the bytes ``%g`` does not
-print into :data:`HOLE`, a byte no UTF-8 text holds: the sign of a positive
-value, the point when no digit follows it, stripped digits, the separator
-after a row's last value.  A value of 10 or more has its integer digits
-moved left over the point, which then follows ``d_X``.  A row is its head,
-its slots and its tail side by side, and one boolean mask drops the holes
-of a whole block; most values print one run of bytes, which keeps that
-pass fast.
+A table keyed by ``X``, the number of digits left once trailing zeros go,
+and whether the value ends its row turns the bytes ``%g`` does not print
+into :data:`HOLE`, a byte no UTF-8 text holds: the point when no digit
+follows it, stripped digits, the separator after a row's last value.  A row
+is its head, its slots and its tail side by side, and one boolean mask drops
+the holes of a whole block; most values print one run of bytes, which keeps
+that pass fast.
 
 The integer work is shifts, adds, multiplies and ``//`` on uint64: an
 integer test is a shifted sign or carry bit, never a comparison, a mask or
@@ -53,8 +52,8 @@ import numpy as np
 HOLE = 0xFF
 
 _SLOT = 32  # bytes per value: d1 to d16 are bytes 8 to 23
-_LOW, _HIGH = 1e-10, 1e16  # the magnitudes formatted with integer arithmetic
-_X_MIN, _X_SPAN = -11, 27  # X from the binade that holds 1e-10 up to 15
+_LOW, _HIGH = 1e-10, 10.0  # the values formatted with integer arithmetic
+_X_MIN, _X_SPAN = -11, 12  # X from the binade that holds 1e-10 up to 0
 _DIGITS = 17
 _ZERO = _X_SPAN * _DIGITS  # the code of a zero, past those of (X, kept)
 _U = np.uint64  # numpy 1.x turns uint64 with a Python int into float64
@@ -73,7 +72,7 @@ def _exponent_tables():
     """``(low, step)`` indexed by the biased binary exponent ``e`` of a value
     ``x`` in range: ``X - _X_MIN = low[e] + (x >= step[e])``."""
     low, step = np.zeros(2048, dtype=np.uint64), np.full(2048, np.inf)
-    for p in range(-34, 54):  # the binades [2^p, 2^(p + 1)) that meet [1e-10, 1e16)
+    for p in range(-34, 4):  # the binades [2^p, 2^(p + 1)) that meet [1e-10, 10)
         j = math.floor(p * math.log10(2))  # the largest j with 10^j <= 2^p
         above = _power_of_ten_at_least(j + 1)
         low[p + 1023] = j - _X_MIN
@@ -87,47 +86,28 @@ def _fixed_below_one(x: int) -> bool:
 
 
 def _hole_table() -> np.ndarray:
-    """Four words of holes per value: row ``(2 * last + sign) * (_ZERO + 1) +
-    code`` for a value whose ``code`` is ``(X - _X_MIN) * _DIGITS + kept -
-    1``, or ``_ZERO`` for a zero, where ``last`` drops the separator.  A
-    value of 10 or more has its row before its point moves."""
-    table = np.full((2, 2, _ZERO + 1, _SLOT), HOLE, dtype=np.uint8)
-    values = table[:, :, :-1].reshape(2, 2, _X_SPAN, _DIGITS, _SLOT)
+    """Four words of holes per value: row ``last * (_ZERO + 1) + code`` for a
+    value whose ``code`` is ``(X - _X_MIN) * _DIGITS + kept - 1``, or
+    ``_ZERO`` for a zero, where ``last`` drops the separator."""
+    table = np.full((2, _ZERO + 1, _SLOT), HOLE, dtype=np.uint8)
+    values = table[:, :-1].reshape(2, _X_SPAN, _DIGITS, _SLOT)
     # digits[s]: d1 to d_(s-1), bytes 8 to 23
     digits = np.full((_DIGITS + 1, 16), HOLE, dtype=np.uint8)
     for shown in range(1, _DIGITS + 1):
         digits[shown, :shown - 1] = 0
-    kept = np.arange(1, _DIGITS + 1)
+    values[..., 8:24] = digits[1:]
     for row, x in enumerate(_XS):
+        sep = 28 if x < -4 else 24
         if _fixed_below_one(x):  # "0." and -x - 1 zeros, then d0 at byte 7
-            sign, sep = 5 + x, 24
-            values[:, :, row, :, 6 + x:8] = 0
-            values[:, :, row, :, 8:24] = digits[kept]
+            values[:, row, :, 6 + x:8] = 0
         else:  # d0 at byte 6, a point at 7 when a digit follows it
-            point = max(x, 0)
-            sign, sep = 5, (24 if x >= 0 else 28)
-            values[:, :, row, :, 6] = 0
-            values[:, :, row, point + 1:, 7] = 0
-            values[:, :, row, :, 8:24] = digits[np.maximum(kept, point + 1)]
-            values[:, :, row, :, 24:sep] = 0  # e-XX
-        values[:, 1, row, :, sign] = 0
-        values[0, :, row, :, sep] = 0
-    table[:, :, -1, 5] = 0  # a zero is laid out as 0.5 and prints its "0"
-    table[:, 1, -1, 4] = 0
-    table[0, :, -1, 24] = 0
+            values[:, row, :, 6] = 0
+            values[:, row, 1:, 7] = 0
+        values[:, row, :, 24:sep] = 0  # e-XX
+        values[0, row, :, sep] = 0
+    table[:, -1, 5] = 0  # a zero is laid out as 0.5 and prints its "0"
+    table[0, -1, 24] = 0
     return table.reshape(-1, _SLOT).view(np.uint64)
-
-
-def _point_moves() -> np.ndarray:
-    """Row ``X - _X_MIN`` of a value's slot bytes in their printed order: for
-    ``X >= 1`` the digits d1 to d_X take the place of the point, which
-    follows them."""
-    moves = np.empty((_X_SPAN, _SLOT), dtype=np.intp)
-    moves[:] = np.arange(_SLOT)
-    for x in range(1, _XS.stop):
-        moves[x - _X_MIN, 7:7 + x] = np.arange(8, 8 + x)
-        moves[x - _X_MIN, 7 + x] = 7
-    return moves
 
 
 def _ascii(texts) -> np.ndarray:
@@ -136,11 +116,11 @@ def _ascii(texts) -> np.ndarray:
 
 
 def _lead(x: int, d: int) -> str:
-    """The first word of a slot: the sign, ``0.`` and its zeros, d0, a point;
-    ``#`` fills bytes that are always holes."""
+    """The first word of a slot: ``0.`` and its zeros, d0, a point; ``#``
+    fills bytes that are always holes."""
     if _fixed_below_one(x):
-        return "#" * (5 + x) + "-0." + "0" * (-x - 1) + str(d)
-    return f"#####-{d}."
+        return "#" * (6 + x) + "0." + "0" * (-x - 1) + str(d)
+    return f"######{d}."
 
 
 _XS = range(_X_MIN, _X_MIN + _X_SPAN)
@@ -167,7 +147,6 @@ _FIVES_HIGH = np.array([f >> 32 for f in _FIVES], dtype=np.uint64)
 _FIVES_LOW = np.array([f & 0xFFFFFFFF for f in _FIVES], dtype=np.uint64)
 _X_LOW, _X_STEP = _exponent_tables()
 _HOLES = _hole_table()
-_POINT_MOVES = _point_moves()
 
 
 def _blank(n_rows: int, width: int) -> np.ndarray:
@@ -206,7 +185,7 @@ def counters(prefix: str, start: int, stop: int, suffix: str) -> np.ndarray:
 
 
 def _decimal(a: np.ndarray):
-    """``(X - _X_MIN, D)`` of each value of ``a``, all in ``[1e-10, 1e16)``.
+    """``(X - _X_MIN, D)`` of each value of ``a``, all in ``[1e-10, 10)``.
 
     Each test is a shift of a sign or carry bit, not a comparison."""
     bits = a.view(np.uint64)
@@ -261,14 +240,14 @@ def _slots(values: np.ndarray, sep: str) -> np.ndarray:
     """The ``(R, N * _SLOT)`` bytes of the values of an ``(R, N)`` array,
     each but a row's last followed by ``sep``."""
     v = values.reshape(-1)
-    a = np.abs(v)
-    fast = (a >= _LOW) & (a < _HIGH)
+    fast = (v >= _LOW) & (v < _HIGH)
+    a = v.copy()
     a[~fast] = 0.5  # laid out as 0.5, whose slot holds the "0" a zero prints
     xi, d = _decimal(a)
     lead, groups = _digit_groups(d)
     code = np.where(fast, xi * _U(_DIGITS) + (_U(_DIGITS - 1) - _trailing_zeros(groups)),
-                    _U(_ZERO)) + (v.view(np.uint64) >> _U(63)) * _U(_ZERO + 1)
-    code.reshape(values.shape)[:, -1] += _U(2 * (_ZERO + 1))  # no separator
+                    _U(_ZERO))
+    code.reshape(values.shape)[:, -1] += _U(_ZERO + 1)  # no separator
 
     words = np.empty((v.size, _SLOT // 8), dtype=np.uint64)
     words[:, 0] = _LEADS.take((xi * _U(10) + lead).view(np.int64))
@@ -279,10 +258,7 @@ def _slots(values: np.ndarray, sep: str) -> np.ndarray:
     words |= _HOLES.take(code.view(np.int64), axis=0)
 
     slots = words.view(np.uint8)
-    big = np.flatnonzero((xi + _U(2**63 + _X_MIN - 1)) >> _U(63))  # X >= 1: a point after d_X
-    if big.size:
-        slots[big] = np.take_along_axis(slots[big], _POINT_MOVES[xi[big].view(np.int64)], axis=1)
-    other = np.flatnonzero(~fast & (v != 0))
+    other = np.flatnonzero(~fast & ((v != 0) | np.signbit(v)))  # all but +0.0
     if other.size:
         text = np.array([b"%.17g" % x for x in v[other].tolist()], dtype="S24")
         chars = text.view(np.uint8).reshape(-1, 24)

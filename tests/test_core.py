@@ -1,9 +1,11 @@
 """Foundational numerics: log-sum-exp, log-domain normalization, and the
 validated simplex / label-space types."""
 
+import ast
 import decimal
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,3 +436,36 @@ def test_public_names_resolve():
     assert [name for name in dualbayes.__all__ if not hasattr(dualbayes, name)] == []
     assert len(set(dualbayes.__all__)) == len(dualbayes.__all__)
     exec("from dualbayes import *", {})
+
+
+def _top_level_names(tree):
+    """The names a module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            yield from (target.id for target in ast.walk(node)
+                        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store))
+
+
+def test_no_unused_import_or_private_name():
+    # no linter runs in CI: an import its module never uses, or a top-level
+    # _name that nothing in the package references, is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(dualbayes.__file__).parent.glob("*.py"))}
+    referenced, dead = set(), []
+    for module, tree in trees.items():
+        nodes = list(ast.walk(tree))
+        loaded = {node.id for node in nodes
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        imports = [alias for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names]
+        referenced |= loaded | {alias.name for alias in imports}
+        referenced |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        if module != "__init__.py":
+            bound = {(alias.asname or alias.name).split(".")[0] for alias in imports}
+            dead += [f"{module}: import {name}" for name in bound - loaded - {"annotations"}]
+    dead += [f"{module}: {name}" for module, tree in trees.items()
+             for name in _top_level_names(tree)
+             if name.startswith("_") and not name.startswith("__") and name not in referenced]
+    assert sorted(dead) == []

@@ -2,9 +2,10 @@
 
 Python's ``%`` is the oracle for every value set: uniform and Dirichlet
 probabilities, log-uniform magnitudes of both signs across the whole
-integer-arithmetic range and past it, the powers of ten and their
-neighbours, exact ties at the 17th digit, and the values ``%`` alone
-formats.
+integer-arithmetic range ``[1e-10, 10)`` and past it, the powers of ten and
+their neighbours, exact ties at the 17th digit, the largest entries a
+checked simplex row holds, and the values ``%`` alone formats: negatives,
+and magnitudes below 1e-10 or of 10 or more.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from dualbayes import format17
+from dualbayes.core import SIMPLEX_TOL
 
 NEWLINE = format17.pieces(["\n"])
 NO_HEAD = format17.pieces([""])
@@ -54,8 +56,8 @@ def test_dirichlet_rows(n, alpha):
 
 
 def test_log_uniform_values_of_both_signs():
-    # fixed and exponent forms, a point after any integer digit, and the
-    # magnitudes outside [1e-10, 1e16) that go through `%`
+    # fixed and exponent forms in [1e-10, 10), and the negatives and the
+    # magnitudes below 1e-10 or of 10 or more that go through `%`
     rng = np.random.default_rng(1)
     magnitudes = 10.0 ** rng.uniform(-12, 17, 300_000)
     _assert_prints_as_percent(magnitudes * rng.choice([-1.0, 1.0], magnitudes.size))
@@ -94,10 +96,12 @@ def test_values_that_only_percent_formats():
 
 
 def test_integers_and_binary_fractions():
-    # trailing zeros, and points after up to 15 digits
+    # trailing zeros, points after up to 15 digits, and the top of [1e-10, 10),
+    # where a checked simplex row's largest entry lies
     _assert_prints_as_percent(np.arange(1, 20_001, dtype=float))
     _assert_prints_as_percent(np.arange(1, 20_001) / 1024.0)
-    _assert_prints_as_percent([9.99999999999999999e15, 99999999999999.99, 0.99999999999999999])
+    _assert_prints_as_percent([9.99999999999999999e15, 99999999999999.99, 0.99999999999999999,
+                               1 + SIMPLEX_TOL, np.nextafter(1.0, 2.0), np.nextafter(10.0, 0.0)])
 
 
 def test_heads_tails_and_separator_frame_each_row():
