@@ -1,0 +1,8 @@
+"""``python -m dualbayes``: the ``dualbayes`` console script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

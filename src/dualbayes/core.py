@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
 
@@ -380,6 +380,14 @@ def forked_parts(write, parts):
     once, each in a forked child of its own that writes into a temporary
     file of its own.
 
+    The file is a text file (UTF-8, ``newline=""``); a child that writes
+    raw bytes writes them to its binary layer, ``file.buffer``, which the
+    caller reads back the same way.  Child ``k`` is moved to the
+    ``k + 1``-th usable CPU after the one this process runs on (cyclically,
+    see :func:`_placements`), because a forked child starts on its parent's
+    CPU and a kernel that does not balance load across its CPUs leaves it
+    there.
+
     Yields an iterator over the parts' files, in order: each file is read
     from its start once its child has exited 0; ``None`` stands for a part
     whose file or child could not be made, or whose child failed, and which
@@ -388,7 +396,8 @@ def forked_parts(write, parts):
     """
     with ExitStack() as stack:
         reap = cache(lambda pid: os.waitpid(pid, 0)[1])  # the wait status, once per child
-        children = ([_fork(stack, reap, write, part) for part in parts]
+        children = ([_fork(stack, reap, write, part, cpu)
+                     for part, cpu in zip(parts, _placements(len(parts)))]
                     if hasattr(os, "fork") else [(None, None)] * len(parts))
 
         def finished(pid, spool):
@@ -400,9 +409,25 @@ def forked_parts(write, parts):
         yield (finished(pid, spool) for pid, spool in children)
 
 
-def _fork(stack: ExitStack, reap, write, part):
-    """``(pid, file)`` of a forked child that runs ``write(part, file)``, or
-    ``(None, None)`` when no file or no child could be made."""
+def _placements(count: int) -> list:
+    """The CPU of each of ``count`` children: the usable CPUs in order,
+    cyclically, from the one after the CPU this process last ran on; all
+    None where the CPU or the affinity cannot be read."""
+    if count == 0:
+        return []
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+        with open("/proc/self/stat", "rb") as stat:  # field 39 is the CPU
+            here = cpus.index(int(stat.read().rsplit(b")", 1)[1].split()[36]))
+    except (AttributeError, OSError, ValueError, IndexError):
+        return [None] * count
+    return [cpus[(here + 1 + k) % len(cpus)] for k in range(count)]
+
+
+def _fork(stack: ExitStack, reap, write, part, cpu):
+    """``(pid, file)`` of a forked child that runs ``write(part, file)`` on
+    ``cpu`` (anywhere when None), or ``(None, None)`` when no file or no
+    child could be made."""
     try:
         spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
         with warnings.catch_warnings():
@@ -427,4 +452,9 @@ def _fork(stack: ExitStack, reap, write, part):
         finally:
             os._exit(code)
     stack.callback(reap, pid)
+    if cpu is not None:
+        # moved from here, before it first runs: on its parent's CPU it would
+        # wait for this process to be preempted, a few ms, to move itself
+        with suppress(OSError):  # it then runs wherever the kernel puts it
+            os.sched_setaffinity(pid, {cpu})
     return pid, spool

@@ -53,7 +53,7 @@ HOLE = 0xFF
 
 _SLOT = 32  # bytes per value: d1 to d16 are bytes 8 to 23
 _LOW, _HIGH = 1e-10, 10.0  # the values formatted with integer arithmetic
-_X_MIN, _X_SPAN = -11, 12  # X from the binade that holds 1e-10 up to 0
+_X_MIN, _X_SPAN = -10, 11  # X of 1e-10 up to 0
 _DIGITS = 17
 _ZERO = _X_SPAN * _DIGITS  # the code of a zero, past those of (X, kept)
 _U = np.uint64  # numpy 1.x turns uint64 with a Python int into float64
@@ -73,7 +73,9 @@ def _exponent_tables():
     ``x`` in range: ``X - _X_MIN = low[e] + (x >= step[e])``."""
     low, step = np.zeros(2048, dtype=np.uint64), np.full(2048, np.inf)
     for p in range(-34, 4):  # the binades [2^p, 2^(p + 1)) that meet [1e-10, 10)
-        j = math.floor(p * math.log10(2))  # the largest j with 10^j <= 2^p
+        # the largest j with 10^j <= 2^p; every value formatted from binade
+        # -34, which starts below 1e-10, has X = -10
+        j = max(math.floor(p * math.log10(2)), _X_MIN)
         above = _power_of_ten_at_least(j + 1)
         low[p + 1023] = j - _X_MIN
         step[p + 1023] = above if above < 2.0 ** (p + 1) else math.inf

@@ -49,6 +49,18 @@ recursion thus leaves a row of ``gamma`` that is not > 0 wherever the
 sequence has probability zero, and the one check on those rows, after the
 recursion, raises :class:`ZeroEvidence`.
 
+The step-by-step loop's forward and backward passes do not depend on each
+other until their product is formed (Rabiner, section III), so on a long
+sequence, with two CPUs to run on, a child forked by
+:func:`.core.forked_parts` runs the backward pass while this process runs
+the forward one.  The child writes each normalized backward vector, as raw
+float64, into a temporary file, and this process multiplies them into
+``gamma`` in chunks of at most 64 KB.  The child takes the serial loop's
+steps on the same inputs, and an elementwise product does not depend on
+how many rows it spans, so ``gamma`` and the log-evidence keep the serial
+loop's bytes; when the child cannot be made, fails or leaves a short file,
+the backward pass runs here.
+
 The forward totals ``c_t`` also give the log-evidence for free:
 ``log_evidence = sum_t log c_t + sum_t peak[k_t]``, where ``k_t`` is the
 row used at step ``t`` and ``peak[k]`` is the shift applied to row ``k``.
@@ -59,7 +71,9 @@ routes' log-evidences differ by exactly ``sum_t log p(y_t)``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 
 import numpy as np
@@ -75,8 +89,10 @@ from .core import (
     as_probability_vector,
     bayes_invert,
     check_simplex_rows,
+    forked_parts,
     parameter_array,
     safe_log,
+    usable_cpus,
 )
 
 
@@ -169,9 +185,25 @@ class PosteriorMarginals:
 # at T=10^4 it took 13/20/32 ms against 118/100/118 ms for the plain loop
 # at N=2/8/16, and 68/110 ms against 125/118 ms at N=24/32; at T=1024 and
 # T=512 it won at every N up to 24 and roughly tied at N=32; at T=256 the
-# gain was at most 1.4 ms.
+# gain was at most 1.4 ms.  Against the plain loop with its backward pass
+# forked (best of 15 per run, four runs, in process, same host), at T=10^4
+# it took 19.3-19.8 against 28.4-36.2 ms at N=17, 33.1-36.7 against
+# 30.6-42.9 ms at N=24 and 52.7-73.5 against 32.1-53.0 ms at N=32 (the
+# serial loop: 44-51 ms).  Moving the threshold would change the printed
+# bytes at those N.
 _BLOCKED_MAX_LABELS = 16
 _BLOCKED_MIN_STEPS = 512
+
+# A fork, its temporary file and the pages both processes then copy cost a
+# few ms, so the plain loop forks its backward pass only on long inputs.
+# Measured in fresh processes (one warm-up call, then one timed call; 12
+# alternating processes per case, same host), serial against forked,
+# minimum ms: at N=17, 4.5/6.2 at T=1024, 9.0/8.2 at 2048, 17.3/13.0 at
+# 4096 and 45.1/28.8 at 10^4; at N=32, 4.9/6.4, 9.7/9.1, 20.8/15.3 and
+# 51.3/32.5.  At 2048 the N=32 medians tied (10.9 against 11.2 ms), so
+# 4096 is the shortest of those lengths that won at both N.
+_FORKED_MIN_STEPS = 4096
+_SPOOL_CHUNK_BYTES = 1 << 16  # read back at most this much of the child's file at once
 _TINY = np.finfo(float).tiny
 
 
@@ -195,7 +227,11 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
     rest is chosen from the input's size alone.  With at most
     ``_BLOCKED_MAX_LABELS`` labels and at least ``_BLOCKED_MIN_STEPS`` steps,
     :func:`_blocked_recursion` runs the steps in about ``sqrt(T)`` time
-    blocks at once; otherwise :func:`_plain_recursion` runs them one by one.
+    blocks at once; otherwise :func:`_plain_recursion` runs them one by one,
+    its backward pass in a forked child from ``_FORKED_MIN_STEPS`` steps on
+    when the process may use two CPUs.  Where the backward pass runs does
+    not change a byte of the result, and the child has exited before this
+    function returns or raises.
     Both store the same normalized ``alpha`` in ``gamma`` and the same
     ``c_t`` in ``scales``, up to rounding.  The plain loop divides by one
     where a total is zero, the blocked one floors it, and both leave zero
@@ -233,7 +269,31 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
 
 
 def _plain_recursion(transitions, factors, rows, gamma, scales):
-    """One forward and one backward step per position after the first, on (N,) vectors."""
+    """One forward and one backward step per position after the first, on (N,) vectors.
+
+    With at least ``_FORKED_MIN_STEPS`` steps and two usable CPUs the two
+    passes run at once: a child forked by :func:`.core.forked_parts` runs the
+    backward pass (:func:`_spool_betas`) while this process runs the forward
+    one, and :func:`_multiply_spooled` then multiplies the child's betas into
+    ``gamma``.  The child takes the same steps on the same inputs, and a
+    product of whole chunks of rows is the same elementwise product as one
+    row at a time, so ``gamma`` holds the serial loop's bytes.  With no
+    child, a failed one or a short spool, the backward pass runs here.
+    """
+    if len(rows) >= _FORKED_MIN_STEPS and usable_cpus() >= 2:
+        with forked_parts(partial(_spool_betas, transitions, factors), [rows]) as spools:
+            _forward(transitions, factors, rows, gamma, scales)
+            spool = next(spools)
+            if spool is not None and _multiply_spooled(spool.buffer, gamma):
+                return
+    else:
+        _forward(transitions, factors, rows, gamma, scales)
+    for row, beta in zip(gamma[-2::-1], _betas(transitions, factors, rows)):
+        row *= beta  # a view: multiplying it in place skips the write-back
+
+
+def _forward(transitions, factors, rows, gamma, scales):
+    """The forward pass: each normalized ``alpha`` into ``gamma``, its total into ``scales``."""
     ones = np.ones(len(transitions))
     alpha = gamma[0]
     for t in range(1, len(rows)):
@@ -243,12 +303,41 @@ def _plain_recursion(transitions, factors, rows, gamma, scales):
         gamma[t] = alpha
         scales[t] = total
 
+
+def _betas(transitions, factors, rows):
+    """The backward pass: each normalized ``beta``, from position T - 2 down to 0."""
+    ones = np.ones(len(transitions))
     beta = ones
     for t in range(len(rows) - 2, -1, -1):
         beta = transitions.dot(factors[rows[t + 1]] * beta)
         beta /= beta.dot(ones) or 1.0
-        row = gamma[t]  # a view: multiplying it in place skips the write-back
-        row *= beta
+        yield beta
+
+
+def _spool_betas(transitions, factors, rows, spool):
+    """A forked child's backward pass: each ``beta`` of :func:`_betas`, in its
+    order, as raw float64 into the binary layer of the text file ``spool``."""
+    write = spool.buffer.write
+    for beta in _betas(transitions, factors, rows):
+        write(beta)
+
+
+def _multiply_spooled(spool, gamma) -> bool:
+    """Multiply the T - 1 betas that :func:`_spool_betas` wrote into the
+    binary file ``spool`` into the rows of ``gamma`` they belong to, reading
+    at most ``_SPOOL_CHUNK_BYTES`` at a time, so that no second ``(T, N)``
+    array exists.  Returns False, and touches nothing, when the file does not
+    hold exactly T - 1 rows."""
+    left, n = len(gamma) - 1, gamma.shape[1]
+    if os.fstat(spool.fileno()).st_size != left * gamma[0].nbytes:
+        return False
+    chunk = np.empty((max(1, _SPOOL_CHUNK_BYTES // gamma[0].nbytes), n))
+    while left:
+        part = chunk[:min(len(chunk), left)]
+        spool.readinto(part)
+        gamma[left - len(part):left] *= part[::-1]  # the betas run from the last row back
+        left -= len(part)
+    return True
 
 
 def _blocked_recursion(transitions, factors, rows, gamma, scales):

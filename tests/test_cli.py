@@ -983,6 +983,13 @@ class TestModuleEntryPoint:
         assert done.returncode == 0
         assert "4/4 suites passed" in done.stdout
 
+    def test_the_package_runs_as_its_cli_module(self):
+        # python -m dualbayes, the form the README names beside the console script
+        package = self._run_python("-m", "dualbayes", "verify", "--cases", "2")
+        module = self._run("verify", "--cases", "2")
+        assert (package.returncode, package.stdout) == (module.returncode, module.stdout)
+        assert module.returncode == 0
+
     def test_full_batch_fit_does_not_import_numpy_random(self, tmp_path):
         # numpy.random costs about 6 MB and 15 ms to import; only shuffling needs it
         dataset = _separable_csv(tmp_path, per_class=10)
@@ -1070,21 +1077,6 @@ class TestModuleEntryPoint:
         done = self._run("verify", "--cases", "0")
         assert done.returncode == 2
         assert done.stdout == ""
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children this process forks during the test."""
-    made, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            made.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return made
 
 
 def _numbered_rows(calls):

@@ -4,7 +4,9 @@ validated simplex / label-space types."""
 import ast
 import decimal
 import math
+import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,12 @@ from dualbayes.core import (
     SIMPLEX_TOL,
     UnknownSymbol,
     check_simplex_rows,
+    forked_parts,
     log_softmax_last,
     normalize_log,
     parameter_array,
     real_observations,
+    usable_cpus,
 )
 from dualbayes.hmm import HmmModel, PosteriorMarginals, forward_backward
 from dualbayes.logreg import LogisticRegressionModel
@@ -36,7 +40,7 @@ from dualbayes.naive_bayes import (
     nb_generative_posterior,
 )
 
-from helpers import NON_NUMERIC_ROWS
+from helpers import NON_NUMERIC_ROWS, assert_no_child_left
 
 finite_vectors = st.lists(
     st.floats(min_value=-100.0, max_value=100.0), min_size=1, max_size=8
@@ -428,6 +432,31 @@ class TestSpaces:
         alphabet = ObservationAlphabet(("z", "a", "m"))
         assert alphabet.code_of == {"z": 0, "a": 1, "m": 2}
         assert [alphabet.index(s) for s in ("m", "z")] == [2, 0]
+
+
+@pytest.mark.skipif(usable_cpus() < 2 or not hasattr(os, "fork"),
+                    reason="one usable CPU, or no os.fork: every part stays where it is")
+def test_forked_children_move_to_the_usable_cpus_after_this_one():
+    # a kernel that does not balance load leaves each forked child on its
+    # parent's CPU, where it only takes turns with the parent; a part per
+    # usable CPU and one more
+    cpus = sorted(os.sched_getaffinity(0))
+
+    def write(part, spool):
+        # this process moves the child after the fork, which a child that the
+        # kernel ran at once on another CPU can beat
+        deadline = time.monotonic() + 5.0
+        while len(os.sched_getaffinity(0)) > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        spool.write(repr(sorted(os.sched_getaffinity(0))))
+
+    with forked_parts(write, range(len(cpus) + 1)) as files:
+        moved = [spool.read() for spool in files]
+    assert_no_child_left()
+    # one CPU each, cyclically, from the one after this process's
+    first = cpus.index(int(moved[0][1:-1]))
+    assert moved == [repr([cpus[(first + k) % len(cpus)]]) for k in range(len(cpus) + 1)]
+    assert sorted(os.sched_getaffinity(0)) == cpus
 
 
 def test_public_names_resolve():

@@ -153,7 +153,8 @@ def test_verify_prints_the_same_bytes_on_one_cpu_or_many(options):
 @MANY_CPUS
 def test_predict_and_hmm_posterior_print_the_same_bytes_on_one_cpu_or_many(tmp_path):
     # pinned to one CPU, both commands format their tables in one part
-    # instead of one part per usable CPU
+    # instead of one part per usable CPU, and at N=32, T=10⁴ the HMM kernel
+    # runs its backward pass in process instead of in a forked child
     model = _write(tmp_path / "hmm32.json", _hmm_json(32, 32))
     args = ("hmm-posterior", model, "--obs", _observations(33), "--algorithm", "both")
     assert _printed(*args, one_cpu=True) == _printed(*args)

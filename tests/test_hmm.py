@@ -3,7 +3,9 @@ agreement on consistent and long sequences, zero evidence, log-evidence,
 the enumeration cross-check, the kernel's contract on factor rows, and
 the kernel against a plain per-step loop on adversarial models."""
 
+import errno
 import math
+import os
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -34,6 +36,8 @@ from dualbayes.hmm import (
 )
 from dualbayes.oracle import joint_enumeration_hmm
 from dualbayes.verify import random_hmm, random_hmm_observation
+
+from helpers import assert_no_child_left
 
 # Zero evidence is decided by one check on the rows of gamma, which the
 # recursions reach through zero and NaN vectors; none of that may warn,
@@ -646,6 +650,88 @@ class TestAdversarialKernel:
         model, obs = self._near_underflow_case()
         gamma = forward_backward(model, obs).gamma
         assert np.allclose(gamma[2:5], _decimal_gamma(model, obs)[2:5], rtol=0.0, atol=1e-10)
+
+
+class TestForkedBackwardPass:
+    """Above ``_BLOCKED_MAX_LABELS`` labels, from ``_FORKED_MIN_STEPS`` steps on
+    and with two usable CPUs, a forked child runs the plain loop's backward
+    pass.  Each case gives the serial loop's bytes on both routes, or raises
+    what it raises, and leaves no child behind."""
+
+    ROUTES = (forward_backward, entropic_forward_backward)
+
+    @staticmethod
+    def _case(n, t_len):
+        rng = np.random.default_rng(n * t_len)
+        model = random_hmm(rng, n_labels=n, m_symbols=20, derive=True)
+        return model, random_hmm_observation(rng, model, t_len)
+
+    @staticmethod
+    def _bytes(monkeypatch, cpus, route, model, obs):
+        monkeypatch.setattr(hmm, "usable_cpus", lambda: cpus)
+        marginals = route(model, obs)
+        assert_no_child_left()
+        return marginals.gamma.tobytes(), marginals.log_evidence
+
+    @pytest.mark.parametrize("t_len", [hmm._FORKED_MIN_STEPS, 10_000])
+    @pytest.mark.parametrize("n", [17, 32])
+    def test_the_forked_pass_gives_the_serial_bytes(self, monkeypatch, forks, n, t_len):
+        model, obs = self._case(n, t_len)
+        for route in self.ROUTES:
+            serial = self._bytes(monkeypatch, 1, route, model, obs)
+            assert forks == []
+            assert self._bytes(monkeypatch, 2, route, model, obs) == serial
+            assert len(forks) == 1
+            forks.clear()
+
+    @pytest.mark.parametrize("fault", ["fork", "child", "spool"])
+    def test_a_failed_part_falls_back_to_the_serial_pass(self, monkeypatch, fault):
+        model, obs = self._case(17, hmm._FORKED_MIN_STEPS)
+        serial = [self._bytes(monkeypatch, 1, route, model, obs) for route in self.ROUTES]
+        spooled, multiply, multiplied = hmm._spool_betas, hmm._multiply_spooled, []
+
+        def failing_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def failing_child(*args):  # the child exits 1
+            raise RuntimeError("the child fails before it writes")
+
+        def short_spool(*args):
+            spooled(*args)
+            args[-1].buffer.flush()
+            args[-1].buffer.truncate(args[-1].buffer.tell() - 8)
+
+        if fault == "fork":
+            monkeypatch.setattr(os, "fork", failing_fork)
+        else:
+            monkeypatch.setattr(hmm, "_spool_betas",
+                                failing_child if fault == "child" else short_spool)
+        monkeypatch.setattr(hmm, "_multiply_spooled",
+                            lambda *args: multiplied.append(multiply(*args)) or multiplied[-1])
+        assert [self._bytes(monkeypatch, 2, route, model, obs) for route in self.ROUTES] == serial
+        # a spool reaches the parent only from a child that exited 0
+        assert multiplied == ([False, False] if fault == "spool" else [])
+
+    def test_zero_evidence_with_a_forked_pass(self, monkeypatch, forks):
+        # the symbols skip a label halfway, which no move of the cycle allows
+        n, t_len = 17, hmm._FORKED_MIN_STEPS
+        model = TestAdversarialKernel._cycle(n, 0.0)
+        obs = [f"s{(t + (t >= t_len // 2)) % n}" for t in range(t_len)]
+        monkeypatch.setattr(hmm, "usable_cpus", lambda: 2)
+        for route in self.ROUTES:
+            with pytest.raises(ZeroEvidence):
+                route(model, obs)
+            assert_no_child_left()
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("n, cpus, t_len", [
+        (17, 1, 10_000), (32, 2, hmm._FORKED_MIN_STEPS - 1), (16, 2, 10_000),
+    ], ids=["one-cpu", "short", "blocked"])
+    def test_no_fork_below_two_cpus_or_the_threshold(self, monkeypatch, forks, n, cpus, t_len):
+        model, obs = self._case(n, t_len)
+        for route in self.ROUTES:
+            self._bytes(monkeypatch, cpus, route, model, obs)
+        assert forks == []
 
 
 class TestDerivePosteriors:
