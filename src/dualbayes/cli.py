@@ -271,7 +271,7 @@ def _read_observations(path, real_mode: bool, expected: int):
 # so that an option of the other mode can be refused rather than ignored.
 _FIT_OPTIONS = {
     "generative": {"alpha": 0.0},
-    "discriminative": {"lr": 0.1, "epochs": 100, "batch_size": "full", "seed": 0},
+    "discriminative": {"lr": 0.1, "epochs": 100},
 }
 
 
@@ -303,12 +303,7 @@ def _cmd_fit(args) -> int:
             print(f"position={t} symbols={alphabet.m}")
         return EXIT_OK
 
-    try:
-        batch = int(options["batch_size"])
-    except ValueError:
-        batch = options["batch_size"]  # "full", or text that TrainConfig rejects in its own words
-    config = TrainConfig(learning_rate=options["lr"], epochs=options["epochs"],
-                         batch_size=batch, seed=options["seed"])
+    config = TrainConfig(learning_rate=options["lr"], epochs=options["epochs"])
     row_labels, features = _read_dataset(args.dataset, real_mode=True)
     labels = LabelSpace(tuple(sorted(set(row_labels))))
     features, codes = _prepare(row_labels, features, labels, features.shape[1])
@@ -461,15 +456,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--generative", action="store_true",
                       help="count-based fit on symbol features")
     mode.add_argument("--discriminative", action="store_true",
-                      help="gradient-descent fit on real-valued features")
+                      help="full-batch gradient-descent fit on real-valued features")
     fit.add_argument("dataset", help="CSV with a label column followed by feature columns")
     fit.add_argument("-o", "--output", required=True, help="where to write the model JSON")
     fit.add_argument("--alpha", type=float,
                      help="additive smoothing for the generative fit (default 0)")
     fit.add_argument("--lr", type=float, help="learning rate (default 0.1)")
     fit.add_argument("--epochs", type=int, help="training epochs (default 100)")
-    fit.add_argument("--batch-size", help='mini-batch size or "full" (default full)')
-    fit.add_argument("--seed", type=int, help="seed for mini-batch shuffling (default 0)")
     fit.set_defaults(handler=_cmd_fit)
 
     predict = commands.add_parser("predict", help="posterior table for a file of observations")

@@ -19,9 +19,9 @@ bias against central finite differences of the mean cross-entropy of
 :func:`~dualbayes.logreg.lr_log_posterior_batch`, the inference fold, which
 shares no product with the trainer's BLAS logits.
 
-Training is deterministic for a fixed config: mini-batch order comes only
-from the seeded generator, and all per-sample contributions are reduced by
-fixed-order array sums, whatever the number of BLAS threads.
+Training is full batch and deterministic for a fixed config: every epoch
+reduces all per-sample contributions by fixed-order array sums, whatever
+the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ from .naive_bayes import DiscriminativeNBModel, disc_nb_log_posterior_batch
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Plain gradient-descent settings; ``batch_size="full"`` disables mini-batching."""
+    """Plain full-batch gradient-descent settings."""
 
     learning_rate: float
     epochs: int
-    batch_size: int | str = "full"
-    seed: int = 0
 
     def __post_init__(self):
         rate = self.learning_rate
@@ -60,12 +58,6 @@ class TrainConfig:
             raise ValueError("epochs must be an integer")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.batch_size != "full":
-            if not is_integer(self.batch_size) or self.batch_size < 1:
-                raise ValueError('batch_size must be a positive integer or "full"')
-        # checked here because a full-batch fit never hands the seed to numpy
-        if not is_integer(self.seed) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -143,12 +135,10 @@ def _loss_and_gradients(weights, biases, obs, idx, out=None):
 
 def fit_discriminative(dataset, n_positions: int, labels: LabelSpace,
                        config: TrainConfig) -> tuple[DiscriminativeNBModel, TrainReport]:
-    """Plain gradient descent from the symmetric zero initialization.
+    """Plain full-batch gradient descent from the symmetric zero initialization.
 
-    Full-batch mode records the loss at the parameters entering each
-    epoch; mini-batch mode records the sample-weighted mean of the batch
-    losses seen during the epoch.  Raises :class:`DivergedLoss` the moment
-    any recorded loss stops being finite.
+    The loss curve holds the loss at the parameters entering each epoch.
+    Raises :class:`DivergedLoss` the moment a loss stops being finite.
     """
     obs, idx = _prepare(*_columns(dataset), labels, n_positions)
     return _gradient_descent(obs, idx, labels, config)
@@ -158,41 +148,25 @@ def _gradient_descent(obs, idx, labels: LabelSpace,
                       config: TrainConfig) -> tuple[DiscriminativeNBModel, TrainReport]:
     # The loop of fit_discriminative on checked arrays: finite (S, T)
     # observations and their label codes.  The loop reads the caller's
-    # array as it is, so the data is held once.  A full batch computes every
-    # epoch's logits and residuals in one (N, S) buffer: with fresh arrays,
-    # glibc's malloc handed their memory back to the system after every
-    # epoch and faulted it in again (about 300 page faults an epoch at
-    # S = 10^4, N = 8).  The shuffling generator, whose first use imports
-    # numpy.random, is built only when there are mini-batches.
+    # array as it is, so the data is held once.  Every epoch computes its
+    # logits and residuals in one (N, S) buffer: with fresh arrays, glibc's
+    # malloc handed their memory back to the system after every epoch and
+    # faulted it in again (about 300 page faults an epoch at S = 10^4, N = 8).
     n_samples, n_positions = obs.shape
     weights = np.zeros((labels.n, n_positions))
     biases = np.zeros(labels.n)
-    batch = n_samples if config.batch_size == "full" else min(config.batch_size, n_samples)
-    rng = np.random.default_rng(config.seed) if batch < n_samples else None
-    logits = np.empty((labels.n, n_samples)) if rng is None else None
+    logits = np.empty((labels.n, n_samples))
     lr = config.learning_rate
     bias_lr = lr * (n_positions * n_positions - n_positions + 1)  # see the module docstring
 
     curve = []
     for _ in range(config.epochs):
-        if rng is None:
-            chunks = [slice(None)]  # the whole dataset as views: nothing is copied
-        else:
-            order = rng.permutation(n_samples)
-            chunks = [order[start:start + batch] for start in range(0, n_samples, batch)]
-        epoch_total = 0.0
-        for chosen in chunks:
-            chunk_idx = idx[chosen]
-            loss, grad_weights, grad_biases = _loss_and_gradients(
-                weights, biases, obs[chosen], chunk_idx, logits
-            )
-            if not np.isfinite(loss):
-                raise DivergedLoss(f"loss became non-finite ({loss!r})")
-            epoch_total += loss * chunk_idx.size
-            weights -= lr * grad_weights
-            biases -= bias_lr * grad_biases
-        # one chunk records its own loss, which is not always loss * n / n
-        curve.append(loss if len(chunks) == 1 else epoch_total / n_samples)
+        loss, grad_weights, grad_biases = _loss_and_gradients(weights, biases, obs, idx, logits)
+        if not np.isfinite(loss):
+            raise DivergedLoss(f"loss became non-finite ({loss!r})")
+        curve.append(loss)
+        weights -= lr * grad_weights
+        biases -= bias_lr * grad_biases
 
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
         raise DivergedLoss("parameters became non-finite")

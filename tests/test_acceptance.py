@@ -152,7 +152,7 @@ def test_criterion_6_training_sanity():
     data = [("neg", [v]) for v in rng.normal(-2.0, 1.0, 100)]
     data += [("pos", [v]) for v in rng.normal(2.0, 1.0, 100)]
     labels = LabelSpace(("neg", "pos"))
-    config = TrainConfig(learning_rate=0.1, epochs=500, batch_size="full", seed=0)
+    config = TrainConfig(learning_rate=0.1, epochs=500)
     _, report = fit_discriminative(data, 1, labels, config)
     curve = np.array(report.loss_curve)
     monotone = bool(np.all(np.diff(curve) <= 1e-9))

@@ -7,9 +7,11 @@ import io
 import json
 import os
 import re
+import shlex
 import textwrap
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,8 +97,7 @@ class TestFit:
         dataset = _separable_csv(tmp_path)
         out = tmp_path / "model.json"
         code = main([
-            "fit", "--discriminative", "--lr", "0.1", "--epochs", "500",
-            "--seed", "7", dataset, "-o", str(out),
+            "fit", "--discriminative", "--lr", "0.1", "--epochs", "500", dataset, "-o", str(out),
         ])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -107,44 +108,41 @@ class TestFit:
         model = load_model(out)
         assert model.n_positions == 1
 
-    def test_discriminative_fit_output_is_byte_identical_per_seed(self, tmp_path, capsys):
+    def test_discriminative_fit_output_is_byte_identical(self, tmp_path, capsys):
         dataset = _separable_csv(tmp_path, seed=5, per_class=25)
         data = [(label, [float(v)]) for label, v in _csv_rows(dataset)[1:]]
-        for batch in ("full", 16):
-            argv = ["fit", "--discriminative", "--lr", "0.05", "--epochs", "30",
-                    "--batch-size", str(batch), "--seed", "3", dataset,
-                    "-o", str(tmp_path / "a.json")]
-            assert main(argv) == 0
-            first = capsys.readouterr().out
-            argv[-1] = str(tmp_path / "b.json")
-            assert main(argv) == 0
-            second = capsys.readouterr().out
-            assert first == second
-            assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
-            # the CLI trains on the reader's arrays; the library fit on rows agrees bit for bit
-            config = TrainConfig(0.05, 30, batch, seed=3)
-            model, report = fit_discriminative(data, 1, LabelSpace(("neg", "pos")), config)
-            save_model(model, tmp_path / "library.json")
-            assert (tmp_path / "library.json").read_text() == (tmp_path / "a.json").read_text()
-            assert json.loads(first.splitlines()[-1])["loss_curve"] == list(report.loss_curve)
+        argv = ["fit", "--discriminative", "--lr", "0.05", "--epochs", "30", dataset,
+                "-o", str(tmp_path / "a.json")]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        argv[-1] = str(tmp_path / "b.json")
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert first == second
+        assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+        # the CLI trains on the reader's arrays; the library fit on rows agrees bit for bit
+        config = TrainConfig(0.05, 30)
+        model, report = fit_discriminative(data, 1, LabelSpace(("neg", "pos")), config)
+        save_model(model, tmp_path / "library.json")
+        assert (tmp_path / "library.json").read_text() == (tmp_path / "a.json").read_text()
+        assert json.loads(first.splitlines()[-1])["loss_curve"] == list(report.loss_curve)
 
-    @pytest.mark.parametrize("batch", ["full", "8"])
-    def test_negative_seed_exits_2(self, tmp_path, capsys, batch):
+    @pytest.mark.parametrize("option, value", [("--batch-size", "8"), ("--seed", "3")])
+    def test_a_removed_training_option_is_refused_by_the_parser(self, tmp_path, capsys,
+                                                               option, value):
+        # training is full batch, so no fit option sets a batch size or a seed
         out = tmp_path / "m.json"
-        code = main(["fit", "--discriminative", "--batch-size", batch, "--seed", "-1",
-                     _separable_csv(tmp_path, per_class=10), "-o", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
+        with pytest.raises(SystemExit) as exited:
+            main(["fit", "--discriminative", option, value,
+                  _separable_csv(tmp_path, per_class=10), "-o", str(out)])
+        assert exited.value.code == 2
+        assert f"error: unrecognized arguments: {option} " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("option, value, message", [
         ("--lr", "0", "learning_rate must be positive and finite"),
         ("--epochs", "0", "epochs must be at least 1"),
-        ("--batch-size", "abc", 'batch_size must be a positive integer or "full"'),
-        ("--batch-size", "1.5", 'batch_size must be a positive integer or "full"'),
-        ("--batch-size", "0", 'batch_size must be a positive integer or "full"'),
-        ("--seed", "-1", "seed must be a nonnegative integer"),
-    ], ids=["lr-0", "epochs-0", "batch-abc", "batch-1.5", "batch-0", "seed-negative"])
+    ], ids=["lr-0", "epochs-0"])
     def test_bad_option_is_reported_before_the_dataset_is_read(self, tmp_path, capsys,
                                                                option, value, message):
         # the dataset's bad row would be reported instead if it were read first
@@ -158,10 +156,8 @@ class TestFit:
     @pytest.mark.parametrize("mode, option, value", [
         ("--generative", "--lr", "9"),
         ("--generative", "--epochs", "5"),
-        ("--generative", "--batch-size", "7"),
-        ("--generative", "--seed", "1"),
         ("--discriminative", "--alpha", "3"),
-    ], ids=["lr", "epochs", "batch-size", "seed", "alpha"])
+    ], ids=["lr", "epochs", "alpha"])
     def test_an_option_of_the_other_mode_is_refused_before_the_dataset_is_read(
             self, tmp_path, capsys, mode, option, value):
         # line 3 is too wide, which would be reported instead if it were read first
@@ -990,16 +986,15 @@ class TestModuleEntryPoint:
         assert (package.returncode, package.stdout) == (module.returncode, module.stdout)
         assert module.returncode == 0
 
-    def test_full_batch_fit_does_not_import_numpy_random(self, tmp_path):
-        # numpy.random costs about 6 MB and 15 ms to import; only shuffling needs it
+    def test_discriminative_fit_does_not_import_numpy_random(self, tmp_path):
+        # numpy.random costs about 6 MB and 15 ms to import, and the
+        # full-batch trainer draws no random number
         dataset = _separable_csv(tmp_path, per_class=10)
         script = ("import sys; from dualbayes.cli import main; code = main(sys.argv[1:]); "
                   "print(code, 'numpy.random' in sys.modules)")
-        for batch, imported in (("full", False), ("8", True)):
-            done = self._run_python("-c", script, "fit", "--discriminative", "--epochs", "2",
-                                    "--batch-size", batch, dataset,
-                                    "-o", str(tmp_path / "m.json"))
-            assert done.stdout.splitlines()[-1] == f"0 {imported}"
+        done = self._run_python("-c", script, "fit", "--discriminative", "--epochs", "2",
+                                dataset, "-o", str(tmp_path / "m.json"))
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_only_the_table_commands_import_the_formatter(self, tmp_path):
         # the table formatter's module, and the numpy loops it runs, stay out
@@ -1314,3 +1309,16 @@ class TestOutputParts:
         assert len(forks) == 2 + 1 + 2
         assert_no_child_left()
 
+
+def test_every_readme_cli_command_parses():
+    # a README example that names a deleted option would otherwise go stale unseen
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("dualbayes ")]
+    assert len(commands) >= 9
+    parser = cli._build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command is refused: {line}")

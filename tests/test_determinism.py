@@ -119,13 +119,11 @@ def blas_observations():
 
 
 @MANY_CPUS
-@pytest.mark.parametrize("batch", ["full", "7"])
 def test_discriminative_fit_prints_the_same_bytes_with_one_blas_thread_or_many(
-        tmp_path, labelled_rows, batch):
+        tmp_path, labelled_rows):
     # the trainer's logits and gradients are BLAS products
     model = tmp_path / "model.json"
-    args = ("fit", "--discriminative", "--epochs", "20", "--batch-size", batch, labelled_rows,
-            "-o", str(model))
+    args = ("fit", "--discriminative", "--epochs", "20", labelled_rows, "-o", str(model))
     one = _printed(*args, files=[model], OPENBLAS_NUM_THREADS="1")
     assert one == _printed(*args, files=[model], OPENBLAS_NUM_THREADS=None)
 

@@ -160,7 +160,7 @@ class TestGradient:
 
 
 class TestCollapsedPosterior:
-    # S=1 is a one-row product (BLAS gemv), which a mini-batch of one reaches
+    # S=1 is a one-row product (BLAS gemv), which only a one-row dataset reaches
     @pytest.mark.parametrize("n_rows", [1, 2, 25, 1100])
     def test_trainer_log_posterior_equals_the_per_column_batch(self, n_rows):
         # the trainer evaluates the logistic-regression collapse; it must be
@@ -185,11 +185,12 @@ class TestFit:
 
     def test_separable_data_reaches_high_accuracy(self):
         data, labels = self._separable_dataset()
-        config = TrainConfig(learning_rate=0.1, epochs=500, batch_size="full", seed=7)
+        config = TrainConfig(learning_rate=0.1, epochs=500)
         model, report = fit_discriminative(data, 1, labels, config)
         assert report.final_accuracy >= 0.95
         curve = np.array(report.loss_curve)
         assert curve.size == 500
+        assert curve[0] == pytest.approx(math.log(2))  # the zero start scores labels alike
         assert np.all(np.diff(curve) <= 1e-9)
         assert loss_cross_entropy(model, data) <= curve[-1]
 
@@ -197,46 +198,32 @@ class TestFit:
         labels = LabelSpace(("a", "b"))
         rng = np.random.default_rng(1)
         data = [("b", [v]) for v in rng.normal(0.0, 1.0, 30)]
-        config = TrainConfig(learning_rate=0.5, epochs=300, batch_size="full", seed=0)
+        config = TrainConfig(learning_rate=0.5, epochs=300)
         model, report = fit_discriminative(data, 1, labels, config)
         assert report.final_accuracy == 1.0
         posteriors = [disc_nb_posterior(model, obs).entries[1] for _, obs in data]
         assert min(posteriors) > 0.9
 
-    def test_same_seed_is_bitwise_identical(self):
+    def test_same_config_is_bitwise_identical(self):
         data, labels = self._separable_dataset(seed=3, per_class=40)
-        for batch in ("full", 16):
-            config = TrainConfig(learning_rate=0.05, epochs=40, batch_size=batch, seed=11)
-            _, first = fit_discriminative(data, 1, labels, config)
-            _, second = fit_discriminative(data, 1, labels, config)
-            assert first.loss_curve == second.loss_curve
-            assert first.final_accuracy == second.final_accuracy
-
-    def test_one_chunk_records_its_own_loss(self):
-        # a batch at least as large as the dataset is the full batch: one
-        # chunk, no shuffle, and its loss recorded as is, not as loss * n / n
-        data, labels = self._separable_dataset(seed=5, per_class=37)
-        curves = [
-            fit_discriminative(data, 1, labels, TrainConfig(0.1, 20, batch, seed=9))[1].loss_curve
-            for batch in ("full", len(data), 10 * len(data))
-        ]
-        assert curves[0] == curves[1] == curves[2]
-        assert curves[0][0] == pytest.approx(math.log(2))  # the zero start scores labels alike
-        mini = fit_discriminative(data, 1, labels, TrainConfig(0.1, 20, 16, seed=9))[1]
-        assert mini.loss_curve != curves[0]
+        config = TrainConfig(learning_rate=0.05, epochs=40)
+        _, first = fit_discriminative(data, 1, labels, config)
+        _, second = fit_discriminative(data, 1, labels, config)
+        assert first.loss_curve == second.loss_curve
+        assert first.final_accuracy == second.final_accuracy
 
     def test_small_learning_rate_never_increases_loss(self):
         rng = np.random.default_rng(71)
         labels = LabelSpace(("a", "b", "c"))
         data = _random_dataset(rng, labels, 2, 30)
-        config = TrainConfig(learning_rate=1e-3, epochs=60, batch_size="full", seed=0)
+        config = TrainConfig(learning_rate=1e-3, epochs=60)
         _, report = fit_discriminative(data, 2, labels, config)
         assert np.all(np.diff(np.array(report.loss_curve)) <= 1e-9)
 
     def test_diverging_run_raises(self):
         labels = LabelSpace(("a", "b"))
         data = [("a", [1e200]), ("b", [-1e200]), ("a", [5e199]), ("b", [-5e199])]
-        config = TrainConfig(learning_rate=0.1, epochs=10, batch_size="full", seed=0)
+        config = TrainConfig(learning_rate=0.1, epochs=10)
         with pytest.raises(DivergedLoss):
             fit_discriminative(data, 1, labels, config)
 
@@ -251,14 +238,6 @@ class TestFit:
                 TrainConfig(learning_rate=0.1, epochs=epochs)
         config = TrainConfig(learning_rate=np.float32(0.1), epochs=np.int64(2))
         assert config.epochs == 2
-        for batch_size in (0, True, 2.0, "4"):
-            with pytest.raises(ValueError, match='^batch_size must be a positive integer or "full"$'):
-                TrainConfig(learning_rate=0.1, epochs=1, batch_size=batch_size)
-        assert TrainConfig(learning_rate=0.1, epochs=1, batch_size=np.int64(4)).batch_size == 4
-        for seed in (-1, np.int64(-1), 1.5, "3", None, False, True):
-            with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
-                TrainConfig(learning_rate=0.1, epochs=1, seed=seed)
-        assert TrainConfig(learning_rate=0.1, epochs=1, seed=np.uint32(7)).seed == 7
         report = TrainReport((1.0, 0.5), 0.75)
         assert report.final_accuracy == 0.75
 
@@ -268,51 +247,38 @@ def _plain_log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _plain_softmax_regression(obs, codes, n_labels, lr, epochs, batch, seed):
-    """Gradient descent on softmax regression ``(W, b)`` written out in plain
-    numpy: zero start, rows shuffled by ``default_rng(seed).permutation``
-    when there are mini-batches, and the bias stepping by ``lr * (T**2 -
+def _plain_softmax_regression(obs, codes, n_labels, lr, epochs):
+    """Full-batch gradient descent on softmax regression ``(W, b)`` written
+    out in plain numpy: zero start, and the bias stepping by ``lr * (T**2 -
     T + 1)``.  Returns ``W``, ``b`` and the loss curve the trainer records."""
     n_samples, t_len = obs.shape
     weights, biases = np.zeros((n_labels, t_len)), np.zeros(n_labels)
     onehot = np.eye(n_labels)[codes]
-    rng = np.random.default_rng(seed)
     curve = []
     for _ in range(epochs):
-        order = np.arange(n_samples) if batch >= n_samples else rng.permutation(n_samples)
-        total = 0.0
-        for start in range(0, n_samples, batch):
-            rows = order[start:start + batch]
-            log_post = _plain_log_softmax(obs[rows] @ weights.T + biases)
-            total -= (log_post * onehot[rows]).sum()
-            residual = (np.exp(log_post) - onehot[rows]) / rows.size
-            weights -= lr * (residual.T @ obs[rows])
-            biases -= lr * (t_len * t_len - t_len + 1) * residual.sum(axis=0)
-        curve.append(total / n_samples)
+        log_post = _plain_log_softmax(obs @ weights.T + biases)
+        curve.append(-(log_post * onehot).sum() / n_samples)
+        residual = (np.exp(log_post) - onehot) / n_samples
+        weights -= lr * (residual.T @ obs)
+        biases -= lr * (t_len * t_len - t_len + 1) * residual.sum(axis=0)
     return weights, biases, curve
 
 
 class TestAgainstPlainSoftmaxRegression:
     # the trainer is logistic regression on (W, b) with the bias step
     # lr * (T^2 - T + 1), stored through lr_to_nb with a uniform prior
-    @pytest.mark.parametrize("n_labels, t_len, n_rows, lr, epochs, batch", [
-        (3, 5, 2000, 0.5, 200, "full"),
-        (4, 6, 500, 0.01, 30, 64),
-    ])
-    def test_trainer_is_plain_softmax_regression(self, n_labels, t_len, n_rows, lr, epochs,
-                                                 batch):
+    def test_trainer_is_plain_softmax_regression(self):
+        n_labels, t_len, n_rows, lr, epochs = 3, 5, 2000, 0.5, 200
         rng = np.random.default_rng(89)
         labels = LabelSpace(tuple(f"l{k}" for k in range(n_labels)))
         means = rng.normal(0.0, 1.0, size=(n_labels, t_len))
         codes = rng.integers(0, n_labels, size=n_rows)
         obs = means[codes] + rng.normal(0.0, 1.0, size=(n_rows, t_len))
         dataset = [(labels.names[c], row) for c, row in zip(codes, obs)]
-        config = TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch, seed=13)
+        config = TrainConfig(learning_rate=lr, epochs=epochs)
         model, report = fit_discriminative(dataset, t_len, labels, config)
 
-        weights, biases, curve = _plain_softmax_regression(
-            obs, codes, n_labels, lr, epochs, n_rows if batch == "full" else batch, seed=13
-        )
+        weights, biases, curve = _plain_softmax_regression(obs, codes, n_labels, lr, epochs)
         np.testing.assert_allclose(report.loss_curve, curve, rtol=0.0, atol=1e-12)
         held_out = means[codes[:50]] + rng.normal(0.0, 1.0, size=(50, t_len))
         expected = _plain_log_softmax(held_out @ weights.T + biases)
@@ -329,7 +295,7 @@ class TestInvariances:
         data_rng = np.random.default_rng(73)
         labels = LabelSpace(("a", "b", "c"))
         data = _random_dataset(data_rng, labels, 2, 40)
-        config = TrainConfig(learning_rate=0.2, epochs=50, batch_size="full", seed=5)
+        config = TrainConfig(learning_rate=0.2, epochs=50)
         model, _ = fit_discriminative(data, 2, labels, config)
         collapsed = nb_to_lr(model)
         linear_loss = -np.mean([
