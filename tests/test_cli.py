@@ -127,13 +127,18 @@ class TestFit:
         assert (tmp_path / "library.json").read_text() == (tmp_path / "a.json").read_text()
         assert json.loads(first.splitlines()[-1])["loss_curve"] == list(report.loss_curve)
 
-    @pytest.mark.parametrize("option, value", [("--batch-size", "8"), ("--seed", "3")])
+    @pytest.mark.parametrize("mode, option, value", [
+        ("--discriminative", "--batch-size", "8"),
+        ("--discriminative", "--seed", "3"),
+        ("--generative", "--batch-size", "7"),
+        ("--generative", "--seed", "1"),
+    ], ids=["--batch-size-8", "--seed-3", "generative-batch-size", "generative-seed"])
     def test_a_removed_training_option_is_refused_by_the_parser(self, tmp_path, capsys,
-                                                               option, value):
-        # training is full batch, so no fit option sets a batch size or a seed
+                                                               mode, option, value):
+        # training is full batch, so no fit option of either mode sets a batch size or a seed
         out = tmp_path / "m.json"
         with pytest.raises(SystemExit) as exited:
-            main(["fit", "--discriminative", option, value,
+            main(["fit", mode, option, value,
                   _separable_csv(tmp_path, per_class=10), "-o", str(out)])
         assert exited.value.code == 2
         assert f"error: unrecognized arguments: {option} " in capsys.readouterr().err
@@ -141,8 +146,12 @@ class TestFit:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--lr", "0", "learning_rate must be positive and finite"),
+        ("--lr", "-0.5", "learning_rate must be positive and finite"),
+        ("--lr", "inf", "learning_rate must be positive and finite"),
+        ("--lr", "nan", "learning_rate must be positive and finite"),
         ("--epochs", "0", "epochs must be at least 1"),
-    ], ids=["lr-0", "epochs-0"])
+        ("--epochs", "-3", "epochs must be at least 1"),
+    ], ids=["lr-0", "lr-negative", "lr-inf", "lr-nan", "epochs-0", "epochs-negative"])
     def test_bad_option_is_reported_before_the_dataset_is_read(self, tmp_path, capsys,
                                                                option, value, message):
         # the dataset's bad row would be reported instead if it were read first

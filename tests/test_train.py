@@ -212,6 +212,22 @@ class TestFit:
         assert first.loss_curve == second.loss_curve
         assert first.final_accuracy == second.final_accuracy
 
+    def test_the_curve_holds_the_loss_entering_each_epoch(self):
+        # a longer fit repeats a shorter one's epochs bit for bit, and its
+        # curve goes on with the loss of the shorter fit's final parameters
+        data, labels = self._separable_dataset(seed=5, per_class=37)
+        short_model, short = fit_discriminative(data, 1, labels, TrainConfig(0.1, 20))
+        _, long = fit_discriminative(data, 1, labels, TrainConfig(0.1, 30))
+        assert long.loss_curve[:20] == short.loss_curve
+        assert long.loss_curve[20] == pytest.approx(loss_cross_entropy(short_model, data),
+                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("field, value", [("batch_size", 8), ("seed", 3)])
+    def test_config_has_no_mini_batch_settings(self, field, value):
+        # training is full batch: nothing is shuffled, so there is no seed either
+        with pytest.raises(TypeError, match=field):
+            TrainConfig(learning_rate=0.1, epochs=1, **{field: value})
+
     def test_small_learning_rate_never_increases_loss(self):
         rng = np.random.default_rng(71)
         labels = LabelSpace(("a", "b", "c"))
@@ -267,8 +283,11 @@ def _plain_softmax_regression(obs, codes, n_labels, lr, epochs):
 class TestAgainstPlainSoftmaxRegression:
     # the trainer is logistic regression on (W, b) with the bias step
     # lr * (T^2 - T + 1), stored through lr_to_nb with a uniform prior
-    def test_trainer_is_plain_softmax_regression(self):
-        n_labels, t_len, n_rows, lr, epochs = 3, 5, 2000, 0.5, 200
+    @pytest.mark.parametrize("n_labels, t_len, n_rows, lr, epochs", [
+        (3, 5, 2000, 0.5, 200),
+        (4, 6, 500, 0.01, 30),
+    ])
+    def test_trainer_is_plain_softmax_regression(self, n_labels, t_len, n_rows, lr, epochs):
         rng = np.random.default_rng(89)
         labels = LabelSpace(tuple(f"l{k}" for k in range(n_labels)))
         means = rng.normal(0.0, 1.0, size=(n_labels, t_len))
