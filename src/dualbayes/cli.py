@@ -74,37 +74,39 @@ PREDICT_BLOCK = 1024
 
 # Values per formatting call and output write of a `predict` or
 # `hmm-posterior` table, in whole rows: bounds the formatter's temporaries
-# (a few dozen arrays of this many words) and is large enough that its
-# per-call cost is small at N=2.  A table of at least two blocks is
-# formatted in up to one part per usable CPU.
+# (a few dozen arrays of this many words) and keeps its per-call cost small
+# at N=2.  A table is formatted in forked parts of at least _PART_BLOCKS
+# blocks (about 32k values) each: on 2 CPUs, tables of 9 and 16 blocks
+# (T=10^4 at N=2, 4000 rows at N=8) printed faster in process, and tables
+# of 39 and 156 blocks (T=10^4 at N=8 and 32) faster in two parts.
 TABLE_BLOCK = 2048
+_PART_BLOCKS = 16
 
 # The batch kernel of each real-valued model type, for `predict` and `convert`.
 _REAL_VALUED_BATCH = {DiscriminativeNBModel: disc_nb_log_posterior_batch,
                       LogisticRegressionModel: lr_log_posterior_batch}
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it between two other fields."""
+def _csv_line(fields) -> str:
+    """``fields`` as ``csv.writer`` writes them, line end included."""
     buffer = io.StringIO()
-    csv.writer(buffer).writerow(["", text, ""])
-    return buffer.getvalue()[1:-3]
+    csv.writer(buffer).writerow(fields)
+    return buffer.getvalue()
 
 
 def _write_parts(lines, count: int, block: int, out) -> None:
     """Write the text of rows ``[0, count)`` to ``out``, ``block`` rows at a time.
 
     ``lines(start, stop)`` returns the text of rows ``[start, stop)``.  The
-    rows are cut into contiguous parts of whole blocks, one per usable CPU
-    and at most one per whole block.  Forked children format each part
-    after the first into their own files (:func:`.core.forked_parts`) while
-    this process writes the first part; the files are then copied to ``out``
-    in order.  A part whose file could not be made, or whose child failed,
-    is formatted here instead, so ``out`` always gets a serial run's bytes.
+    rows are cut into contiguous parts, one per usable CPU and at most one
+    per ``_PART_BLOCKS`` blocks.  Forked children format each part after
+    the first into their own files (:func:`.core.forked_parts`) while this
+    process writes the first part; the files are then copied to ``out`` in
+    order.  A part whose file could not be made, or whose child failed, is
+    formatted here instead, so ``out`` always gets a serial run's bytes.
     """
-    blocks = -(-count // block)
-    parts = max(1, min(usable_cpus(), count // block))
-    edges = [min(count, block * (blocks * k // parts)) for k in range(parts + 1)]
+    parts = max(1, min(usable_cpus(), count // (_PART_BLOCKS * block)))
+    edges = [count * k // parts for k in range(parts + 1)]
     first, *rest = [range(start, stop, block) for start, stop in zip(edges, edges[1:])]
 
     def write(part, to):
@@ -120,22 +122,16 @@ def _write_parts(lines, count: int, block: int, out) -> None:
                 shutil.copyfileobj(spool, out)
 
 
-def _table_rows(width: int) -> int:
-    """Rows per block of a table of ``width`` values per row."""
-    return max(1, TABLE_BLOCK // width)
-
-
-def _write_gamma(name: str, gamma: np.ndarray) -> None:
-    """Print ``gamma`` as ``<name> t=<t> p_0 ... p_N-1`` lines."""
+def _write_table(values: np.ndarray, sep: str, head, tail, out) -> None:
+    """Write each row of the ``(R, N)`` array ``values`` to ``out``: its head,
+    its values as ``'%.17g'`` joined by ``sep``, then its tail.  ``head(start,
+    stop)`` and ``tail(start, stop)`` return rows ``[start, stop)``' pieces."""
     from . import format17  # here, so that a command with no table never loads it
 
-    end = format17.pieces(["\n"])
-
     def lines(start, stop):
-        head = format17.counters(f"{name} t=", start, stop, " ")
-        return format17.rows(gamma[start:stop], " ", head, end)
+        return format17.rows(values[start:stop], sep, head(start, stop), tail(start, stop))
 
-    _write_parts(lines, gamma.shape[0], _table_rows(gamma.shape[1]), sys.stdout)
+    _write_parts(lines, values.shape[0], max(1, TABLE_BLOCK // values.shape[1]), out)
 
 
 def _records(path):
@@ -338,30 +334,25 @@ def _cmd_predict(args) -> int:
     rows = observations if real_mode else nb_encode(model, observations)
 
     # every row is evaluated and checked before anything is written
-    probs = np.concatenate([
-        np.exp(kernel(rows[start:start + PREDICT_BLOCK]))
-        for start in range(0, len(rows), PREDICT_BLOCK)
-    ])
+    probs = np.concatenate([np.exp(kernel(rows[start:start + PREDICT_BLOCK]))
+                            for start in range(0, len(rows), PREDICT_BLOCK)])
     check_simplex_rows(probs)
     best = probs.argmax(axis=1)
     ties = (probs == probs[np.arange(len(probs)), best][:, None]).sum(axis=1) > 1
 
-    from . import format17  # here, so that a command with no table never loads it
+    from . import format17
 
     names = model.labels.names
     # row 2k + tie: the argmax label k as csv quotes it, and the tie flag
-    tails = format17.pieces([f",{_csv_field(name)},{tie}\r\n"
-                             for name in names for tie in (0, 1)])
+    tails = format17.pieces([_csv_line(["", name, tie]) for name in names for tie in (0, 1)])
     tail_rows = 2 * best + ties
     no_head = format17.pieces([""])
-
-    def lines(start, stop):
-        return format17.rows(probs[start:stop], ",", no_head, tails[tail_rows[start:stop]])
 
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
         csv.writer(out).writerow([f"p_{name}" for name in names] + ["argmax", "tie"])
-        _write_parts(lines, len(probs), _table_rows(len(names)), out)
+        _write_table(probs, ",", lambda start, stop: no_head,
+                     lambda start, stop: tails[tail_rows[start:stop]], out)
     finally:
         if args.output:
             out.close()
@@ -435,8 +426,12 @@ def _cmd_hmm_posterior(args) -> int:
     del observation  # T field strings, not needed while the tables print
     if derived:  # printed once both recursions have run, so a failed run prints nothing
         print("note: derived posterior columns from prior and emissions")
+    from . import format17
+
+    end = format17.pieces(["\n"])
     for name, gamma in tables.items():
-        _write_gamma(name, gamma)
+        _write_table(gamma, " ", partial(format17.counters, f"{name} t=", suffix=" "),
+                     lambda start, stop: end, sys.stdout)
     if args.algorithm == "both":
         gap = float(np.abs(tables["fb"] - tables["efb"]).max())
         print(f"max_discrepancy={gap:.3e}")
@@ -497,7 +492,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:  # an unknown option's value may have displaced a positional: name the option
+        parser.error("unrecognized arguments: "
+                     + " ".join([extra for extra in extras if extra.startswith("-")] or extras))
     try:
         code = args.handler(args)
         sys.stdout.flush()  # so that a closed pipe fails here, not in the final flush

@@ -139,10 +139,9 @@ class HmmModel:
 
     def _check_consistency(self, emissions, posteriors):
         # only symbols of nonzero marginal constrain their posterior column, and
-        # bayes_invert cannot fail on those
+        # bayes_invert cannot fail on those; the prior and every emission row lie
+        # on the simplex, so at least one symbol has a nonzero marginal
         reachable = self.prior.entries.dot(emissions) > 0.0
-        if not np.any(reachable):
-            return
         expected = bayes_invert(self.prior.entries, emissions[:, reachable], self.alphabet.symbols)
         gap = float(np.abs(posteriors[:, reachable] - expected).max())
         if gap > EQUALITY_TOL:

@@ -165,8 +165,9 @@ def _gradient_descent(obs, idx, labels: LabelSpace,
         if not np.isfinite(loss):
             raise DivergedLoss(f"loss became non-finite ({loss!r})")
         curve.append(loss)
-        weights -= lr * grad_weights
-        biases -= bias_lr * grad_biases
+        with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
+            weights -= lr * grad_weights
+            biases -= bias_lr * grad_biases
 
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(biases))):
         raise DivergedLoss("parameters became non-finite")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import dualbayes.verify
-from dualbayes import cli, core
+from dualbayes import cli, core, hmm
 from dualbayes.cli import PREDICT_BLOCK, TABLE_BLOCK, main
 from dualbayes.core import (
     EQUALITY_TOL,
@@ -141,7 +141,9 @@ class TestFit:
             main(["fit", mode, option, value,
                   _separable_csv(tmp_path, per_class=10), "-o", str(out)])
         assert exited.value.code == 2
-        assert f"error: unrecognized arguments: {option} " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: unrecognized arguments: {option}\n")
+        assert "sep.csv" not in err  # the dataset path, which the option's value displaced
         assert not out.exists()
 
     @pytest.mark.parametrize("option, value, message", [
@@ -161,6 +163,22 @@ class TestFit:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_an_overflowing_step_exits_3_with_one_error_line(self, tmp_path, capsys):
+        # the first step overflows the weights; under the test suite's filters
+        # numpy's overflow warning would leave main as an exception
+        dataset = _write(tmp_path / "d.csv", "label,x\na,100\nb,300\na,120\n")
+        out = tmp_path / "m.json"
+        assert main(["fit", "--discriminative", "--epochs", "1", "--lr", "1e308", dataset,
+                     "-o", str(out)]) == 3
+        assert capsys.readouterr() == ("", "error: parameters became non-finite\n")
+        assert not out.exists()
+
+    def test_a_header_of_one_column_exits_2(self, tmp_path, capsys):
+        dataset = _write(tmp_path / "d.csv", "label\na\n")
+        assert main(["fit", "--generative", dataset, "-o", str(tmp_path / "m.json")]) == 2
+        message = "line 1: header needs a label column and at least one feature column"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("mode, option, value", [
         ("--generative", "--lr", "9"),
@@ -238,6 +256,14 @@ class TestPredict:
         out = tmp_path / "uniform.json"
         assert main(["fit", "--generative", dataset, "-o", str(out)]) == 0
         return out
+
+    def test_an_observation_header_of_the_wrong_width_exits_2(self, tmp_path, capsys):
+        save_model(random_logreg(np.random.default_rng(31), n_labels=2, t_len=2),
+                   tmp_path / "lr.json")
+        data = _write(tmp_path / "obs.csv", "f0,f1,f2\n0.5,0.5,0.5\n")
+        assert main(["predict", str(tmp_path / "lr.json"), data]) == 2
+        message = "error: line 1: header has 3 columns, model expects 2\n"
+        assert capsys.readouterr() == ("", message)
 
     def test_uniform_model_ties_flagged(self, tmp_path):
         model_path = self._uniform_model(tmp_path)
@@ -936,6 +962,12 @@ class TestHmmPosterior:
     def test_missing_model_file_exits_2(self, tmp_path):
         assert main(["hmm-posterior", str(tmp_path / "gone.json"), "--obs", "x"]) == 2
 
+    def test_a_model_of_another_type_exits_2(self, tmp_path, capsys):
+        save_model(random_logreg(np.random.default_rng(29), n_labels=2, t_len=1),
+                   tmp_path / "lr.json")
+        assert main(["hmm-posterior", str(tmp_path / "lr.json"), "--obs", "x"]) == 2
+        assert capsys.readouterr() == ("", "error: hmm-posterior needs an hmm model\n")
+
 
 class TestErrorPolicy:
     """A package error or an input fault leaves ``main`` as one ``error:`` line:
@@ -1036,8 +1068,10 @@ class TestModuleEntryPoint:
          2, "learning_rate must be positive and finite"),
         (["fit", "--discriminative", "--epochs", "10", "{dir}/huge.csv", "-o", "{dir}/out.json"],
          3, "loss became non-finite (nan)"),
+        (["fit", "--discriminative", "--epochs", "1", "--lr", "1e308", "{dir}/steep.csv", "-o",
+          "{dir}/out.json"], 3, "parameters became non-finite"),
     ], ids=["overflowing-prior", "alpha-inf", "alpha-nan", "alpha-overflowing", "lr-inf",
-            "diverging-fit"])
+            "diverging-fit", "overflowing-step"])
     def test_bad_value_prints_one_error_line_and_no_warning(self, tmp_path, command, code,
                                                             message):
         # run outside pytest, whose filters would turn a numpy warning into an exception
@@ -1046,6 +1080,7 @@ class TestModuleEntryPoint:
         _two_sample_csv(tmp_path)
         _write(tmp_path / "real.csv", "label,f0\na,0.5\nb,-1.0\na,2.0\n")
         _write(tmp_path / "huge.csv", "label,f0\na,1e200\nb,-1e200\na,5e199\nb,-5e199\n")
+        _write(tmp_path / "steep.csv", "label,x\na,100\nb,300\na,120\n")
         done = self._run(*(arg.format(dir=tmp_path) for arg in command))
         assert done.returncode == code
         assert done.stderr == f"error: {message}\n"
@@ -1093,30 +1128,33 @@ def _numbered_rows(calls):
 
 
 class TestOutputParts:
-    """``predict`` and ``hmm-posterior`` format a table of at least two blocks
-    in up to one part per usable CPU: this process writes the first part and
-    forked children the others.  Each case is checked against a one-part
-    run, byte for byte, and leaves no child behind."""
+    """``predict`` and ``hmm-posterior`` format a table of at least
+    ``_PART_BLOCKS`` blocks per part in up to one part per usable CPU: this
+    process writes the first part and forked children the others.  Each case
+    is checked against a one-part run, byte for byte, and leaves no child
+    behind.  Most cases set ``_PART_BLOCKS`` to 1, so that small tables fork."""
 
     # rows per block of the 3-label hmm and of the 5-label disc_nb model below
     HMM_ROWS, PREDICT_ROWS = TABLE_BLOCK // 3, TABLE_BLOCK // 5
 
     @staticmethod
-    def _cpus(monkeypatch, cpus):
+    def _cpus(monkeypatch, cpus, part_blocks=1):
         monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "_PART_BLOCKS", part_blocks)
 
     @staticmethod
-    def _hmm_argv(tmp_path, t_len, algorithm="both"):
+    def _hmm_argv(tmp_path, t_len, algorithm="both", n=3):
         rng = np.random.default_rng(71)
         path = tmp_path / "hmm.json"
-        save_model(random_hmm(rng, 3, 4, derive=True), path)
+        save_model(random_hmm(rng, n, 4, derive=True), path)
         obs = random_hmm_observation(rng, load_model(path), t_len)
         return ["hmm-posterior", str(path), "--algorithm", algorithm, "--obs", ",".join(obs)]
 
     @staticmethod
-    def _predict_argv(tmp_path, rows):
+    def _predict_argv(tmp_path, rows, n_labels=5):
         rng = np.random.default_rng(73)
-        save_model(random_discriminative_nb(rng, n_labels=5, t_len=4), tmp_path / "m.json")
+        save_model(random_discriminative_nb(rng, n_labels=n_labels, t_len=4),
+                   tmp_path / "m.json")
         reals = rng.normal(0.0, 2.0, size=(rows, 4)).tolist()
         obs = _write(tmp_path / "obs.csv",
                      "f0,f1,f2,f3\n" + "".join(",".join(map(repr, row)) + "\n" for row in reals))
@@ -1153,13 +1191,13 @@ class TestOutputParts:
         assert len(forks) == 2 * (1 + 2 + 3)
 
     @pytest.mark.parametrize("count, block, cpus, here", [
-        (10, 3, 2, [(0, 3), (3, 6)]),  # 4 blocks in parts of 2 and 2, the last one ragged
-        (10, 3, 3, [(0, 3)]),  # parts of 1, 1 and 2 blocks
+        (10, 3, 2, [(0, 3), (3, 5)]),  # rows 0-4 here and 5-9 in a child
+        (10, 3, 3, [(0, 3)]),  # rows 0-2 here, 3-5 and 6-9 in children
         (7, 3, 4, [(0, 3)]),  # two whole blocks: two parts
         (5, 3, 4, [(0, 3), (3, 5)]),  # one whole block: one part
         (9, 3, 1, [(0, 3), (3, 6), (6, 9)]),
     ])
-    def test_parts_are_whole_blocks_in_order(self, monkeypatch, count, block, cpus, here):
+    def test_parts_are_contiguous_rows_in_order(self, monkeypatch, count, block, cpus, here):
         self._cpus(monkeypatch, cpus)
         calls, out = [], io.StringIO()
         cli._write_parts(_numbered_rows(calls), count, block, out)
@@ -1167,18 +1205,41 @@ class TestOutputParts:
         assert calls == here
         assert_no_child_left()
 
-    def test_a_table_of_fewer_than_two_blocks_never_forks(self, tmp_path, capsys,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("floors, extra, parts", [(2, -1, 1), (2, 0, 2), (4, 0, 4),
+                                                      (100, 0, 4)])
+    def test_a_part_holds_at_least_the_floor(self, monkeypatch, forks, floors, extra,
+                                              parts):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+        count = floors * cli._PART_BLOCKS * 5 + extra
+        calls, out = [], io.StringIO()
+        cli._write_parts(_numbered_rows(calls), count, 5, out)
+        assert out.getvalue() == "".join(f"row {i}\n" for i in range(count))
+        assert calls[0][0] == 0 and calls[-1][1] == count // parts
+        assert len(forks) == parts - 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n, children", [(2, 0), (8, 1), (32, 3)])
+    def test_hmm_long_tables_fork_from_n_8_on(self, tmp_path, capsys, monkeypatch, forks,
+                                              n, children):
+        # T = 10^4 in blocks of TABLE_BLOCK // N rows: 9, 39 and 156 blocks
+        # for N = 2, 8 and 32; the kernel's own forked pass is switched off
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(hmm, "usable_cpus", lambda: 1)
+        assert main(self._hmm_argv(tmp_path, 10_000, algorithm="fb", n=n)) == 0
+        assert capsys.readouterr().out.count("\n") == 10_000
+        assert len(forks) == children
+        assert_no_child_left()
+
+    def test_a_predict_table_below_the_floor_never_forks(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # disc-real's predict tables: 4000 rows of 8 labels, 15.6 blocks
         def no_fork():
             raise AssertionError("forked")
 
-        self._cpus(monkeypatch, 4)
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
         monkeypatch.setattr(os, "fork", no_fork)
-        hmm_argv = self._hmm_argv(tmp_path, 2 * self.HMM_ROWS - 1)
-        assert main(hmm_argv) == 0
-        assert capsys.readouterr().out.count("\n") == 2 * (2 * self.HMM_ROWS - 1) + 1
-        assert main(self._predict_argv(tmp_path, 2 * self.PREDICT_ROWS - 1)) == 0
-        assert capsys.readouterr().out.count("\r\n") == 2 * self.PREDICT_ROWS
+        assert main(self._predict_argv(tmp_path, 4000, n_labels=8)) == 0
+        assert capsys.readouterr().out.count("\r\n") == 4001
 
     def test_a_failed_child_is_formatted_here(self, monkeypatch, forks):
         # the child of the last part raises part-way; the first child succeeds
@@ -1218,7 +1279,7 @@ class TestOutputParts:
         script = textwrap.dedent(f"""
             import os, sys
             from dualbayes import cli, core
-            cli.usable_cpus = lambda: 2
+            cli.usable_cpus, cli._PART_BLOCKS = lambda: 2, 1
             forks, fork = [], os.fork
             def counted():
                 pid = fork()
@@ -1262,7 +1323,7 @@ class TestOutputParts:
             sys.path.insert(0, {os.path.dirname(__file__)!r})
             from dualbayes import cli
             from helpers import assert_no_child_left
-            cli.usable_cpus = lambda: 2
+            cli.usable_cpus, cli._PART_BLOCKS = lambda: 2, 1
             read, write = os.pipe()
             os.close(read)
             os.dup2(write, sys.stdout.fileno())

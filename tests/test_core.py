@@ -139,6 +139,11 @@ class TestNormalizeLog:
         with pytest.raises(AllZeroWeights):
             normalize_log([-np.inf, -np.inf, -np.inf])
 
+    @pytest.mark.parametrize("weights", [[[0.0, 1.0]], []], ids=["2-D", "empty"])
+    def test_weights_must_form_a_nonempty_vector(self, weights):
+        with pytest.raises(ValueError, match="^log weights must form a nonempty vector$"):
+            normalize_log(weights)
+
     def test_output_is_probability_vector(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
@@ -404,6 +409,11 @@ class TestRealObservations:
     def test_ragged_rows_name_the_first_bad_row(self):
         with pytest.raises(DimensionMismatch, match=r"got shape \(3,\)$"):
             real_observations([[1.0, 2.0], [1.0, 2.0, 3.0], [1.0]], 2)
+
+    def test_an_empty_batch_is_refused(self):
+        with pytest.raises(DimensionMismatch, match=r"^observations must have shape \(S, 3\), "
+                                                    r"got \(0,\)$"):
+            real_observations([], 3)
 
 
 class TestSpaces:

@@ -20,7 +20,7 @@ import re
 import numpy as np
 import pytest
 
-from dualbayes.cli import PREDICT_BLOCK, TABLE_BLOCK, main
+from dualbayes.cli import _PART_BLOCKS, PREDICT_BLOCK, TABLE_BLOCK, main
 from dualbayes.core import usable_cpus
 from dualbayes.hmm import derive_hmm_posteriors, entropic_forward_backward, forward_backward
 from dualbayes.model_io import load_model, save_model
@@ -41,7 +41,7 @@ MANY_CPUS = pytest.mark.skipif(
     reason=f"{usable_cpus()} usable CPU(s), or no os.sched_setaffinity to pin a run to one")
 
 # a run pinned to one CPU formats its table in one part, a free one in one
-# part per usable CPU
+# part per usable CPU: each table below holds 2 * _PART_BLOCKS blocks or more
 ONE_CPU_OR_FREE = pytest.mark.parametrize("one_cpu", [
     pytest.param(True, id="one-cpu", marks=pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity to pin a run")),
@@ -159,7 +159,8 @@ def test_predict_and_hmm_posterior_print_the_same_bytes_on_one_cpu_or_many(tmp_p
 
     rng = np.random.default_rng(34)
     save_model(random_discriminative_nb(rng, n_labels=5, t_len=6), tmp_path / "disc.json")
-    data = _write(tmp_path / "rows.csv", _real_rows_csv(rng, 5000, 6))
+    data = _write(tmp_path / "rows.csv",
+                  _real_rows_csv(rng, 2 * _PART_BLOCKS * (TABLE_BLOCK // 5) + 7, 6))
     out = tmp_path / "out.csv"
     args = ("predict", str(tmp_path / "disc.json"), data, "-o", str(out))
     assert _printed(*args, one_cpu=True, files=[out]) == _printed(*args, files=[out])
@@ -211,7 +212,7 @@ def test_predict_with_steep_slopes_prints_its_former_bytes(tmp_path, one_cpu):
     # slopes of up to 8 per position on inputs of spread 2: entries from
     # exactly 1 down past 1e-10, many in the exponent form
     rng = np.random.default_rng(36)
-    n_labels, rows = 5, 2 * (TABLE_BLOCK // 5) + 7
+    n_labels, rows = 5, 2 * _PART_BLOCKS * (TABLE_BLOCK // 5) + 7
     base = random_discriminative_nb(rng, n_labels=n_labels, t_len=6)
     model = DiscriminativeNBModel(base.labels, base.prior, rng.uniform(-8.0, 8.0, (5, 6)),
                                   base.intercepts)
@@ -235,7 +236,7 @@ def test_predict_with_unsmoothed_counts_prints_its_former_bytes(tmp_path, one_cp
     # fitted with alpha = 0: the first symbol names its label, so every other
     # label has posterior exactly 0 on a row that holds it
     rng = np.random.default_rng(37)
-    n_labels, rows = 4, 2 * (TABLE_BLOCK // 4) + 9
+    n_labels, rows = 4, 2 * _PART_BLOCKS * (TABLE_BLOCK // 4) + 9
     codes = rng.integers(0, n_labels, 600)
     lines = ["label,f0,f1,f2"]
     lines += [f"l{c},s{c},u{rng.integers(3)},v{rng.integers(4)}" for c in codes]
@@ -271,7 +272,7 @@ def test_hmm_posterior_with_a_certain_step_prints_its_former_bytes(tmp_path, n, 
              "transitions": (transitions / transitions.sum(axis=1, keepdims=True)).tolist(),
              "emissions": (emissions / emissions.sum(axis=1, keepdims=True)).tolist()}
     path = _write(tmp_path / "hmm.json", json.dumps(model))
-    symbols = rng.integers(0, 20, 2 * (TABLE_BLOCK // n) + 5)
+    symbols = rng.integers(0, 20, 2 * _PART_BLOCKS * (TABLE_BLOCK // n) + 5)
     symbols[1:][symbols[:-1] == 0] = 1 + symbols[1:][symbols[:-1] == 0] % 19  # no o0 after o0
     obs = [f"o{k}" for k in symbols]
     derived = derive_hmm_posteriors(load_model(path))

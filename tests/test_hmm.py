@@ -194,6 +194,16 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="emissions, posteriors"):
             HmmModel(labels, alphabet, ProbabilityVector([0.5, 0.5]), np.eye(2))
 
+    def test_a_model_without_emissions_has_no_classic_route(self):
+        model = random_hmm(np.random.default_rng(2), n_labels=2, m_symbols=3, derive=True)
+        columns_only = HmmModel(model.labels, model.alphabet, model.prior, model.transitions,
+                                posteriors=model.posteriors)
+        with pytest.raises(ValueError, match="^forward_backward needs the emission matrix$"):
+            forward_backward(columns_only, model.alphabet.symbols[:1])
+        with pytest.raises(ValueError, match="^deriving posteriors needs the emission matrix$"):
+            derive_hmm_posteriors(columns_only)
+        entropic_forward_backward(columns_only, model.alphabet.symbols[:1])  # needs none
+
     def test_rows_must_be_distributions(self):
         labels = LabelSpace(("a", "b"))
         alphabet = ObservationAlphabet(("x", "y"))

@@ -95,6 +95,19 @@ class TestFitMle:
             nb_fit_mle([("a", ["q"]), ("b", ["x"])], labels=labels, alphabets=alphabets)
         with pytest.raises(UnknownSymbol):
             nb_fit_mle([("c", ["x"])], labels=labels, alphabets=alphabets)
+        message = "^observations must have at least one position$"
+        with pytest.raises(LengthMismatch, match=message):
+            nb_fit_mle([("a", []), ("b", [])])
+        with pytest.raises(EmptyDataset):
+            nb_sufficient_statistics([], labels, alphabets)
+
+    def test_a_model_needs_one_emission_table_per_position(self):
+        model = random_naive_bayes(np.random.default_rng(4), n_labels=2, t_len=2)
+        with pytest.raises(ValueError, match="^need at least one observation position$"):
+            NaiveBayesModel(model.labels, (), model.prior, ())
+        message = "^need one emission table per observation position$"
+        with pytest.raises(ValueError, match=message):
+            NaiveBayesModel(model.labels, model.alphabets, model.prior, model.emissions[:1])
 
     @pytest.mark.parametrize("alpha", [-1.0, np.inf, np.nan, True, np.True_, "1", None])
     def test_smoothing_must_be_finite_and_nonnegative(self, alpha):
@@ -328,6 +341,16 @@ class TestBatchFunctions:
                 nb_discriminative_log_posterior_batch(prior, [np.array(bad)], [[0]])
         with pytest.raises(ValueError, match="^posterior tables must be arrays of numbers$"):
             nb_discriminative_log_posterior_batch(prior, [[[0.5], [0.5, 0.5]]], [[0]])  # ragged
+        with pytest.raises(ValueError, match="^need at least one posterior table$"):
+            nb_discriminative_log_posterior_batch(prior, [], np.zeros((1, 0), dtype=np.intp))
+        with pytest.raises(ValueError, match=r"^posterior tables must have shape \(M_t, 2\)$"):
+            nb_discriminative_log_posterior_batch(prior, [[[0.2, 0.3, 0.5]]], [[0]])
+
+    def test_codes_must_have_one_column_per_position(self):
+        model = random_naive_bayes(np.random.default_rng(5), n_labels=2, t_len=2)
+        message = r"^codes must have shape \(S, 2\), got \(1, 3\)$"
+        with pytest.raises(LengthMismatch, match=message):
+            nb_generative_log_posterior_batch(model, np.zeros((1, 3), dtype=np.intp))
 
     @pytest.mark.parametrize("table", [
         [["0.5", "0.5"]], np.array([["0.5", "0.5"]]), [[True, False]], np.array([[True, False]]),

@@ -5,6 +5,7 @@ import pytest
 
 from dualbayes.core import (
     LabelSpace,
+    LengthMismatch,
     ObservationAlphabet,
     ProbabilityVector,
     StateSpaceTooLarge,
@@ -17,6 +18,11 @@ from dualbayes.verify import random_hmm, random_hmm_observation, random_naive_ba
 
 
 class TestNbEnumeration:
+    def test_observation_of_the_wrong_length(self):
+        model = random_naive_bayes(np.random.default_rng(7), n_labels=2, t_len=2)
+        with pytest.raises(LengthMismatch, match="^observation has 1 positions, expected 2$"):
+            joint_enumeration_nb(model, model.alphabets[0].symbols[:1])
+
     def test_single_position_is_bayes_rule(self):
         labels = LabelSpace(("a", "b"))
         alphabet = ObservationAlphabet(("x", "y"))
@@ -72,6 +78,15 @@ class TestNbEnumeration:
 
 
 class TestHmmEnumeration:
+    def test_needs_the_emissions_and_a_step(self):
+        model = random_hmm(np.random.default_rng(8), n_labels=2, m_symbols=2, derive=True)
+        with pytest.raises(ValueError, match="^need at least one observation$"):
+            joint_enumeration_hmm(model, [])
+        columns_only = HmmModel(model.labels, model.alphabet, model.prior, model.transitions,
+                                posteriors=model.posteriors)
+        with pytest.raises(ValueError, match="^enumeration needs the emission matrix$"):
+            joint_enumeration_hmm(columns_only, model.alphabet.symbols[:1])
+
     def test_single_step(self):
         labels = LabelSpace(("a", "b"))
         alphabet = ObservationAlphabet(("x", "y"))

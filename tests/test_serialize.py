@@ -131,6 +131,10 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match="unknown model type"):
             model_from_dict({"type": "mystery", "T": 1})
 
+    def test_an_unknown_model_class_is_not_serialized(self):
+        with pytest.raises(TypeError, match="^cannot serialize dict$"):
+            model_to_dict({"type": "logreg"})
+
     def test_missing_key(self):
         rng = np.random.default_rng(29)
         data = model_to_dict(random_logreg(rng))
