@@ -63,9 +63,10 @@ EXIT_BAD_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_BROKEN_PIPE = 141
 
-# Fixed stream for the conversion probe set; independent of user seeds so
-# `convert` output is reproducible by itself.
-_PROBE_SEED = 181101
+# `convert` checks a conversion on this many probes: a fixed Weyl sequence,
+# k times the golden ratio's fraction mod 1, spread over [-4, 4), so every
+# probe has coordinates of both signs that differ.  It is plain float
+# arithmetic, so the output is reproducible without a random generator.
 _PROBE_COUNT = 100
 
 # Rows per batch-kernel call in `predict`; bounds the (rows, T, N)
@@ -377,9 +378,8 @@ def _cmd_convert(args) -> int:
     else:
         raise ValueError("convert needs a disc_nb or logreg model")
 
-    probes = np.random.default_rng(_PROBE_SEED).normal(
-        0.0, 2.0, size=(_PROBE_COUNT, model.n_positions)
-    )
+    weyl = np.arange(_PROBE_COUNT * model.n_positions) * ((5 ** 0.5 - 1) / 2) % 1.0
+    probes = (8.0 * weyl - 4.0).reshape(_PROBE_COUNT, model.n_positions)
     source, target = (np.exp(_REAL_VALUED_BATCH[type(m)](m, probes)) for m in (model, converted))
     discrepancy = float(np.abs(source - target).max())
     passed = discrepancy <= EQUALITY_TOL  # NaN fails too

@@ -220,9 +220,21 @@ def real_observations(observations, t_len: int) -> np.ndarray:
     return obs
 
 
+def _code(code_of: dict, key, what: str) -> int:
+    """``code_of[key]``; a key it does not hold, hashable or not, is an
+    :class:`UnknownSymbol` that names ``what`` it is."""
+    try:
+        return code_of[key]
+    except (KeyError, TypeError):
+        raise UnknownSymbol(f"unknown {what} {key!r}") from None
+
+
 @dataclass(frozen=True)
 class LabelSpace:
-    """Ordered, finite set of at least two distinct label names."""
+    """Ordered, finite set of at least two distinct label names.
+
+    ``code_of`` maps each name to its index, as in :class:`ObservationAlphabet`.
+    """
 
     names: tuple[str, ...]
 
@@ -230,19 +242,18 @@ class LabelSpace:
         names = tuple(self.names)
         if len(names) < 2:
             raise ValueError("a label space needs at least two labels")
-        if len(set(names)) != len(names):
+        code_of = {name: k for k, name in enumerate(names)}
+        if len(code_of) != len(names):
             raise ValueError("label names must be distinct")
         object.__setattr__(self, "names", names)
+        object.__setattr__(self, "code_of", code_of)
 
     @property
     def n(self) -> int:
         return len(self.names)
 
     def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownSymbol(f"unknown label {name!r}") from None
+        return _code(self.code_of, name, "label")
 
 
 @dataclass(frozen=True)
@@ -270,10 +281,7 @@ class ObservationAlphabet:
         return len(self.symbols)
 
     def index(self, symbol: str) -> int:
-        try:
-            return self.code_of[symbol]
-        except (KeyError, TypeError):
-            raise UnknownSymbol(f"unknown symbol {symbol!r}") from None
+        return _code(self.code_of, symbol, "symbol")
 
 
 @dataclass(frozen=True, eq=False)

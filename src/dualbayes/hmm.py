@@ -24,11 +24,12 @@ only initial weights, transitions, that table and that row index.  It
 divides every forward and backward vector by its total (Rabiner, "A
 tutorial on hidden Markov models", Proc. IEEE 1989, section V.A), so long
 sequences neither underflow nor accumulate rounding; the totals are taken
-as ``v.dot(ones)``, and a total that is not > 0 leaves its vector zero.  Each
-factor row is shifted by its own maximum, which keeps it in ``[0, 1]``
-with at least one entry equal to one.  The forward vectors are stored as
-the rows of ``gamma``, the backward pass multiplies its vector into each
-row, and the rows are normalized once, together, at the end.
+as ``v.dot(ones)``.  A step divides its vector by its total, and only a
+zero total is replaced, so a zero vector stays zero.  Each factor row is
+shifted by its own maximum, which keeps it in ``[0, 1]`` with at least one
+entry equal to one.  The forward vectors are stored as the rows of
+``gamma``, the backward pass multiplies its vector into each row, and the
+rows are normalized once, together, at the end.
 
 A long sequence over few labels is evaluated in time blocks, in the manner
 of temporal parallelization of Bayesian smoothers (Särkkä & García-Fernández,
@@ -42,12 +43,10 @@ runs one forward and one backward sweep of every block from its boundary.
 That is about 5 sqrt(T) Python-level steps instead of 2T, for N times the
 arithmetic, so the kernel takes this route only with at most 16 labels and
 at least 512 steps, and the step-by-step loop otherwise.  The two agree to
-rounding.  The block step floors each total at the smallest normal float,
-so a block that cannot reach a step carries zeros into its rows of
-``gamma``, and a zero vector at a block boundary turns into NaN.  Either
-recursion thus leaves a row of ``gamma`` that is not > 0 wherever the
-sequence has probability zero, and the one check on those rows, after the
-recursion, raises :class:`ZeroEvidence`.
+rounding, and the blocked route keeps that rule at every step and block
+boundary.  Either recursion thus leaves a zero row of ``gamma`` wherever
+the sequence has probability zero, and the one check on those rows, after
+the recursion, raises :class:`ZeroEvidence`.
 
 The step-by-step loop's forward and backward passes do not depend on each
 other until their product is formed (Rabiner, section III), so on a long
@@ -74,7 +73,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -203,7 +202,6 @@ _BLOCKED_MIN_STEPS = 512
 # 4096 is the shortest of those lengths that won at both N.
 _FORKED_MIN_STEPS = 4096
 _SPOOL_CHUNK_BYTES = 1 << 16  # read back at most this much of the child's file at once
-_TINY = np.finfo(float).tiny
 
 
 def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
@@ -213,14 +211,14 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
     ``log_factors`` is (K, N) with entries in ``[-inf, inf)`` and ``rows``
     holds T >= 1 indices into it.  Each factor row is shifted by its own
     maximum ``peak[k]``, a constant that normalization cancels.  Forward
-    step ``t`` divides ``alpha`` by its total ``c_t = alpha.dot(ones)`` and
-    stores it as ``gamma[t]``; the backward vector ``beta`` is divided by its
-    total at each step and multiplied into ``gamma[t]`` without
-    renormalizing.  The rows are normalized once, vectorized, at the end.
-    A forward or backward total that is not > 0 leaves its vector zero, and
-    every later ``alpha`` or earlier ``beta`` with it, so the rows of
-    ``gamma`` it reaches are zero; every row total must be > 0, or
-    :class:`ZeroEvidence` is raised.  That check is the kernel's only raise.
+    step ``t`` stores ``alpha`` in ``gamma[t]`` and its total ``c_t =
+    alpha.dot(ones)`` in ``scales``; each backward ``beta`` is multiplied into
+    ``gamma[t]``, and the rows are normalized once, vectorized, at the end.
+    A step divides its vector by its total, and only a zero total is
+    replaced, so a zero vector stays zero, as does every later ``alpha`` or
+    earlier ``beta``, and the rows of ``gamma`` it reaches are zero; every
+    row total must be > 0, or :class:`ZeroEvidence` is raised.  That check is
+    the kernel's only raise.
 
     Step 0, ``alpha = init * f_0``, is taken here for both recursions.  The
     rest is chosen from the input's size alone.  With at most
@@ -230,11 +228,8 @@ def _smooth(init, transitions, log_factors, rows) -> PosteriorMarginals:
     its backward pass in a forked child from ``_FORKED_MIN_STEPS`` steps on
     when the process may use two CPUs.  Where the backward pass runs does
     not change a byte of the result, and the child has exited before this
-    function returns or raises.
-    Both store the same normalized ``alpha`` in ``gamma`` and the same
-    ``c_t`` in ``scales``, up to rounding.  The plain loop divides by one
-    where a total is zero, the blocked one floors it, and both leave zero
-    (or, past a block boundary, NaN) rows of ``gamma`` for the check to find.
+    function returns or raises.  Both store the same normalized ``alpha`` in
+    ``gamma`` and the same ``c_t`` in ``scales``, up to rounding.
 
     ``log_evidence = sum_t log c_t + sum_t peak[rows[t]]`` is the log of the
     sequence's total weight under the unshifted factors; the forward totals
@@ -350,8 +345,9 @@ def _blocked_recursion(transitions, factors, rows, gamma, scales):
        through the operators, ``alpha @ M_b``, to each block's start, and
        ``beta`` backward through the same ones, ``M_b @ beta``, to each
        block's end; both in log space, so that the row scales cannot
-       underflow.  A zero vector has no finite log to shift by, so it turns
-       into NaN, which the sweeps carry into its block's rows of ``gamma``.
+       underflow.  A step divides its vector by its total, and only a zero
+       total is replaced, so a zero vector stays zero, and so do the rows of
+       ``gamma`` that the sweeps run from it.
     3. One forward and one backward sweep of L steps run every block from
        its boundary on a ``(B, N)`` state, as :func:`_plain_recursion` runs
        the whole sequence: ``alpha`` and its totals are written into
@@ -376,15 +372,12 @@ def _blocked_recursion(transitions, factors, rows, gamma, scales):
         log_scale[:len(part)] += np.log(totals)
     starts = np.tile(gamma[0], (blocks, 1))  # starts[b] is the alpha at position b*L
     ends = np.ones((blocks, n))  # ends[b] is the beta at block b's last position
-    with np.errstate(invalid="ignore"):  # a zero vector turns into NaN here
-        for b in range(blocks - 1):
-            weights = safe_log(starts[b]) + log_scale[b]
-            out = np.exp(weights - weights.max()).dot(ops[b])
-            starts[b + 1] = out / out.sum()
-        for b in range(blocks - 1, 0, -1):
-            weights = safe_log(ops[b].dot(ends[b])) + log_scale[b]
-            out = np.exp(weights - weights.max())
-            ends[b - 1] = out / out.sum()
+    for b in range(blocks - 1):
+        out = _exp_shifted(safe_log(starts[b]) + log_scale[b]).dot(ops[b])
+        starts[b + 1] = out / (out.sum() or 1.0)
+    for b in range(blocks - 1, 0, -1):
+        out = _exp_shifted(safe_log(ops[b].dot(ends[b])) + log_scale[b])
+        ends[b - 1] = out / (out.sum() or 1.0)
 
     backward = np.ascontiguousarray(transitions.T)  # a product with a transposed view is slower
     for j, part, totals in _sweep(starts, transitions, factors, steps.T, active):
@@ -393,6 +386,12 @@ def _blocked_recursion(transitions, factors, rows, gamma, scales):
     for j, part, _ in _sweep(ends, backward, factors, steps.T[::-1], active[::-1], factor_first=True):
         rows_j = gamma[span - 1 - j::span][:len(part)]
         rows_j *= part
+
+
+def _exp_shifted(weights):
+    """``exp(weights - max(weights))``, or zeros where every weight is ``-inf``."""
+    peak = weights.max()
+    return np.exp(weights - peak) if isfinite(peak) else np.zeros_like(weights)
 
 
 def _sweep(state, matrix, factors, steps, active, factor_first=False):
@@ -404,12 +403,12 @@ def _sweep(state, matrix, factors, steps, active, factor_first=False):
     step: ``factors[k]`` must broadcast against one block, so an operator
     stack takes ``factors[:, None, :]``.  Each step is ``(X @ M) * f``, or
     ``(X * f) @ M`` with ``factor_first``, one product on the flattened
-    ``part = state[:active[j]]``.  Every row of ``part`` is then divided by
-    its total, floored at the smallest normal float so that a row of zeros
-    (its start cannot reach the step) stays zero; ``totals`` holds the
-    divisors.
+    ``part = state[:active[j]]``.  A step divides its vector by its total,
+    and only a zero total is replaced (by the smallest subnormal float, which
+    no positive total is below), so a zero row (its start cannot reach the
+    step) stays zero; ``totals`` holds the divisors.
     """
-    n = len(matrix)
+    n, floor = len(matrix), np.finfo(float).smallest_subnormal
     ones = np.ones(n)
     for j, (row, count) in enumerate(zip(steps, active)):
         part = state[:count]
@@ -419,7 +418,7 @@ def _sweep(state, matrix, factors, steps, active, factor_first=False):
             np.dot((part * f).reshape(-1, n), matrix, out=flat)
         else:
             np.multiply(flat.dot(matrix).reshape(part.shape), f, out=part)
-        totals = np.maximum(part.dot(ones), _TINY)
+        totals = np.maximum(part.dot(ones), floor)
         part /= totals[..., None]
         yield j, part, totals
 

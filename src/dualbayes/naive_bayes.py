@@ -289,9 +289,7 @@ def _gathered_log_columns(tables, codes):
     sizes = np.array([table.shape[0] for table in tables])
     if ((codes < 0) | (codes >= sizes)).any():
         raise UnknownSymbol(f"symbol codes must lie in [0, M_t) for M_t = {sizes.tolist()}")
-    with np.errstate(divide="ignore"):
-        log_tables = [np.log(table) for table in tables]
-    return (log_table.take(column, axis=0) for log_table, column in zip(log_tables, codes.T))
+    return (safe_log(table).take(column, axis=0) for table, column in zip(tables, codes.T))
 
 
 def _nb_log_posterior(log_prior_term, log_columns, error=None) -> np.ndarray:

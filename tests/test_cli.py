@@ -1028,14 +1028,17 @@ class TestModuleEntryPoint:
         assert module.returncode == 0
 
     def test_discriminative_fit_does_not_import_numpy_random(self, tmp_path):
-        # numpy.random costs about 6 MB and 15 ms to import, and the
-        # full-batch trainer draws no random number
+        # numpy.random costs about 6 MB and 15 ms to import; the full-batch
+        # trainer draws no random number, and convert's probes are a fixed
+        # sequence.  The fit writes the model that convert then reads
         dataset = _separable_csv(tmp_path, per_class=10)
+        disc = str(tmp_path / "disc.json")
         script = ("import sys; from dualbayes.cli import main; code = main(sys.argv[1:]); "
                   "print(code, 'numpy.random' in sys.modules)")
-        done = self._run_python("-c", script, "fit", "--discriminative", "--epochs", "2",
-                                dataset, "-o", str(tmp_path / "m.json"))
-        assert done.stdout.splitlines()[-1] == "0 False"
+        for argv in (["fit", "--discriminative", "--epochs", "2", dataset, "-o", disc],
+                     ["convert", disc, "-o", str(tmp_path / "lr.json")]):
+            done = self._run_python("-c", script, *argv)
+            assert done.stdout.splitlines()[-1] == "0 False", argv
 
     def test_only_the_table_commands_import_the_formatter(self, tmp_path):
         # the table formatter's module, and the numpy loops it runs, stay out

@@ -23,6 +23,7 @@ from dualbayes.core import (
     ProbabilityVector,
     SIMPLEX_TOL,
     UnknownSymbol,
+    _placements,
     check_simplex_rows,
     forked_parts,
     log_softmax_last,
@@ -39,6 +40,7 @@ from dualbayes.naive_bayes import (
     disc_nb_posterior,
     nb_generative_posterior,
 )
+from dualbayes.verify import run_all_suites
 
 from helpers import NON_NUMERIC_ROWS, assert_no_child_left
 
@@ -425,8 +427,11 @@ class TestSpaces:
         space = LabelSpace(("a", "b", "c"))
         assert space.n == 3
         assert space.index("c") == 2
+        assert space.code_of == {"a": 0, "b": 1, "c": 2}
         with pytest.raises(UnknownSymbol):
             space.index("d")
+        with pytest.raises(UnknownSymbol, match=r"^unknown label \['c'\]$"):
+            space.index(["c"])  # unhashable
 
     def test_alphabet_allows_single_symbol(self):
         alphabet = ObservationAlphabet(("only",))
@@ -467,6 +472,25 @@ def test_forked_children_move_to_the_usable_cpus_after_this_one():
     first = cpus.index(int(moved[0][1:-1]))
     assert moved == [repr([cpus[(first + k) % len(cpus)]]) for k in range(len(cpus) + 1)]
     assert sorted(os.sched_getaffinity(0)) == cpus
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: every part runs here")
+def test_without_an_affinity_mask_the_children_run_anywhere(monkeypatch):
+    # where os has no sched_getaffinity, usable_cpus counts the machine's
+    # CPUs and no child is placed; verify's forked children still give a
+    # serial run's result
+    with monkeypatch.context() as serial:
+        serial.setattr(dualbayes.verify, "usable_cpus", lambda: 1)
+        expected = run_all_suites(seed=3, cases=2)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert usable_cpus() == 2
+    assert _placements(3) == [None] * 3
+    assert run_all_suites(seed=3, cases=2) == expected
+    assert len(forks) == 2
+    assert_no_child_left()
 
 
 def test_public_names_resolve():

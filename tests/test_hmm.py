@@ -40,8 +40,8 @@ from dualbayes.verify import random_hmm, random_hmm_observation
 from helpers import assert_no_child_left
 
 # Zero evidence is decided by one check on the rows of gamma, which the
-# recursions reach through zero and NaN vectors; none of that may warn,
-# whatever warning filters the run is given.
+# recursions reach through zero vectors; none of that may warn, whatever
+# warning filters the run is given.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
@@ -516,6 +516,25 @@ class TestLogEvidence:
         gap = (forward_backward(model, obs).log_evidence
                - entropic_forward_backward(model, obs).log_evidence)
         assert math.isclose(gap, expected, rel_tol=EQUALITY_TOL, abs_tol=EQUALITY_TOL)
+
+    @pytest.mark.parametrize("t_len", [600, 2000])
+    def test_a_subnormal_total_at_the_end_of_a_block(self, t_len, monkeypatch):
+        # label 1 stays put and emits symbol 0 with probability 1e-320, so a
+        # sequence with one symbol 0 has that subnormal weight.  T = 600 and
+        # 2000 run in blocks of isqrt(T - 1) steps, and the symbol 0 lies on
+        # the last step of a block, whose successor restarts from a boundary
+        init, transitions = np.array([0.0, 1.0]), np.eye(2)
+        log_factors = safe_log(np.array([[0.5, 1e-320], [0.5, 1.0]]))
+        span = math.isqrt(t_len - 1)
+        for step in (span, 2 * span, t_len - 1):
+            rows = [int(t != step) for t in range(t_len)]
+            blocked = _smooth(init, transitions, log_factors, rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(hmm, "_BLOCKED_MIN_STEPS", t_len + 1)
+                plain = _smooth(init, transitions, log_factors, rows)
+            np.testing.assert_array_equal(blocked.gamma, plain.gamma)
+            assert math.isclose(blocked.log_evidence, plain.log_evidence, rel_tol=1e-12)
+            assert abs(blocked.log_evidence - math.log(1e-320)) <= 1e-3
 
 
 class TestAdversarialKernel:

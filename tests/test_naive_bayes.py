@@ -24,6 +24,7 @@ from dualbayes.core import (
 from dualbayes.naive_bayes import (
     DiscriminativeNBModel,
     NaiveBayesModel,
+    SufficientStatistics,
     disc_nb_log_posterior_batch,
     disc_nb_posterior,
     nb_discriminative_log_posterior_batch,
@@ -150,6 +151,21 @@ class TestFitMle:
             for label, observation in dataset:
                 tally[labels.index(label), alphabet.index(observation[t])] += 1
             np.testing.assert_array_equal(stats.emission_counts[t], tally)
+
+    def test_sufficient_statistics_need_a_sample(self):
+        with pytest.raises(ValueError, match="^sample_count must be positive$"):
+            SufficientStatistics(0, [0, 0], ([[0, 0], [0, 0]],))
+
+    def test_label_counts_must_add_up_to_the_sample_count(self):
+        with pytest.raises(ValueError,
+                           match="^label counts do not add up to the sample count$"):
+            SufficientStatistics(3, [1, 1], ([[1, 0], [0, 1]],))
+
+    def test_emission_counts_must_add_up_to_the_label_counts(self):
+        # position 0 is consistent, position 1 counts one sample of label b twice
+        with pytest.raises(ValueError, match="^emission counts at position 1 do not add up "
+                                             "to the label counts$"):
+            SufficientStatistics(2, [1, 1], ([[1, 0], [0, 1]], [[1, 0], [1, 1]]))
 
     def test_zero_alpha_is_a_likelihood_maximum(self):
         # moving any fitted parameter along the simplex must not improve
